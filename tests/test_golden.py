@@ -1,0 +1,198 @@
+"""Golden-output gate: SHA-256 of every output file for each bundled
+scenario x scheduler x migration, plus one sweep.
+
+A refactor must leave every digest unchanged. A change that alters
+behaviour on purpose updates the digest it moves and says why.
+
+Print the current digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from dispatchsim.cli import main
+
+SCENARIOS = ("migration_demo.scn", "paper_tables.scn", "sweep_demo.scn", "table6_demo.scn")
+SWEEP = ("sweep", "sweep_demo.scn", "--sweep", "5,10,15,20,25,30", "--scheduler", "sjf")
+
+CASES = {
+    f"{scn}:{sched}:{mig}": ("run", scn, "--scheduler", sched, "--migration", mig)
+    for scn in SCENARIOS
+    for sched in ("rr", "sjf")
+    for mig in ("off", "on")
+}
+CASES["sweep_demo.scn:sweep"] = SWEEP
+
+GOLDEN = {
+    'migration_demo.scn:rr:off': {
+        'hourly_response_jobs.csv': '628ac3305660ff5433d019131825382b007111c1daf7d20e6c4c1e60cb70b945',
+        'jobs.csv': 'eb6b85e0c5646dd97e6b7329b8127edbbdb83e1c85f4e1438b44001c7a4d8cfa',
+        'rejections.csv': '50b6362dc89fecf31f804c9e714d3c15d45fb8aa04e9caa3bc33eec8f899ed5e',
+        'rejections_bar.csv': '773f6bc697ba047c757a66df835f8fbcb25a429f3ff0ab490c71ed9dfdd98756',
+        'summary.csv': 'f8db10943231ebc235b53b49f0389295e069c5790cc48000dcca581491b8bdbd',
+    },
+    'migration_demo.scn:rr:on': {
+        'hourly_response_jobs.csv': '0b20b25b755c455aa64d0e249f7389fda07b3824496d78d849860676e1ffc54f',
+        'jobs.csv': '4faef950b22415303eee929af147e6e48854baa3662493c694ed6333acf9e5fd',
+        'rejections.csv': '5cb4a222486d35fea28d629fd6d7a67bc476b5c51e73552849433a1d43dc076d',
+        'rejections_bar.csv': 'f68e71fb417e2a1a8363b4049ba92d0acdc3a011a27678d39388f431150f25ba',
+        'summary.csv': '697e328dd173ca83b67f819c2ca8bfafbfca7ea9e24e4927b1d87b2d024e49c8',
+    },
+    'migration_demo.scn:sjf:off': {
+        'hourly_response_jobs.csv': '628ac3305660ff5433d019131825382b007111c1daf7d20e6c4c1e60cb70b945',
+        'jobs.csv': 'eb6b85e0c5646dd97e6b7329b8127edbbdb83e1c85f4e1438b44001c7a4d8cfa',
+        'rejections.csv': '50b6362dc89fecf31f804c9e714d3c15d45fb8aa04e9caa3bc33eec8f899ed5e',
+        'rejections_bar.csv': '773f6bc697ba047c757a66df835f8fbcb25a429f3ff0ab490c71ed9dfdd98756',
+        'summary.csv': 'f8db10943231ebc235b53b49f0389295e069c5790cc48000dcca581491b8bdbd',
+    },
+    'migration_demo.scn:sjf:on': {
+        'hourly_response_jobs.csv': '0b20b25b755c455aa64d0e249f7389fda07b3824496d78d849860676e1ffc54f',
+        'jobs.csv': '4faef950b22415303eee929af147e6e48854baa3662493c694ed6333acf9e5fd',
+        'rejections.csv': '5cb4a222486d35fea28d629fd6d7a67bc476b5c51e73552849433a1d43dc076d',
+        'rejections_bar.csv': 'f68e71fb417e2a1a8363b4049ba92d0acdc3a011a27678d39388f431150f25ba',
+        'summary.csv': '697e328dd173ca83b67f819c2ca8bfafbfca7ea9e24e4927b1d87b2d024e49c8',
+    },
+    'paper_tables.scn:rr:off': {
+        'hourly_response_UB1.csv': '62a3b4dfce13a5b22a54928ea1c67c2b7df92cd2d7e00dac2c9e3d70f457b073',
+        'hourly_response_UB2.csv': '97fc29b7eca3cb54962d12b787faaf6a5f8551e0ae7fb7cdbae14b09695e2c7a',
+        'hourly_response_UB3.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'hourly_response_UB4.csv': '7533a8bcd62b13ca19bc42266c840ce0016f4a14bfbb6098f686ba20fd241dde',
+        'hourly_response_UB5.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'jobs.csv': 'e6acae411f4a00c06e9a809f1b57bfcf9dc614e73cb83d6e76ae2ea78617355d',
+        'rejections.csv': '3ada8727e1ddc2c64224c14d4e500bd4375808ef1c4ced0a9d67151f19661b7f',
+        'rejections_bar.csv': 'b7d5c31af9efd467de84e9caeccfca0f6a8d444adef24638c6ed66dd0ee76dc5',
+        'summary.csv': '111b7b1eebbca5413a1129396f01be0a0cc2ee3fe64e602b54809ae80943abac',
+    },
+    'paper_tables.scn:rr:on': {
+        'hourly_response_UB1.csv': '62a3b4dfce13a5b22a54928ea1c67c2b7df92cd2d7e00dac2c9e3d70f457b073',
+        'hourly_response_UB2.csv': '97fc29b7eca3cb54962d12b787faaf6a5f8551e0ae7fb7cdbae14b09695e2c7a',
+        'hourly_response_UB3.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'hourly_response_UB4.csv': '7533a8bcd62b13ca19bc42266c840ce0016f4a14bfbb6098f686ba20fd241dde',
+        'hourly_response_UB5.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'jobs.csv': 'e6acae411f4a00c06e9a809f1b57bfcf9dc614e73cb83d6e76ae2ea78617355d',
+        'rejections.csv': '3ada8727e1ddc2c64224c14d4e500bd4375808ef1c4ced0a9d67151f19661b7f',
+        'rejections_bar.csv': 'b7d5c31af9efd467de84e9caeccfca0f6a8d444adef24638c6ed66dd0ee76dc5',
+        'summary.csv': '111b7b1eebbca5413a1129396f01be0a0cc2ee3fe64e602b54809ae80943abac',
+    },
+    'paper_tables.scn:sjf:off': {
+        'hourly_response_UB1.csv': '62a3b4dfce13a5b22a54928ea1c67c2b7df92cd2d7e00dac2c9e3d70f457b073',
+        'hourly_response_UB2.csv': '97fc29b7eca3cb54962d12b787faaf6a5f8551e0ae7fb7cdbae14b09695e2c7a',
+        'hourly_response_UB3.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'hourly_response_UB4.csv': '7533a8bcd62b13ca19bc42266c840ce0016f4a14bfbb6098f686ba20fd241dde',
+        'hourly_response_UB5.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'jobs.csv': 'e6acae411f4a00c06e9a809f1b57bfcf9dc614e73cb83d6e76ae2ea78617355d',
+        'rejections.csv': '3ada8727e1ddc2c64224c14d4e500bd4375808ef1c4ced0a9d67151f19661b7f',
+        'rejections_bar.csv': 'b7d5c31af9efd467de84e9caeccfca0f6a8d444adef24638c6ed66dd0ee76dc5',
+        'summary.csv': '111b7b1eebbca5413a1129396f01be0a0cc2ee3fe64e602b54809ae80943abac',
+    },
+    'paper_tables.scn:sjf:on': {
+        'hourly_response_UB1.csv': '62a3b4dfce13a5b22a54928ea1c67c2b7df92cd2d7e00dac2c9e3d70f457b073',
+        'hourly_response_UB2.csv': '97fc29b7eca3cb54962d12b787faaf6a5f8551e0ae7fb7cdbae14b09695e2c7a',
+        'hourly_response_UB3.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'hourly_response_UB4.csv': '7533a8bcd62b13ca19bc42266c840ce0016f4a14bfbb6098f686ba20fd241dde',
+        'hourly_response_UB5.csv': '5e266bb31a2fd4cf8057a35250c52ea03a8d9158ea26dd0f2c49e555e3727dcf',
+        'jobs.csv': 'e6acae411f4a00c06e9a809f1b57bfcf9dc614e73cb83d6e76ae2ea78617355d',
+        'rejections.csv': '3ada8727e1ddc2c64224c14d4e500bd4375808ef1c4ced0a9d67151f19661b7f',
+        'rejections_bar.csv': 'b7d5c31af9efd467de84e9caeccfca0f6a8d444adef24638c6ed66dd0ee76dc5',
+        'summary.csv': '111b7b1eebbca5413a1129396f01be0a0cc2ee3fe64e602b54809ae80943abac',
+    },
+    'sweep_demo.scn:rr:off': {
+        'hourly_response_UBL.csv': '3fc5a72cf2507f1521e2a58087758f1751a627611bc94af5b679cb389226cfd6',
+        'hourly_response_UBS.csv': 'fa19197a4044e4c04b7c86721377c166d2417b486dc7bf466acd97b0eadace91',
+        'jobs.csv': 'abcd987153c184756865fc2938350d64d95f72d9e22801879e6100960b675d72',
+        'rejections.csv': '819c7556001bb7a35ac3df27ab09fd1314dff1ea534ce00def2f9eb89f6d59b4',
+        'rejections_bar.csv': '98609463361a527871c756e9a4e3d4ec4e0da2bb75bc830a3e033cf836ca6617',
+        'summary.csv': '2f2e91c620ac2cad9e75edd46e5cb51d088b96756fbbb9a9b127c4711f4f77ca',
+    },
+    'sweep_demo.scn:rr:on': {
+        'hourly_response_UBL.csv': '3fc5a72cf2507f1521e2a58087758f1751a627611bc94af5b679cb389226cfd6',
+        'hourly_response_UBS.csv': 'fa19197a4044e4c04b7c86721377c166d2417b486dc7bf466acd97b0eadace91',
+        'jobs.csv': 'abcd987153c184756865fc2938350d64d95f72d9e22801879e6100960b675d72',
+        'rejections.csv': '819c7556001bb7a35ac3df27ab09fd1314dff1ea534ce00def2f9eb89f6d59b4',
+        'rejections_bar.csv': '98609463361a527871c756e9a4e3d4ec4e0da2bb75bc830a3e033cf836ca6617',
+        'summary.csv': '2f2e91c620ac2cad9e75edd46e5cb51d088b96756fbbb9a9b127c4711f4f77ca',
+    },
+    'sweep_demo.scn:sjf:off': {
+        'hourly_response_UBL.csv': '3fc5a72cf2507f1521e2a58087758f1751a627611bc94af5b679cb389226cfd6',
+        'hourly_response_UBS.csv': 'fa19197a4044e4c04b7c86721377c166d2417b486dc7bf466acd97b0eadace91',
+        'jobs.csv': 'abcd987153c184756865fc2938350d64d95f72d9e22801879e6100960b675d72',
+        'rejections.csv': '819c7556001bb7a35ac3df27ab09fd1314dff1ea534ce00def2f9eb89f6d59b4',
+        'rejections_bar.csv': '98609463361a527871c756e9a4e3d4ec4e0da2bb75bc830a3e033cf836ca6617',
+        'summary.csv': '2f2e91c620ac2cad9e75edd46e5cb51d088b96756fbbb9a9b127c4711f4f77ca',
+    },
+    'sweep_demo.scn:sjf:on': {
+        'hourly_response_UBL.csv': '3fc5a72cf2507f1521e2a58087758f1751a627611bc94af5b679cb389226cfd6',
+        'hourly_response_UBS.csv': 'fa19197a4044e4c04b7c86721377c166d2417b486dc7bf466acd97b0eadace91',
+        'jobs.csv': 'abcd987153c184756865fc2938350d64d95f72d9e22801879e6100960b675d72',
+        'rejections.csv': '819c7556001bb7a35ac3df27ab09fd1314dff1ea534ce00def2f9eb89f6d59b4',
+        'rejections_bar.csv': '98609463361a527871c756e9a4e3d4ec4e0da2bb75bc830a3e033cf836ca6617',
+        'summary.csv': '2f2e91c620ac2cad9e75edd46e5cb51d088b96756fbbb9a9b127c4711f4f77ca',
+    },
+    'sweep_demo.scn:sweep': {
+        'rejections.csv': '9cf4d4fa99ef401ecff8f1bada5fcd0f48a3cba63624fda0aa38d2e00b417c79',
+        'rejections_bar.csv': 'cc4e12fb34c03e822d21b70331176d04bdac23a5701cd09c057fa1e274909bd8',
+    },
+    'table6_demo.scn:rr:off': {
+        'hourly_response_jobs.csv': 'cdf6a35641c4ca8b0bf064bffcad86fcc6e8101c38df838b6df94f8e17224eae',
+        'jobs.csv': 'f0ecc9a819f7caeb3a620628982cfda45fde8381bb72bc146ef65ce99d95f0bb',
+        'rejections.csv': 'd076726aabb031df902f9a9a46a0709d2efac33556233812e1a4a78e495f6322',
+        'rejections_bar.csv': '867a2707a6d695955dfeb2c8150334e49ebe23ad38f3e327b0ce912221deaf3a',
+        'summary.csv': '14b89f1adb5e008324cf692b202dd14b16eb53498f6ef5ad46ac33632d31ed83',
+    },
+    'table6_demo.scn:rr:on': {
+        'hourly_response_jobs.csv': 'cdf6a35641c4ca8b0bf064bffcad86fcc6e8101c38df838b6df94f8e17224eae',
+        'jobs.csv': 'f0ecc9a819f7caeb3a620628982cfda45fde8381bb72bc146ef65ce99d95f0bb',
+        'rejections.csv': 'd076726aabb031df902f9a9a46a0709d2efac33556233812e1a4a78e495f6322',
+        'rejections_bar.csv': '867a2707a6d695955dfeb2c8150334e49ebe23ad38f3e327b0ce912221deaf3a',
+        'summary.csv': '14b89f1adb5e008324cf692b202dd14b16eb53498f6ef5ad46ac33632d31ed83',
+    },
+    'table6_demo.scn:sjf:off': {
+        'hourly_response_jobs.csv': 'a09f15989907ca9433363d63c52b1b92a96cfa9f2940c94ff5b57188168f376b',
+        'jobs.csv': '307681ee0fecaae4437ab2d4c03e56ea8ecba3e75cef3f209397a0dbdde2c15a',
+        'rejections.csv': 'd076726aabb031df902f9a9a46a0709d2efac33556233812e1a4a78e495f6322',
+        'rejections_bar.csv': '867a2707a6d695955dfeb2c8150334e49ebe23ad38f3e327b0ce912221deaf3a',
+        'summary.csv': '91263189ca63de02ce3219aff2d2b9c0162964ba0111c813ef56af74cb35d1ab',
+    },
+    'table6_demo.scn:sjf:on': {
+        'hourly_response_jobs.csv': 'a09f15989907ca9433363d63c52b1b92a96cfa9f2940c94ff5b57188168f376b',
+        'jobs.csv': '307681ee0fecaae4437ab2d4c03e56ea8ecba3e75cef3f209397a0dbdde2c15a',
+        'rejections.csv': 'd076726aabb031df902f9a9a46a0709d2efac33556233812e1a4a78e495f6322',
+        'rejections_bar.csv': '867a2707a6d695955dfeb2c8150334e49ebe23ad38f3e327b0ce912221deaf3a',
+        'summary.csv': '91263189ca63de02ce3219aff2d2b9c0162964ba0111c813ef56af74cb35d1ab',
+    },
+}
+
+
+def output_digests(argv, out_dir) -> dict:
+    assert main([*argv, "--out", str(out_dir)]) == 0
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_outputs(case, tmp_path, capsys):
+    assert output_digests(CASES[case], tmp_path / "out") == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for case in sorted(CASES):
+            with contextlib.redirect_stdout(io.StringIO()):
+                digests = output_digests(CASES[case], os.path.join(tmp, case))
+            print(f"    {case!r}: {{")
+            for name, digest in digests.items():
+                print(f"        {name!r}: {digest!r},")
+            print("    },")
+        print("}")
