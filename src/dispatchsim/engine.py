@@ -8,7 +8,10 @@ function of (scenario, seed).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 
 from . import model
 from .metrics import JobTrace, RunMetrics
@@ -37,6 +40,8 @@ DEADLINE_EXPIRY = "DeadlineExpiry"
 
 DEFAULT_EVENT_CAP = 10_000_000
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
+
+_SJF_KEY = attrgetter("sjf_key")
 
 
 class EngineError(Exception):
@@ -88,10 +93,6 @@ class EventCalendar:
 
     def peek_time(self) -> float:
         return self._heap[0][0]
-
-
-def schedule_event(calendar: EventCalendar, ev: Event):
-    return calendar.schedule(ev)
 
 
 class Simulation:
@@ -191,45 +192,38 @@ class Simulation:
         # explicit trace jobs run on the first declared datacenter
         return next(iter(self.datacenters.values()))
 
-    def _sjf_key(self, job: Job, rate: float):
-        return (job.service_demand(rate), job.arrival, job.id)
-
     def _pick_next(self, vm: VmInstance) -> Job:
         if self.scheduler == "sjf":
-            return min(vm.queue, key=lambda j: self._sjf_key(j, vm.rate))
+            return min(vm.queue, key=_SJF_KEY)
         return vm.queue[0]
 
     def _residual(self, vm: VmInstance, now: float) -> float:
         return max(0.0, vm.busy_until - now) if vm.running is not None else 0.0
 
-    def _wait_ahead_of(self, vm: VmInstance, job: Job, now: float) -> float:
-        """Expected remaining wait for a queued job: residual of the
-        running job plus service demands of queue members served
-        before it under the active scheduler."""
-        w = self._residual(vm, now)
-        if self.scheduler == "sjf":
-            key = self._sjf_key(job, vm.rate)
-            ahead = [j for j in vm.queue if j is not job and self._sjf_key(j, vm.rate) < key]
-        else:
-            idx = vm.queue.index(job)
-            ahead = vm.queue[:idx]
-        return w + sum(j.service_demand(vm.rate) for j in ahead)
+    def _service_prefix(self, vm: VmInstance) -> list[float]:
+        """Prefix sums of queued demand in service order (FIFO under rr,
+        ascending sjf_key under sjf), rebuilt only after the queue
+        changed. Under sjf, vm.service_keys holds the matching keys."""
+        if vm.service_prefix is None:
+            jobs = vm.queue
+            if self.scheduler == "sjf":
+                jobs = sorted(jobs, key=_SJF_KEY)
+                vm.service_keys = [j.sjf_key for j in jobs]
+            vm.service_prefix = list(accumulate((j.demand for j in jobs), initial=0.0))
+        return vm.service_prefix
 
-    def _wait_if_added(self, vm: VmInstance, job: Job, now: float) -> float:
-        """Expected wait for `job` were it enqueued on `vm` now; counts
-        migrations already in transit toward `vm`."""
-        w = self._residual(vm, now)
-        if self.scheduler == "sjf":
-            key = self._sjf_key(job, vm.rate)
-            w += sum(
-                j.service_demand(vm.rate)
-                for j in vm.queue
-                if self._sjf_key(j, vm.rate) < key
-            )
-        else:
-            w += sum(j.service_demand(vm.rate) for j in vm.queue)
-        w += sum(j.service_demand(vm.rate) for j in vm.incoming)
-        return w
+    def _enqueue(self, dc: Datacenter, vm: VmInstance, job: Job, now: float):
+        vm.queue.append(job)
+        vm.service_prefix = None
+        job.vm_history.append(vm.id)
+        self._job_vm[job.id] = vm
+        self._maybe_start(dc, vm, now)
+
+    def _drop_incoming(self, vm: VmInstance, job: Job):
+        vm.incoming.remove(job)
+        # re-summed rather than subtracted, so it stays the exact
+        # left-to-right float sum over the list
+        vm.incoming_sum = sum(j.demand for j in vm.incoming)
 
     def _maybe_start(self, dc: Datacenter, vm: VmInstance, now: float):
         key = (dc.id, vm.id)
@@ -254,13 +248,10 @@ class Simulation:
             dc = self.datacenters[ev.payload["dc"]]
             vm = dc.vms[ev.payload["vm"]]
             if job in vm.incoming:
-                vm.incoming.remove(job)
+                self._drop_incoming(vm, job)
             if job.state != QUEUED:
                 return
-            vm.queue.append(job)
-            job.vm_history.append(vm.id)
-            self._job_vm[job.id] = vm
-            self._maybe_start(dc, vm, now)
+            self._enqueue(dc, vm, job, now)
             return
 
         dc = self._dc_of_job(job)
@@ -273,17 +264,18 @@ class Simulation:
                 Event(now + self.admission.deadline, DEADLINE_EXPIRY, {"job": job.id})
             )
         vm = self._dispatch_vm(dc)
-        vm.queue.append(job)
-        job.vm_history.append(vm.id)
-        self._job_vm[job.id] = vm
-        self._maybe_start(dc, vm, now)
+        job.demand = job.service_demand(vm.rate)
+        if self.scheduler == "sjf":
+            job.sjf_key = (job.demand, job.arrival, job.id)
+        self._enqueue(dc, vm, job, now)
 
     def _dispatch_vm(self, dc: Datacenter) -> VmInstance:
         vm = rr_next_vm(dc)
         if self.admission.mode == "queue_cap":
-            # admission guaranteed a free slot somewhere; skip full VMs
+            # admission guaranteed a free slot somewhere; skip full VMs,
+            # counting jobs in transit toward each VM as queued
             for _ in range(len(dc.vms)):
-                if len(vm.queue) < self.admission.capacity:
+                if len(vm.queue) + len(vm.incoming) < self.admission.capacity:
                     break
                 vm = rr_next_vm(dc)
         return vm
@@ -296,9 +288,10 @@ class Simulation:
             return
         job = self._pick_next(vm)
         vm.queue.remove(job)
+        vm.service_prefix = None
         job.state = RUNNING
         job.start_time = now
-        service = job.service_demand(vm.rate)
+        service = job.demand
         job.service_time = service
         vm.running = job
         vm.busy_until = now + service
@@ -327,14 +320,15 @@ class Simulation:
         if vm is not None:
             if job in vm.queue:
                 vm.queue.remove(job)
+                vm.service_prefix = None
             elif job in vm.incoming:
-                vm.incoming.remove(job)
+                self._drop_incoming(vm, job)
         else:
             # in transit: drop it from whichever incoming list holds it
             for dc in self.datacenters.values():
                 for v in dc.vms:
                     if job in v.incoming:
-                        v.incoming.remove(job)
+                        self._drop_incoming(v, job)
         self._reject(job, "DeadlineExpired", now)
 
     def _on_migration_tick(self, ev: Event, now: float):
@@ -347,31 +341,77 @@ class Simulation:
             fire_at = max(now + self.cadence_ms, self.calendar.peek_time())
             self.calendar.schedule(Event(fire_at, MIGRATION_CHECK, {}))
 
+    def _migration_targets(self, vms: list[VmInstance], queued: int) -> list[VmInstance]:
+        """VMs whose queue is shorter than the mean, in VM order; under
+        queue_cap, only those with room for one more job. Their
+        service-order caches are left up to date."""
+        mean_qlen = queued / len(vms)
+        targets = [v for v in vms if len(v.queue) < mean_qlen]
+        if self.admission.mode == "queue_cap":
+            cap = self.admission.capacity
+            targets = [v for v in targets if len(v.queue) + len(v.incoming) < cap]
+        for v in targets:
+            self._service_prefix(v)
+        return targets
+
     def _migration_check(self, dc: Datacenter, now: float):
         """Move queued jobs off overloaded VMs when the wait-vs-hop rule
-        says a below-mean-queue-length VM is strictly cheaper."""
-        if len(dc.vms) < 2:
+        says a below-mean-queue-length VM is strictly cheaper.
+
+        Waits come from each VM's service-order prefix sums. The queue of
+        a target VM never changes during a check (movers land later, via
+        `incoming`), so only the source VM's cache is rebuilt after a
+        move. Under sjf the sums add demands in service order rather than
+        queue order; for integer-valued demands (all bundled scenarios)
+        that is exact, other float demands may differ in the last ulp.
+        """
+        vms = dc.vms
+        if len(vms) < 2:
             return
-        for vm in dc.vms:
-            for job in list(vm.queue):
+        queued = sum(len(v.queue) for v in vms)
+        targets = self._migration_targets(vms, queued)
+        if not targets:
+            return  # exact: no VM can take a job, so none can move
+        residual = [self._residual(v, now) for v in vms]
+        sjf = self.scheduler == "sjf"
+        for vm in vms:
+            prefix = None
+            moved = 0
+            for i, job in enumerate(list(vm.queue)):
                 if job.migrations >= self.migration_cap:
                     continue
-                mean_qlen = sum(len(v.queue) for v in dc.vms) / len(dc.vms)
-                candidates = {
-                    v.id: self._wait_if_added(v, job, now)
-                    for v in dc.vms
-                    if v is not vm and len(v.queue) < mean_qlen
-                }
+                if sjf:
+                    key = job.sjf_key
+                    candidates = {
+                        v.id: (residual[v.id] + v.service_prefix[bisect_left(v.service_keys, key)])
+                        + v.incoming_sum
+                        for v in targets
+                        if v is not vm
+                    }
+                else:
+                    candidates = {
+                        v.id: (residual[v.id] + v.service_prefix[-1]) + v.incoming_sum
+                        for v in targets
+                        if v is not vm
+                    }
                 if not candidates:
                     continue
-                current_wait = self._wait_ahead_of(vm, job, now)
+                if prefix is None:
+                    prefix = self._service_prefix(vm)
+                ahead = bisect_left(vm.service_keys, key) if sjf else i - moved
+                current_wait = residual[vm.id] + prefix[ahead]
                 target_id = migration_decision(vm.id, current_wait, candidates, self.hops)
                 if target_id is None:
                     continue
-                target = dc.vms[target_id]
+                target = vms[target_id]
                 vm.queue.remove(job)
+                vm.service_prefix = prefix = None
+                moved += 1
+                queued -= 1
                 job.migrations += 1
                 target.incoming.append(job)
+                target.incoming_sum += job.demand
+                targets = self._migration_targets(vms, queued)
                 self._job_vm[job.id] = None
                 hop = self.hops.hop_time(vm.id, target_id)
                 self.migration_log.append(

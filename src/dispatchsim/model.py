@@ -34,11 +34,13 @@ class ZeroBandwidth(ModelError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
     """A unit of work. Either carries an explicit burst duration (demo
     traces) or an instruction length that a VM's rate converts into a
-    processing duration. Generated jobs represent one request batch."""
+    processing duration. Generated jobs represent one request batch.
+
+    Ids are unique, so jobs compare by identity."""
 
     id: int
     arrival: float  # ms
@@ -56,6 +58,10 @@ class Job:
     rejected_at: float | None = None
     service_time: float | None = None  # set when the job runs
     transfer: float = 0.0
+    # Set at dispatch. Every VM of a datacenter has the same rate and a
+    # job never leaves its datacenter, so both stay valid.
+    demand: float | None = None  # service_demand on its datacenter's VMs
+    sjf_key: tuple | None = None  # (demand, arrival, id); sjf only
 
     def service_demand(self, rate: float) -> float:
         """Service duration this job needs on a VM of the given rate."""
@@ -76,6 +82,12 @@ class VmInstance:
     busy_until: float = 0.0
     running: Job | None = None
     incoming: list[Job] = field(default_factory=list)  # migrations in transit
+    incoming_sum: float = 0.0  # demands in `incoming`, summed in list order
+    # Queue in service order, rebuilt by the engine after the queue
+    # changes: sjf keys ascending, and prefix sums of demands
+    # (service_prefix[k] = demand served before the k-th job).
+    service_keys: list[tuple] = field(default_factory=list)
+    service_prefix: list[float] | None = None  # None when stale
 
 
 @dataclass
@@ -207,10 +219,11 @@ def generate_sweep_arrivals(
 
 def admit(job: Job, dc: Datacenter, now: float) -> AdmissionResult:
     """Admission check at arrival. QueueCap rejects when every VM queue
-    is at capacity; Deadline always admits here (the engine schedules
-    the expiry that may later reject the job)."""
+    is at capacity, counting jobs migrating toward a VM since they join
+    its queue on landing; Deadline always admits here (the engine
+    schedules the expiry that may later reject the job)."""
     policy = dc.admission
     if policy.mode == "queue_cap":
-        if all(len(vm.queue) >= policy.capacity for vm in dc.vms):
+        if all(len(vm.queue) + len(vm.incoming) >= policy.capacity for vm in dc.vms):
             return AdmissionResult(False, "QueueFull")
     return AdmissionResult(True)

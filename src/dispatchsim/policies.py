@@ -25,10 +25,6 @@ class DuplicateJobId(PolicyError):
     pass
 
 
-class UnknownVm(PolicyError):
-    pass
-
-
 def rr_next_vm(dc: Datacenter) -> VmInstance:
     """Return the VM under the round-robin pointer and advance the
     pointer by one. Ignores load entirely."""

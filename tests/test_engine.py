@@ -9,7 +9,6 @@ from dispatchsim.engine import (
     HorizonExceeded,
     PastEvent,
     Simulation,
-    schedule_event,
 )
 from dispatchsim.model import MS_PER_HOUR
 from dispatchsim.scenario import ScenarioConfig, PolicyConfig, load_scenario
@@ -19,7 +18,7 @@ from conftest import TABLE6_ORDER, TABLE6_WAITS
 
 def test_calendar_single_element():
     cal = EventCalendar()
-    schedule_event(cal, Event(5.0, "JobArrival", {"job": 1}))
+    cal.schedule(Event(5.0, "JobArrival", {"job": 1}))
     ev = cal.pop()
     assert ev.fire_at == 5.0 and ev.payload == {"job": 1}
     assert len(cal) == 0
