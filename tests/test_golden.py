@@ -1,5 +1,6 @@
 """Golden-output gate: SHA-256 of every output file for each bundled
-scenario x scheduler x migration, plus one sweep.
+scenario x scheduler x migration, plus one sweep, and of the text that
+`dispatchsim validate` and `serialize` give for each bundled scenario.
 
 A refactor must leave every digest unchanged. A change that alters
 behaviour on purpose updates the digest it moves and says why.
@@ -9,12 +10,15 @@ Print the current digests with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import os
 
 import pytest
 
-from dispatchsim.cli import main
+from dispatchsim.cli import _read_scenario_text, main
+from dispatchsim.scenario import load_scenario, serialize
 
 SCENARIOS = ("migration_demo.scn", "paper_tables.scn", "sweep_demo.scn", "table6_demo.scn")
 SWEEP = ("sweep", "sweep_demo.scn", "--sweep", "5,10,15,20,25,30", "--scheduler", "sjf")
@@ -167,6 +171,40 @@ GOLDEN = {
 }
 
 
+TEXT_GOLDEN = {
+    'migration_demo.scn': {
+        'validate': '2293b25ed7aa7b299d70dd9113972df63c34b2386bedfe2ef565c42d85086f53',
+        'serialize': '5eaa2799a983bf36276046616381e1d9252dc7503a425b8f4cc175a3c14d5c67',
+    },
+    'paper_tables.scn': {
+        'validate': '12e6028a3ec0a8103a35dd7eb56b8cbc299625ccc3285ed6ef6d8a7c6a71f182',
+        'serialize': '36bf643cca945f2ff74178780c3ef02cbcbe0c0be7be9402b57dab0a9b1c16de',
+    },
+    'sweep_demo.scn': {
+        'validate': 'c6090299def5ef36cb17ef91f6a5c3af06783972b764d1d911014120eb759102',
+        'serialize': '64f80247b66feb83f45d2e32df6abcba80dab0e4ea0f0144f4b17a4d256a6fc6',
+    },
+    'table6_demo.scn': {
+        'validate': 'b0d4adb99e011ddd6af75595c8ec6f292fb4c92d1d55b8bbe689eb97ed261fd7',
+        'serialize': '9cdf85ad19ed4478fd031dace52b72037ec4c193c7a15c12f64173153b0e10fa',
+    },
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def text_digests(scn) -> dict:
+    """Digests of `dispatchsim validate <scn>` stdout and of the
+    canonical serialized form of the scenario."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["validate", scn]) == 0
+    text = serialize(load_scenario(_read_scenario_text(scn)))
+    return {"validate": _sha256(stdout.getvalue()), "serialize": _sha256(text)}
+
+
 def output_digests(argv, out_dir) -> dict:
     assert main([*argv, "--out", str(out_dir)]) == 0
     digests = {}
@@ -181,9 +219,12 @@ def test_golden_outputs(case, tmp_path, capsys):
     assert output_digests(CASES[case], tmp_path / "out") == GOLDEN[case]
 
 
+@pytest.mark.parametrize("scn", SCENARIOS)
+def test_golden_text(scn):
+    assert text_digests(scn) == TEXT_GOLDEN[scn]
+
+
 if __name__ == "__main__":
-    import contextlib
-    import io
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -193,6 +234,13 @@ if __name__ == "__main__":
                 digests = output_digests(CASES[case], os.path.join(tmp, case))
             print(f"    {case!r}: {{")
             for name, digest in digests.items():
+                print(f"        {name!r}: {digest!r},")
+            print("    },")
+        print("}")
+        print("TEXT_GOLDEN = {")
+        for scn in SCENARIOS:
+            print(f"    {scn!r}: {{")
+            for name, digest in text_digests(scn).items():
                 print(f"        {name!r}: {digest!r},")
             print("    },")
         print("}")
