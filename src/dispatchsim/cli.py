@@ -21,7 +21,14 @@ from .reporting import (
     write_metrics_csv,
     write_sweep_rejections_csv,
 )
-from .scenario import ScenarioConfig, ScenarioError, load_scenario, normalized_dict
+from .scenario import (
+    SCHEDULERS,
+    ScenarioConfig,
+    ScenarioError,
+    load_scenario,
+    normalized_dict,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -65,6 +72,7 @@ def _load(path: str, args) -> ScenarioConfig:
     if getattr(args, "deadline", None) is not None:
         config.policy.admission_mode = "deadline"
         config.policy.deadline = args.deadline
+    validate(config)  # overrides obey the same rules as file values
     return config
 
 
@@ -164,7 +172,7 @@ def cmd_validate(args) -> int:
 def _add_override_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--scheduler", choices=("rr", "sjf"), help="override scheduler")
+    p.add_argument("--scheduler", choices=SCHEDULERS, help="override scheduler")
     p.add_argument("--migration", choices=("on", "off"), help="override migration")
     p.add_argument(
         "--deadline",

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 
-from . import model
 from .metrics import JobTrace, RunMetrics
 from .model import (
     COMPLETED,
@@ -29,7 +28,7 @@ from .model import (
     generate_sweep_arrivals,
     transfer_time,
 )
-from .policies import HopTable, migration_decision, rr_next_vm
+from .policies import migration_decision, rr_next_vm
 from .scenario import ScenarioConfig
 
 JOB_ARRIVAL = "JobArrival"
@@ -117,7 +116,7 @@ class Simulation:
             if pol.migration_cadence is not None
             else DEFAULT_MIGRATION_CADENCE_MS
         )
-        self.hops = HopTable(default=pol.hop_time * u)
+        self.hop_ms = pol.hop_time * u
         self.admission = AdmissionPolicy(
             mode=pol.admission_mode,
             deadline=None if pol.deadline is None else pol.deadline * u,
@@ -144,19 +143,7 @@ class Simulation:
                 id=spec.id, vms=vms, admission=self.admission
             )
 
-        user_bases = [
-            model.UserBase(
-                id=ub.id,
-                requests_per_user_per_hour=ub.requests_per_user_per_hour,
-                data_size_per_request=ub.data_size_per_request,
-                target_dc=ub.target_dc,
-                user_grouping=ub.user_grouping,
-                request_grouping=ub.request_grouping,
-                instruction_length=ub.instruction_length,
-            )
-            for ub in config.user_bases
-        ]
-        self._ub_target = {ub.id: ub.target_dc for ub in user_bases}
+        self._ub_target = {ub.id: ub.target_dc for ub in config.user_bases}
 
         explicit = [
             Job(id=j.id, arrival=j.arrival * u, burst=j.burst * u, data_size=j.data_size)
@@ -164,11 +151,11 @@ class Simulation:
         ]
         if total_jobs is not None:
             generated = generate_sweep_arrivals(
-                user_bases, config.horizon_ms, config.seed, total_jobs
+                config.user_bases, config.horizon_ms, config.seed, total_jobs
             )
         else:
             generated = []
-            for ub in user_bases:
+            for ub in config.user_bases:
                 generated.extend(generate_arrivals(ub, config.horizon_ms, config.seed))
             generated.sort(key=lambda j: j.arrival)
         next_id = max((j.id for j in explicit), default=0) + 1
@@ -400,7 +387,7 @@ class Simulation:
                     prefix = self._service_prefix(vm)
                 ahead = bisect_left(vm.service_keys, key) if sjf else i - moved
                 current_wait = residual[vm.id] + prefix[ahead]
-                target_id = migration_decision(vm.id, current_wait, candidates, self.hops)
+                target_id = migration_decision(current_wait, candidates, self.hop_ms)
                 if target_id is None:
                     continue
                 target = vms[target_id]
@@ -413,14 +400,13 @@ class Simulation:
                 target.incoming_sum += job.demand
                 targets = self._migration_targets(vms, queued)
                 self._job_vm[job.id] = None
-                hop = self.hops.hop_time(vm.id, target_id)
                 self.migration_log.append(
                     (job.id, vm.id, target_id, now, current_wait,
-                     candidates[target_id] + hop)
+                     candidates[target_id] + self.hop_ms)
                 )
                 self.calendar.schedule(
                     Event(
-                        now + hop,
+                        now + self.hop_ms,
                         JOB_ARRIVAL,
                         {"job": job.id, "dc": dc.id, "vm": target_id},
                     )

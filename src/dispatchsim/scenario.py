@@ -17,9 +17,10 @@ strict: unknown keys and sections are fatal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .model import MS_PER_HOUR
+from .model import MS_PER_HOUR, UserBase
 
 TIME_UNITS = ("ms", "hours")
 BANDWIDTH_UNITS = ("units_per_ms", "mbps")
@@ -66,17 +67,6 @@ class DatacenterSpec:
 
 
 @dataclass
-class UserBaseSpec:
-    id: str
-    requests_per_user_per_hour: float
-    data_size_per_request: float
-    target_dc: str
-    user_grouping: int
-    request_grouping: int
-    instruction_length: float
-
-
-@dataclass
 class AdvancedConfig:
     user_grouping: int = 1000
     request_grouping: int = 100
@@ -110,7 +100,7 @@ class ScenarioConfig:
     time_unit: str
     horizon: float  # declared time unit
     seed: int
-    user_bases: list[UserBaseSpec] = field(default_factory=list)
+    user_bases: list[UserBase] = field(default_factory=list)
     datacenters: list[DatacenterSpec] = field(default_factory=list)
     advanced: AdvancedConfig = field(default_factory=AdvancedConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
@@ -127,30 +117,94 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# schema
 
-_SCENARIO_KEYS = {"name", "time_unit", "horizon", "seed"}
-_ADVANCED_KEYS = {"user_grouping", "request_grouping", "instruction_length"}
-_DATACENTER_KEYS = {"vms", "rate", "memory", "bandwidth", "bandwidth_unit"}
-_USERBASE_KEYS = {
-    "requests_per_user_per_hour",
-    "data_size_per_request",
-    "datacenter",
-    "user_grouping",
-    "request_grouping",
-    "instruction_length",
+
+@dataclass
+class _Key:
+    """One scenario file key. An optional key left out of a file keeps
+    the dataclass default; in [userbase.*] it keeps the [advanced] value."""
+
+    sections: tuple[str, ...]
+    key: str
+    kind: object  # int, float (finite), str, bool (on/off) or a tuple of choices
+    required: bool = False
+    check: tuple | None = None  # (predicate, message) on the loaded value
+    duration: bool = False  # in the declared time_unit
+    attr: str = ""  # dataclass attribute; "" means the key itself
+    json: str | None = ""  # name in `validate` output; "" derives it, None hides it
+
+    def __post_init__(self):
+        self.attr = self.attr or self.key
+        if self.json == "":
+            self.json = self.key + "_ms" if self.duration else self.key
+
+    def parse(self, value: str, lineno: int):
+        if self.kind is str:
+            return value
+        if self.kind is bool:
+            return _enum(value, lineno, ("on", "off"), self.key) == "on"
+        if isinstance(self.kind, tuple):
+            return _enum(value, lineno, self.kind, self.key)
+        return _num(value, lineno, self.kind)
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+
+_SCN, _DC, _UB, _POL = ("scenario",), ("datacenter",), ("userbase",), ("policy",)
+_ADV_UB = ("advanced", "userbase")
+
+# Rows are in file order within each section.
+_SCHEMA = (
+    _Key(_SCN, "name", str, required=True),
+    _Key(_SCN, "time_unit", TIME_UNITS, required=True),
+    _Key(_SCN, "horizon", float, required=True, check=_NON_NEGATIVE, duration=True),
+    _Key(_SCN, "seed", int, required=True),
+    _Key(_DC, "vms", int, required=True, check=_AT_LEAST_ONE, attr="vm_count"),
+    _Key(_DC, "rate", float, required=True, check=_POSITIVE,
+         json="rate_instructions_per_ms"),
+    _Key(_DC, "memory", float, required=True, check=_POSITIVE, json="memory_mb"),
+    _Key(_DC, "bandwidth", float, required=True, check=_POSITIVE,
+         json="bandwidth_units_per_ms"),
+    _Key(_DC, "bandwidth_unit", BANDWIDTH_UNITS, required=True, json=None),
+    _Key(_UB, "requests_per_user_per_hour", float, required=True, check=_POSITIVE),
+    _Key(_UB, "data_size_per_request", float, required=True, check=_POSITIVE),
+    _Key(_UB, "datacenter", str, required=True, attr="target_dc"),
+    _Key(_ADV_UB, "user_grouping", int, check=_POSITIVE),
+    _Key(_ADV_UB, "request_grouping", int, check=_POSITIVE),
+    _Key(_ADV_UB, "instruction_length", float, check=_POSITIVE),
+    _Key(_POL, "scheduler", SCHEDULERS),
+    _Key(_POL, "migration", bool),
+    _Key(_POL, "admission", ADMISSION_MODES, attr="admission_mode"),
+    _Key(_POL, "deadline", float, check=_POSITIVE, duration=True),
+    _Key(_POL, "queue_capacity", int, check=_AT_LEAST_ONE),
+    _Key(_POL, "hop_time", float, check=_NON_NEGATIVE, duration=True),
+    _Key(_POL, "migration_cadence", float, check=_POSITIVE, duration=True),
+    _Key(_POL, "migration_cap", int, check=_NON_NEGATIVE),
+    _Key(_POL, "starvation_threshold", float, check=_POSITIVE, duration=True),
+)
+
+_SECTIONS = {
+    s: {k.key: k for k in _SCHEMA if s in k.sections}
+    for s in ("scenario", "advanced", "datacenter", "userbase", "policy")
 }
-_POLICY_KEYS = {
-    "scheduler",
-    "migration",
-    "admission",
-    "deadline",
-    "queue_capacity",
-    "hop_time",
-    "migration_cadence",
-    "migration_cap",
-    "starvation_threshold",
-}
+
+
+def _sections(config: ScenarioConfig):
+    """(header, schema section, object) for each keyed section, in file order."""
+    yield "scenario", "scenario", config
+    yield "advanced", "advanced", config.advanced
+    for dc in config.datacenters:
+        yield f"datacenter.{dc.id}", "datacenter", dc
+    for ub in config.user_bases:
+        yield f"userbase.{ub.id}", "userbase", ub
+    yield "policy", "policy", config.policy
+
+
+# ---------------------------------------------------------------------------
+# parsing
 
 
 def _split_sections(source: str):
@@ -182,31 +236,14 @@ def _split_sections(source: str):
     return sections
 
 
-def _as_kv(entries, section, allowed, repeatable=()):
-    out = {}
-    for key, value, lineno in entries:
-        if key not in allowed:
-            raise UnknownKey(f"unknown key {key!r} in section [{section}]", lineno)
-        if key in repeatable:
-            out.setdefault(key, []).append((value, lineno))
-        elif key in out:
-            raise ParseError(f"duplicate key {key!r} in section [{section}]", lineno)
-        else:
-            out[key] = (value, lineno)
-    return out
-
-
 def _num(value, lineno, kind=float):
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         raise ParseError(f"expected {kind.__name__}, got {value!r}", lineno) from None
-
-
-def _require(kv, section, key):
-    if key not in kv:
-        raise ParseError(f"section [{section}] is missing required key {key!r}")
-    return kv[key]
+    if kind is float and not math.isfinite(number):
+        raise ParseError(f"expected a finite float, got {value!r}", lineno)
+    return number
 
 
 def _enum(value, lineno, choices, what):
@@ -215,136 +252,72 @@ def _enum(value, lineno, choices, what):
     return value
 
 
+def _read(entries, section: str, schema: str, **values) -> dict:
+    """Dataclass keyword arguments from one section's entries, on top of
+    `values`; optional keys that are absent are left out."""
+    keys = _SECTIONS[schema]
+    seen = set()
+    for key, value, lineno in entries:
+        if key not in keys:
+            raise UnknownKey(f"unknown key {key!r} in section [{section}]", lineno)
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r} in section [{section}]", lineno)
+        seen.add(key)
+        values[keys[key].attr] = keys[key].parse(value, lineno)
+    for k in keys.values():
+        if k.required and k.key not in seen:
+            raise ParseError(f"section [{section}] is missing required key {k.key!r}")
+    return values
+
+
+def _read_jobs(entries) -> list[ExplicitJob]:
+    jobs = []
+    for key, value, lineno in entries:
+        if key != "job":
+            raise UnknownKey(f"unknown key {key!r} in section [jobs]", lineno)
+        parts = value.split()
+        if len(parts) not in (3, 4):
+            raise ParseError(
+                f"job entry needs 'id arrival burst [data_size]', got {value!r}", lineno
+            )
+        jobs.append(
+            ExplicitJob(
+                id=_num(parts[0], lineno, kind=int),
+                arrival=_num(parts[1], lineno),
+                burst=_num(parts[2], lineno),
+                data_size=_num(parts[3], lineno) if len(parts) == 4 else 0.0,
+            )
+        )
+    return jobs
+
+
 def load_scenario(source: str) -> ScenarioConfig:
     """Parse and fully validate a scenario from text."""
     sections = _split_sections(source)
-
     if "scenario" not in sections:
         raise ParseError("missing [scenario] section")
-    kv = _as_kv(sections.pop("scenario"), "scenario", _SCENARIO_KEYS)
-    name = _require(kv, "scenario", "name")[0]
-    unit_v, unit_l = _require(kv, "scenario", "time_unit")
-    time_unit = _enum(unit_v, unit_l, TIME_UNITS, "time_unit")
-    horizon = _num(*_require(kv, "scenario", "horizon"))
-    seed = _num(*_require(kv, "scenario", "seed"), kind=int)
-
-    advanced = AdvancedConfig()
+    config = ScenarioConfig(**_read(sections.pop("scenario"), "scenario", "scenario"))
     if "advanced" in sections:
-        kv = _as_kv(sections.pop("advanced"), "advanced", _ADVANCED_KEYS)
-        if "user_grouping" in kv:
-            advanced.user_grouping = _num(*kv["user_grouping"], kind=int)
-        if "request_grouping" in kv:
-            advanced.request_grouping = _num(*kv["request_grouping"], kind=int)
-        if "instruction_length" in kv:
-            advanced.instruction_length = _num(*kv["instruction_length"])
-
-    datacenters: list[DatacenterSpec] = []
-    user_bases: list[UserBaseSpec] = []
-    jobs: list[ExplicitJob] = []
-    policy = PolicyConfig()
-
-    for section in list(sections):
-        entries = sections.pop(section)
-        if section.startswith("datacenter."):
-            dc_id = section.split(".", 1)[1]
-            kv = _as_kv(entries, section, _DATACENTER_KEYS)
-            bw_unit_v, bw_unit_l = _require(kv, section, "bandwidth_unit")
-            datacenters.append(
-                DatacenterSpec(
-                    id=dc_id,
-                    vm_count=_num(*_require(kv, section, "vms"), kind=int),
-                    rate=_num(*_require(kv, section, "rate")),
-                    memory=_num(*_require(kv, section, "memory")),
-                    bandwidth=_num(*_require(kv, section, "bandwidth")),
-                    bandwidth_unit=_enum(
-                        bw_unit_v, bw_unit_l, BANDWIDTH_UNITS, "bandwidth_unit"
-                    ),
-                )
+        config.advanced = AdvancedConfig(
+            **_read(sections.pop("advanced"), "advanced", "advanced")
+        )
+    for section, entries in sections.items():
+        kind, dot, ident = section.partition(".")
+        if dot and kind == "datacenter":
+            config.datacenters.append(
+                DatacenterSpec(**_read(entries, section, kind, id=ident))
             )
-        elif section.startswith("userbase."):
-            ub_id = section.split(".", 1)[1]
-            kv = _as_kv(entries, section, _USERBASE_KEYS)
-            user_bases.append(
-                UserBaseSpec(
-                    id=ub_id,
-                    requests_per_user_per_hour=_num(
-                        *_require(kv, section, "requests_per_user_per_hour")
-                    ),
-                    data_size_per_request=_num(
-                        *_require(kv, section, "data_size_per_request")
-                    ),
-                    target_dc=_require(kv, section, "datacenter")[0],
-                    user_grouping=(
-                        _num(*kv["user_grouping"], kind=int)
-                        if "user_grouping" in kv
-                        else advanced.user_grouping
-                    ),
-                    request_grouping=(
-                        _num(*kv["request_grouping"], kind=int)
-                        if "request_grouping" in kv
-                        else advanced.request_grouping
-                    ),
-                    instruction_length=(
-                        _num(*kv["instruction_length"])
-                        if "instruction_length" in kv
-                        else advanced.instruction_length
-                    ),
-                )
+        elif dot and kind == "userbase":
+            inherited = vars(config.advanced)
+            config.user_bases.append(
+                UserBase(**_read(entries, section, kind, id=ident, **inherited))
             )
         elif section == "policy":
-            kv = _as_kv(entries, section, _POLICY_KEYS)
-            if "scheduler" in kv:
-                policy.scheduler = _enum(*kv["scheduler"], SCHEDULERS, "scheduler")
-            if "migration" in kv:
-                v, lineno = kv["migration"]
-                policy.migration = _enum(v, lineno, ("on", "off"), "migration") == "on"
-            if "admission" in kv:
-                policy.admission_mode = _enum(
-                    *kv["admission"], ADMISSION_MODES, "admission"
-                )
-            if "deadline" in kv:
-                policy.deadline = _num(*kv["deadline"])
-            if "queue_capacity" in kv:
-                policy.queue_capacity = _num(*kv["queue_capacity"], kind=int)
-            if "hop_time" in kv:
-                policy.hop_time = _num(*kv["hop_time"])
-            if "migration_cadence" in kv:
-                policy.migration_cadence = _num(*kv["migration_cadence"])
-            if "migration_cap" in kv:
-                policy.migration_cap = _num(*kv["migration_cap"], kind=int)
-            if "starvation_threshold" in kv:
-                policy.starvation_threshold = _num(*kv["starvation_threshold"])
+            config.policy = PolicyConfig(**_read(entries, section, section))
         elif section == "jobs":
-            kv = _as_kv(entries, section, {"job"}, repeatable=("job",))
-            for value, lineno in kv.get("job", []):
-                parts = value.split()
-                if len(parts) not in (3, 4):
-                    raise ParseError(
-                        f"job entry needs 'id arrival burst [data_size]', got {value!r}",
-                        lineno,
-                    )
-                jobs.append(
-                    ExplicitJob(
-                        id=_num(parts[0], lineno, kind=int),
-                        arrival=_num(parts[1], lineno),
-                        burst=_num(parts[2], lineno),
-                        data_size=_num(parts[3], lineno) if len(parts) == 4 else 0.0,
-                    )
-                )
+            config.jobs = _read_jobs(entries)
         else:
             raise UnknownKey(f"unknown section [{section}]")
-
-    config = ScenarioConfig(
-        name=name,
-        time_unit=time_unit,
-        horizon=horizon,
-        seed=seed,
-        user_bases=user_bases,
-        datacenters=datacenters,
-        advanced=advanced,
-        policy=policy,
-        jobs=jobs,
-    )
     validate(config)
     return config
 
@@ -355,50 +328,34 @@ def load_scenario_file(path) -> ScenarioConfig:
 
 
 def validate(config: ScenarioConfig) -> None:
-    """Cross-field checks; raises ValidationError on the first problem."""
-    if config.horizon < 0:
-        raise ValidationError(f"horizon must be non-negative, got {config.horizon}")
+    """Per-key and cross-field checks; raises ValidationError on the
+    first problem."""
+    for header, schema, obj in _sections(config):
+        for k in _SECTIONS[schema].values():
+            v = getattr(obj, k.attr)
+            if v is None:
+                continue
+            if k.kind is float and not math.isfinite(v):
+                raise ValidationError(f"[{header}] {k.key} must be finite, got {v!r}")
+            if k.check and not k.check[0](v):
+                raise ValidationError(f"[{header}] {k.key} {k.check[1]}, got {v!r}")
     dc_ids = [dc.id for dc in config.datacenters]
     if len(set(dc_ids)) != len(dc_ids):
         raise ValidationError(f"duplicate datacenter ids: {dc_ids}")
     ub_ids = [ub.id for ub in config.user_bases]
     if len(set(ub_ids)) != len(ub_ids):
         raise ValidationError(f"duplicate user base ids: {ub_ids}")
-    for dc in config.datacenters:
-        if dc.vm_count < 1:
-            raise ValidationError(f"datacenter {dc.id}: vms must be >= 1")
-        for attr in ("rate", "memory", "bandwidth"):
-            if getattr(dc, attr) <= 0:
-                raise ValidationError(f"datacenter {dc.id}: {attr} must be positive")
     for ub in config.user_bases:
         if ub.target_dc not in dc_ids:
             raise ValidationError(
                 f"user base {ub.id} targets unknown datacenter {ub.target_dc!r}"
             )
-        for attr in (
-            "requests_per_user_per_hour",
-            "data_size_per_request",
-            "user_grouping",
-            "request_grouping",
-            "instruction_length",
-        ):
-            if getattr(ub, attr) <= 0:
-                raise ValidationError(f"user base {ub.id}: {attr} must be positive")
     pol = config.policy
-    if pol.admission_mode == "deadline":
-        if pol.deadline is None or pol.deadline <= 0:
-            raise ValidationError("deadline admission requires a positive deadline")
-    else:
-        if pol.queue_capacity is None or pol.queue_capacity < 1:
-            raise ValidationError("queue_cap admission requires queue_capacity >= 1")
-    if pol.hop_time < 0:
-        raise ValidationError("hop_time must be non-negative")
-    if pol.migration_cadence is not None and pol.migration_cadence <= 0:
-        raise ValidationError("migration_cadence must be positive")
-    if pol.migration_cap < 0:
-        raise ValidationError("migration_cap must be non-negative")
-    if pol.starvation_threshold is not None and pol.starvation_threshold <= 0:
-        raise ValidationError("starvation_threshold must be positive")
+    if pol.admission_mode == "queue_cap":
+        if pol.queue_capacity is None:
+            raise ValidationError("queue_cap admission requires queue_capacity")
+    elif pol.deadline is None:
+        raise ValidationError("deadline admission requires a deadline")
     if config.jobs:
         if not config.datacenters:
             raise ValidationError("explicit jobs require at least one datacenter")
@@ -408,70 +365,27 @@ def validate(config: ScenarioConfig) -> None:
         for j in config.jobs:
             if j.arrival < 0 or j.burst <= 0 or j.data_size < 0:
                 raise ValidationError(f"explicit job {j.id}: bad arrival/burst/data")
-    if (config.user_bases or config.jobs) and not config.datacenters:
-        raise ValidationError("scenario has traffic but no datacenters")
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
+
 def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "on" if v else "off"
     return repr(v) if isinstance(v, float) else str(v)
 
 
 def serialize(config: ScenarioConfig) -> str:
     """Canonical text form; load_scenario(serialize(c)) == c."""
-    lines = [
-        "[scenario]",
-        f"name = {config.name}",
-        f"time_unit = {config.time_unit}",
-        f"horizon = {_fmt(config.horizon)}",
-        f"seed = {config.seed}",
-        "",
-        "[advanced]",
-        f"user_grouping = {config.advanced.user_grouping}",
-        f"request_grouping = {config.advanced.request_grouping}",
-        f"instruction_length = {_fmt(config.advanced.instruction_length)}",
-    ]
-    for dc in config.datacenters:
-        lines += [
-            "",
-            f"[datacenter.{dc.id}]",
-            f"vms = {dc.vm_count}",
-            f"rate = {_fmt(dc.rate)}",
-            f"memory = {_fmt(dc.memory)}",
-            f"bandwidth = {_fmt(dc.bandwidth)}",
-            f"bandwidth_unit = {dc.bandwidth_unit}",
-        ]
-    for ub in config.user_bases:
-        lines += [
-            "",
-            f"[userbase.{ub.id}]",
-            f"requests_per_user_per_hour = {_fmt(ub.requests_per_user_per_hour)}",
-            f"data_size_per_request = {_fmt(ub.data_size_per_request)}",
-            f"datacenter = {ub.target_dc}",
-            f"user_grouping = {ub.user_grouping}",
-            f"request_grouping = {ub.request_grouping}",
-            f"instruction_length = {_fmt(ub.instruction_length)}",
-        ]
-    pol = config.policy
-    lines += [
-        "",
-        "[policy]",
-        f"scheduler = {pol.scheduler}",
-        f"migration = {'on' if pol.migration else 'off'}",
-        f"admission = {pol.admission_mode}",
-    ]
-    if pol.deadline is not None:
-        lines.append(f"deadline = {_fmt(pol.deadline)}")
-    if pol.queue_capacity is not None:
-        lines.append(f"queue_capacity = {pol.queue_capacity}")
-    lines.append(f"hop_time = {_fmt(pol.hop_time)}")
-    if pol.migration_cadence is not None:
-        lines.append(f"migration_cadence = {_fmt(pol.migration_cadence)}")
-    lines.append(f"migration_cap = {pol.migration_cap}")
-    if pol.starvation_threshold is not None:
-        lines.append(f"starvation_threshold = {_fmt(pol.starvation_threshold)}")
+    lines = []
+    for header, schema, obj in _sections(config):
+        lines += ["", f"[{header}]"]
+        for k in _SECTIONS[schema].values():
+            v = getattr(obj, k.attr)
+            if v is not None:
+                lines.append(f"{k.key} = {_fmt(v)}")
     if config.jobs:
         lines += ["", "[jobs]"]
         for j in config.jobs:
@@ -479,58 +393,32 @@ def serialize(config: ScenarioConfig) -> str:
             if j.data_size:
                 entry += f" {_fmt(j.data_size)}"
             lines.append(entry)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines[1:]) + "\n"
 
 
 def normalized_dict(config: ScenarioConfig) -> dict:
     """Config view with all durations converted to milliseconds; used
     by `validate` CLI output."""
     u = config.unit_ms
-    pol = config.policy
+
+    def view(obj, schema: str) -> dict:
+        out = {}
+        for k in _SECTIONS[schema].values():
+            if k.json is not None:
+                v = getattr(obj, k.attr)
+                out[k.json] = v * u if k.duration and v is not None else v
+        return out
+
+    datacenters = []
+    for dc in config.datacenters:
+        d = {"id": dc.id, **view(dc, "datacenter")}
+        d["bandwidth_units_per_ms"] = dc.bandwidth_per_ms  # mbps converted
+        datacenters.append(d)
     return {
-        "name": config.name,
-        "time_unit": config.time_unit,
-        "horizon_ms": config.horizon * u,
-        "seed": config.seed,
-        "datacenters": [
-            {
-                "id": dc.id,
-                "vms": dc.vm_count,
-                "rate_instructions_per_ms": dc.rate,
-                "memory_mb": dc.memory,
-                "bandwidth_units_per_ms": dc.bandwidth_per_ms,
-            }
-            for dc in config.datacenters
-        ],
-        "user_bases": [
-            {
-                "id": ub.id,
-                "requests_per_user_per_hour": ub.requests_per_user_per_hour,
-                "data_size_per_request": ub.data_size_per_request,
-                "datacenter": ub.target_dc,
-                "user_grouping": ub.user_grouping,
-                "request_grouping": ub.request_grouping,
-                "instruction_length": ub.instruction_length,
-            }
-            for ub in config.user_bases
-        ],
-        "policy": {
-            "scheduler": pol.scheduler,
-            "migration": pol.migration,
-            "admission": pol.admission_mode,
-            "deadline_ms": None if pol.deadline is None else pol.deadline * u,
-            "queue_capacity": pol.queue_capacity,
-            "hop_time_ms": pol.hop_time * u,
-            "migration_cadence_ms": (
-                None if pol.migration_cadence is None else pol.migration_cadence * u
-            ),
-            "migration_cap": pol.migration_cap,
-            "starvation_threshold_ms": (
-                None
-                if pol.starvation_threshold is None
-                else pol.starvation_threshold * u
-            ),
-        },
+        **view(config, "scenario"),
+        "datacenters": datacenters,
+        "user_bases": [{"id": ub.id, **view(ub, "userbase")} for ub in config.user_bases],
+        "policy": view(config.policy, "policy"),
         "jobs": [
             {
                 "id": j.id,

@@ -31,3 +31,33 @@ def migration_config():
 TABLE6_JOBS = [(1, 0.0, 8.0), (2, 1.0, 4.0), (3, 3.0, 6.0), (4, 5.0, 2.0), (5, 6.0, 5.0)]
 TABLE6_ORDER = [1, 4, 2, 5, 3]
 TABLE6_WAITS = {1: 0.0, 4: 3.0, 2: 9.0, 5: 8.0, 3: 16.0}
+
+
+def sjf_at_zero(bursts):
+    """One VM under sjf with every job arriving at t = 0 and a deadline
+    above the sum of bursts, so every job runs; jobs are numbered from 1."""
+    jobs = "\n".join(f"job = {i} 0 {b}" for i, b in enumerate(bursts, start=1))
+    return load_scenario(
+        f"""
+[scenario]
+name = sjf_at_zero
+time_unit = ms
+horizon = 0
+seed = 1
+
+[datacenter.DC1]
+vms = 1
+rate = 1
+memory = 1
+bandwidth = 1
+bandwidth_unit = units_per_ms
+
+[policy]
+scheduler = sjf
+admission = deadline
+deadline = {sum(bursts) + 1}
+
+[jobs]
+{jobs}
+"""
+    )

@@ -16,9 +16,9 @@ from dispatchsim.metrics import (
     summarize,
 )
 from dispatchsim.model import AdmissionPolicy, Datacenter, VmInstance
-from dispatchsim.policies import rr_next_vm, sjf_schedule
+from dispatchsim.policies import rr_next_vm
 
-from conftest import bundled
+from conftest import bundled, sjf_at_zero
 
 SWEEP_LEVELS = [5, 10, 15, 20, 25, 30]
 
@@ -62,14 +62,13 @@ def test_sjf_optimality_oracle(capsys):
     for _ in range(200):
         n = rng.randint(1, 7)
         bursts = [float(rng.randint(1, 100)) for _ in range(n)]
-        jobs = [(i + 1, 0.0, b) for i, b in enumerate(bursts)]
-        schedule = sjf_schedule(jobs)
-        mean_wait = sum(schedule.wait.values()) / n
+        traces = Simulation(sjf_at_zero(bursts)).run().traces
+        mean_wait = sum(t.start - t.arrival for t in traces) / n
         assert mean_wait == _brute_force_min_mean_wait(bursts)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     with capsys.disabled():
-        _passed("SJF mean wait equals brute-force minimum on 200 random instances")
+        _passed("engine SJF mean wait equals brute-force minimum on 200 random instances")
 
 
 def test_rr_fairness(capsys):

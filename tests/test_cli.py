@@ -131,3 +131,12 @@ def test_scheduler_and_migration_overrides(tmp_path):
     assert code == 0
     rows = _read(out / "rejections.csv").splitlines()
     assert rows[1].startswith("8,")
+
+
+@pytest.mark.parametrize("deadline", ["-1", "0", "nan", "inf"])
+def test_deadline_override_is_validated(deadline, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "table6_demo.scn", f"--deadline={deadline}", "--out", str(out)])
+    assert code == 2
+    assert "deadline" in capsys.readouterr().err
+    assert not out.exists()

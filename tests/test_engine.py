@@ -78,6 +78,34 @@ def test_run_table6_demo_waits(table6_config):
     assert [t.job_id for t in order] == TABLE6_ORDER
 
 
+def test_sjf_tie_breaks_by_arrival_then_id():
+    # job 1 runs first; jobs 2-4 share a burst and wait for it, so sjf
+    # picks by earlier arrival, then by smaller id
+    text = """
+[scenario]
+name = ties
+time_unit = ms
+horizon = 0
+seed = 1
+[datacenter.DC1]
+vms = 1
+rate = 1
+memory = 1
+bandwidth = 1
+bandwidth_unit = units_per_ms
+[policy]
+scheduler = sjf
+deadline = 100
+[jobs]
+job = 1 0 10
+job = 4 2 3
+job = 3 1 3
+job = 2 2 3
+"""
+    traces = Simulation(load_scenario(text)).run().traces
+    assert [t.job_id for t in sorted(traces, key=lambda t: t.start)] == [1, 3, 2, 4]
+
+
 def test_run_deterministic_replay(sweep_config):
     a = Simulation(sweep_config).run()
     b = Simulation(sweep_config).run()

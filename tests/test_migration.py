@@ -66,7 +66,7 @@ class RescanSimulation(Simulation):
                 if not candidates:
                     continue
                 current_wait = self._wait_ahead_of(vm, job, now)
-                target_id = migration_decision(vm.id, current_wait, candidates, self.hops)
+                target_id = migration_decision(current_wait, candidates, self.hop_ms)
                 if target_id is None:
                     continue
                 target = dc.vms[target_id]
@@ -74,7 +74,7 @@ class RescanSimulation(Simulation):
                 job.migrations += 1
                 target.incoming.append(job)
                 self._job_vm[job.id] = None
-                hop = self.hops.hop_time(vm.id, target_id)
+                hop = self.hop_ms
                 self.migration_log.append(
                     (job.id, vm.id, target_id, now, current_wait,
                      candidates[target_id] + hop)

@@ -3,20 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispatchsim.engine import Simulation
 from dispatchsim.model import AdmissionPolicy, Datacenter, VmInstance
-from dispatchsim.policies import (
-    DuplicateJobId,
-    EmptyDatacenter,
-    EmptyQueue,
-    HopTable,
-    Schedule,
-    migration_decision,
-    rr_next_vm,
-    sjf_schedule,
-    sjf_select,
-)
+from dispatchsim.policies import EmptyDatacenter, migration_decision, rr_next_vm
 
-from conftest import TABLE6_JOBS, TABLE6_ORDER, TABLE6_WAITS
+from conftest import sjf_at_zero
 
 
 def _dc(n_vms):
@@ -59,48 +50,6 @@ def test_rr_fairness_after_full_cycles(v, k):
     assert all(counts[i] == k for i in range(v))
 
 
-def test_sjf_select_table6_at_t8():
-    ready = [(2, 1.0, 4.0), (3, 3.0, 6.0), (4, 5.0, 2.0), (5, 6.0, 5.0)]
-    assert sjf_select(ready, now=8.0) == 4
-
-
-def test_sjf_select_single_entry():
-    assert sjf_select([(7, 0.0, 3.0)]) == 7
-
-
-def test_sjf_select_arrival_tie_break():
-    assert sjf_select([("Ja", 1.0, 3.0), ("Jb", 0.0, 3.0)]) == "Jb"
-
-
-def test_sjf_select_empty():
-    with pytest.raises(EmptyQueue):
-        sjf_select([])
-
-
-def test_sjf_schedule_table6():
-    schedule = sjf_schedule(TABLE6_JOBS)
-    assert schedule.order == TABLE6_ORDER
-    assert schedule.wait == TABLE6_WAITS
-    assert schedule.makespan == 25.0
-
-
-def test_sjf_schedule_single_job():
-    schedule = sjf_schedule([(1, 0.0, 8.0)])
-    assert schedule.order == [1]
-    assert schedule.wait == {1: 0.0}
-
-
-def test_sjf_schedule_duplicate_ids():
-    with pytest.raises(DuplicateJobId):
-        sjf_schedule([(1, 0.0, 2.0), (1, 1.0, 3.0)])
-
-
-def test_sjf_schedule_work_conserving_table6():
-    schedule = sjf_schedule(TABLE6_JOBS)
-    total_burst = sum(b for _, _, b in TABLE6_JOBS)
-    assert schedule.makespan - total_burst == 0.0  # no idle time
-
-
 def _mean_wait_of_order(jobs, order):
     by_id = {j[0]: j for j in jobs}
     t = 0.0
@@ -121,42 +70,38 @@ def _mean_wait_of_order(jobs, order):
 )
 def test_sjf_at_zero_matches_brute_force(bursts):
     jobs = [(i + 1, 0.0, float(b)) for i, b in enumerate(bursts)]
-    schedule = sjf_schedule(jobs)
-    assert schedule.order == [j[0] for j in sorted(jobs, key=lambda j: (j[2], j[0]))]
+    traces = Simulation(sjf_at_zero(bursts)).run().traces
+    order = [t.job_id for t in sorted(traces, key=lambda t: t.start)]
+    assert order == [j[0] for j in sorted(jobs, key=lambda j: (j[2], j[0]))]
     best = min(
         _mean_wait_of_order(jobs, perm)
         for perm in itertools.permutations(j[0] for j in jobs)
     )
-    got = sum(schedule.wait.values()) / len(jobs)
+    got = sum(t.start - t.arrival for t in traces) / len(jobs)
     assert got == best
 
 
-def test_hop_table_diagonal_and_default():
-    hops = HopTable(default=4.0, pairs={(0, 2): 1.5})
-    assert hops.hop_time(3, 3) == 0.0
-    assert hops.hop_time(0, 2) == 1.5
-    assert hops.hop_time(2, 0) == 4.0
+def test_migration_decision_adds_hop_to_every_candidate():
+    # 5 + 4 beats staying at 10; 5 + 5 only ties it
+    assert migration_decision(10.0, {1: 5.0, 2: 7.0}, 4.0) == 1
+    assert migration_decision(10.0, {1: 5.0, 2: 7.0}, 5.0) is None
 
 
 def test_migration_decision_idle_candidate():
-    hops = HopTable(default=4.0)
-    assert migration_decision(0, 10.0, {2: 0.0}, hops) == 2
+    assert migration_decision(10.0, {2: 0.0}, 4.0) == 2
 
 
 def test_migration_decision_hop_too_expensive():
-    hops = HopTable(default=5.0)
-    assert migration_decision(0, 3.0, {1: 0.0}, hops) is None
+    assert migration_decision(3.0, {1: 0.0}, 5.0) is None
 
 
 def test_migration_decision_no_candidates():
-    assert migration_decision(0, 10.0, {}, HopTable()) is None
+    assert migration_decision(10.0, {}, 0.0) is None
 
 
 def test_migration_decision_exact_tie_means_stay():
-    hops = HopTable(default=4.0)
-    assert migration_decision(0, 4.0, {1: 0.0}, hops) is None
+    assert migration_decision(4.0, {1: 0.0}, 4.0) is None
 
 
 def test_migration_decision_tie_breaks_to_smaller_vm():
-    hops = HopTable(default=1.0)
-    assert migration_decision(0, 10.0, {2: 3.0, 1: 3.0}, hops) == 1
+    assert migration_decision(10.0, {2: 3.0, 1: 3.0}, 1.0) == 1

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dispatchsim.model import MS_PER_HOUR
 from dispatchsim.scenario import (
     ParseError,
+    ScenarioError,
     UnknownKey,
     ValidationError,
     load_scenario,
@@ -139,3 +141,98 @@ def test_per_userbase_overrides():
     assert config.user_bases[0].instruction_length == 99
     assert config.user_bases[0].request_grouping == 10
     assert config.user_bases[0].user_grouping == 1000  # advanced default
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("line", ["horizon = 100", "deadline = 50", "rate = 100"])
+def test_non_finite_number_rejected(line, value):
+    text = MINIMAL.replace(line, line.split("=")[0] + "= " + value)
+    lineno = text.splitlines().index(line.split("=")[0] + "= " + value) + 1
+    with pytest.raises(ParseError) as exc:
+        load_scenario(text)
+    assert exc.value.line == lineno
+    assert f"line {lineno}:" in str(exc.value)
+
+
+# Scenario-shaped text for the parser fuzz test. Each section lists its
+# keys; a drawn text has [scenario], [datacenter.DC1] and [policy] plus up
+# to three other sections, leaves out about one key in twenty and draws
+# about one value in twenty from _VALUES, so a fair share of texts load.
+_WORDS = ["ms", "hours", "rr", "sjf", "on", "off", "deadline", "queue_cap",
+          "units_per_ms", "mbps", "DC1", "DC2", "UB1", "", "x", "1e999", "-0.0"]
+_VALUES = st.one_of(
+    st.integers(-2, 200).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(_WORDS),
+    st.text(max_size=6),
+)
+_SECTION_KEYS = {
+    "scenario": ["name", "time_unit", "horizon", "seed"],
+    "advanced": ["user_grouping", "request_grouping", "instruction_length"],
+    "datacenter.DC1": ["vms", "rate", "memory", "bandwidth", "bandwidth_unit"],
+    "datacenter.DC2": ["vms", "rate", "memory", "bandwidth", "bandwidth_unit"],
+    "userbase.UB1": ["requests_per_user_per_hour", "data_size_per_request",
+                     "datacenter", "user_grouping", "request_grouping",
+                     "instruction_length"],
+    "policy": ["scheduler", "migration", "admission", "deadline", "queue_capacity",
+               "hop_time", "migration_cadence", "migration_cap",
+               "starvation_threshold"],
+    "jobs": ["job", "job", "job"],
+    "bogus": ["bogus"],
+}
+_INT = st.integers(1, 60).map(str)
+_NUMBER = st.one_of(_INT, st.floats(0.5, 60).map(repr))
+_GOOD = {
+    "time_unit": st.sampled_from(["ms", "hours"]),
+    "bandwidth_unit": st.sampled_from(["units_per_ms", "mbps"]),
+    "datacenter": st.sampled_from(["DC1", "DC2"]),
+    "scheduler": st.sampled_from(["rr", "sjf"]),
+    "migration": st.sampled_from(["on", "off"]),
+    "admission": st.sampled_from(["deadline", "queue_cap"]),
+    "job": st.tuples(st.integers(0, 99), st.floats(0, 9), st.floats(0.5, 9)).map(
+        lambda j: " ".join(map(repr, j))
+    ),
+    "name": st.text(max_size=6),
+    **dict.fromkeys(["seed", "vms", "user_grouping", "request_grouping",
+                     "queue_capacity", "migration_cap"], _INT),
+}
+
+
+def _one_in_twenty(draw):
+    # not 0: hypothesis draws the ends of a range far more often
+    return draw(st.integers(0, 19)) == 7
+
+
+@st.composite
+def scenario_texts(draw):
+    if _one_in_twenty(draw):
+        return draw(st.text(max_size=80))
+    base = ["scenario", "datacenter.DC1", "policy"]
+    extra = st.sampled_from([s for s in _SECTION_KEYS if s not in base])
+    lines = []
+    for name in base + draw(st.lists(extra, max_size=3, unique=True)):
+        lines.append(f"[{name}]")
+        for key in draw(st.permutations(_SECTION_KEYS[name])):
+            if _one_in_twenty(draw):
+                continue
+            value = _VALUES if _one_in_twenty(draw) else _GOOD.get(key, _NUMBER)
+            lines.append(f"{key} = {draw(value)}")
+    return "\n".join(lines)
+
+
+def test_parser_fuzz_round_trip():
+    loaded = []
+
+    @settings(max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario_texts())
+    def check(text):
+        try:
+            config = load_scenario(text)
+        except ScenarioError:
+            return
+        loaded.append(config)
+        assert load_scenario(serialize(config)) == config
+
+    check()
+    assert len(loaded) >= 20  # the round trip is not checked vacuously
