@@ -1,6 +1,7 @@
 """Golden-output gate: SHA-256 of every output file for each bundled
-scenario x scheduler x migration, plus one sweep, and of the text that
-`dispatchsim validate` and `serialize` give for each bundled scenario.
+scenario x scheduler x migration, plus one sweep and `tests/qcap_demo.scn`
+(the only queue_cap case), and of the text that `dispatchsim validate`
+and `serialize` give for each bundled scenario.
 
 A refactor must leave every digest unchanged. A change that alters
 behaviour on purpose updates the digest it moves and says why.
@@ -22,10 +23,11 @@ from dispatchsim.scenario import load_scenario, serialize
 
 SCENARIOS = ("migration_demo.scn", "paper_tables.scn", "sweep_demo.scn", "table6_demo.scn")
 SWEEP = ("sweep", "sweep_demo.scn", "--sweep", "5,10,15,20,25,30", "--scheduler", "sjf")
+QCAP = os.path.join(os.path.dirname(os.path.abspath(__file__)), "qcap_demo.scn")
 
 CASES = {
-    f"{scn}:{sched}:{mig}": ("run", scn, "--scheduler", sched, "--migration", mig)
-    for scn in SCENARIOS
+    f"{os.path.basename(scn)}:{sched}:{mig}": ("run", scn, "--scheduler", sched, "--migration", mig)
+    for scn in (*SCENARIOS, QCAP)
     for sched in ("rr", "sjf")
     for mig in ("off", "on")
 }
@@ -103,6 +105,38 @@ GOLDEN = {
         'rejections.csv': '3ada8727e1ddc2c64224c14d4e500bd4375808ef1c4ced0a9d67151f19661b7f',
         'rejections_bar.csv': 'b7d5c31af9efd467de84e9caeccfca0f6a8d444adef24638c6ed66dd0ee76dc5',
         'summary.csv': '111b7b1eebbca5413a1129396f01be0a0cc2ee3fe64e602b54809ae80943abac',
+    },
+    'qcap_demo.scn:rr:off': {
+        'hourly_response_UBL.csv': 'b9c4f9bf9c63d0f0c5e943e7ab550526eb8b325f3cf18c7314b2952753ba15c5',
+        'hourly_response_UBS.csv': 'd1415cc0ea2d4723130559b43ccd2a19accaf0d35dd6a54d198b7f45ad1ddc8b',
+        'jobs.csv': 'e7e9315eb46529dced890d8a5fba0592e481adc2c12e0c356e64d6c474ada5c2',
+        'rejections.csv': '501271fe4ff786a25543569bcfac7b0194a5cee12ba9581e1e4763954542f612',
+        'rejections_bar.csv': 'fcc18ba27097089b2a4ce010e4b69dbfa15b8bf88d8dc4b643a0a21dec4e6cb0',
+        'summary.csv': 'df2bc94b6ba8dd1034e3f24e4301533f1dfd9f021548520212da01a8dc3ae873',
+    },
+    'qcap_demo.scn:rr:on': {
+        'hourly_response_UBL.csv': 'bd0641b0693e068c8a33560a6ec407893d9f855e06a85cac1cb94b9af3a9e1cd',
+        'hourly_response_UBS.csv': '8576e348c22a76507768529342422b827c4d25a23db582b5bc9f9c27777bafb9',
+        'jobs.csv': 'f6537bc83104aec36b0735bce641e54c2a57a0d0669caecbbbeb76696e563940',
+        'rejections.csv': '3d1aae5bde4d75e506da90de6bebccc9b79b7c4e56d260b3d67b950603569a75',
+        'rejections_bar.csv': '7505125eabaad9be96951bdfa4f86ff04108842fb4c28ed74f02ab3e6c3ff36a',
+        'summary.csv': 'e8ef42469ba270df9bf540f3e645157e58ec0f69d5f7b37c30ca1d9ed843b87f',
+    },
+    'qcap_demo.scn:sjf:off': {
+        'hourly_response_UBL.csv': '4a2b894bbbfd6e846485870e76bb4a986ea17e9912cd2514ab4ac3aebb3dfa66',
+        'hourly_response_UBS.csv': 'ea946fb6c96cdf8926e15946c34a178f59d3951c5c889626fa4559178ae69dde',
+        'jobs.csv': '9d0d9dad945626207ac12dcd7c555398715f17c39ca3f4747b40fe956e387517',
+        'rejections.csv': 'dedaa65bba413796a6e44b4f34d524107a4e32b82474253f3b5563ab2374fb04',
+        'rejections_bar.csv': 'bf2d30330bf3260caef625e05fa7c661cc57da42c7168adc058052b5f879cea0',
+        'summary.csv': '137aeb940fef85275bdf1e316aacead5f311971a90e6181fb248df2896597168',
+    },
+    'qcap_demo.scn:sjf:on': {
+        'hourly_response_UBL.csv': 'cc76cd1051efd8c468bd9bc89cba042f250cc1262a0ded113e8c1c14cae8b35b',
+        'hourly_response_UBS.csv': '5a02c98c25938e64d1bd0b43817eb3b28d39b47627bcbc0fb1b4db699c9871bb',
+        'jobs.csv': '0ba8f961b95f5ce070e3432a8288d697d19540f8eff65d7c9b5e098de018d757',
+        'rejections.csv': '7819ed289689052332bbd9b1069ec03e7a009324ba67dbc8154a8e99af26f31f',
+        'rejections_bar.csv': 'f3bb004372557375b64b288c370c5b94336ae62c52f95a14f272209ae925b85a',
+        'summary.csv': '133b64184c52bf3cfd4bcf97a112652d5ba8b4cc088ce40d046297db15be8bc8',
     },
     'sweep_demo.scn:rr:off': {
         'hourly_response_UBL.csv': '3fc5a72cf2507f1521e2a58087758f1751a627611bc94af5b679cb389226cfd6',
