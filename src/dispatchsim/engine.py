@@ -16,6 +16,7 @@ from operator import attrgetter
 from .metrics import JobTrace, RunMetrics
 from .model import (
     COMPLETED,
+    DEFAULT_EVENT_CAP,
     QUEUED,
     REJECTED,
     RUNNING,
@@ -37,7 +38,6 @@ JOB_FINISH = "JobFinish"
 MIGRATION_CHECK = "MigrationCheck"
 DEADLINE_EXPIRY = "DeadlineExpiry"
 
-DEFAULT_EVENT_CAP = 10_000_000
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
 _SJF_KEY = attrgetter("sjf_key")
@@ -122,6 +122,8 @@ class Simulation:
             deadline=None if pol.deadline is None else pol.deadline * u,
             capacity=pol.queue_capacity,
         )
+        # VM capacity under queue_cap; None otherwise, which no length equals
+        self._capacity = pol.queue_capacity if pol.admission_mode == "queue_cap" else None
         self.starvation_threshold_ms = (
             pol.starvation_threshold * u
             if pol.starvation_threshold is not None
@@ -164,7 +166,9 @@ class Simulation:
             next_id += 1
 
         self.jobs: dict[int, Job] = {j.id: j for j in explicit + generated}
-        self._job_vm: dict[int, VmInstance | None] = {}
+        # the VM whose queue or incoming list holds each job; read only
+        # while the job is queued
+        self._job_vm: dict[int, VmInstance] = {}
         self._start_pending: set[tuple[str, int]] = set()
         self._active = len(self.jobs)
         self.migration_log: list[tuple] = []
@@ -199,18 +203,48 @@ class Simulation:
             vm.service_prefix = list(accumulate((j.demand for j in jobs), initial=0.0))
         return vm.service_prefix
 
-    def _enqueue(self, dc: Datacenter, vm: VmInstance, job: Job, now: float):
+    # Every change to a queue or an incoming list goes through one of the
+    # four helpers below (and a finish clears `dc.settled` itself), so
+    # the VM's service-order cache and the datacenter's `settled` flag
+    # and `open_vms` count never go stale. Queued + incoming jobs never
+    # exceed the capacity, so a VM fills or frees up exactly when their
+    # total reaches it or leaves it.
+
+    def _queue_add(self, dc: Datacenter, vm: VmInstance, job: Job):
         vm.queue.append(job)
         vm.service_prefix = None
-        job.vm_history.append(vm.id)
-        self._job_vm[job.id] = vm
-        self._maybe_start(dc, vm, now)
+        dc.settled = False
+        if len(vm.queue) + len(vm.incoming) == self._capacity:
+            dc.open_vms -= 1
 
-    def _drop_incoming(self, vm: VmInstance, job: Job):
+    def _queue_remove(self, dc: Datacenter, vm: VmInstance, job: Job):
+        vm.queue.remove(job)
+        vm.service_prefix = None
+        dc.settled = False
+        if len(vm.queue) + len(vm.incoming) + 1 == self._capacity:
+            dc.open_vms += 1
+
+    def _incoming_add(self, dc: Datacenter, vm: VmInstance, job: Job):
+        vm.incoming.append(job)
+        vm.incoming_sum += job.demand
+        dc.settled = False
+        if len(vm.queue) + len(vm.incoming) == self._capacity:
+            dc.open_vms -= 1
+
+    def _incoming_remove(self, dc: Datacenter, vm: VmInstance, job: Job):
         vm.incoming.remove(job)
         # re-summed rather than subtracted, so it stays the exact
         # left-to-right float sum over the list
         vm.incoming_sum = sum(j.demand for j in vm.incoming)
+        dc.settled = False
+        if len(vm.queue) + len(vm.incoming) + 1 == self._capacity:
+            dc.open_vms += 1
+
+    def _enqueue(self, dc: Datacenter, vm: VmInstance, job: Job, now: float):
+        self._queue_add(dc, vm, job)
+        job.vm_history.append(vm.id)
+        self._job_vm[job.id] = vm
+        self._maybe_start(dc, vm, now)
 
     def _maybe_start(self, dc: Datacenter, vm: VmInstance, now: float):
         key = (dc.id, vm.id)
@@ -224,7 +258,6 @@ class Simulation:
         job.state = REJECTED
         job.reject_reason = reason
         job.rejected_at = now
-        self._job_vm[job.id] = None
         self._active -= 1
 
     # -- event handlers ----------------------------------------------------
@@ -232,12 +265,11 @@ class Simulation:
     def _on_arrival(self, ev: Event, now: float):
         job = self.jobs[ev.payload["job"]]
         if "vm" in ev.payload:  # migration transit completed
+            if job.state != QUEUED:
+                return  # expired in transit
             dc = self.datacenters[ev.payload["dc"]]
             vm = dc.vms[ev.payload["vm"]]
-            if job in vm.incoming:
-                self._drop_incoming(vm, job)
-            if job.state != QUEUED:
-                return
+            self._incoming_remove(dc, vm, job)
             self._enqueue(dc, vm, job, now)
             return
 
@@ -257,15 +289,8 @@ class Simulation:
         self._enqueue(dc, vm, job, now)
 
     def _dispatch_vm(self, dc: Datacenter) -> VmInstance:
-        vm = rr_next_vm(dc)
-        if self.admission.mode == "queue_cap":
-            # admission guaranteed a free slot somewhere; skip full VMs,
-            # counting jobs in transit toward each VM as queued
-            for _ in range(len(dc.vms)):
-                if len(vm.queue) + len(vm.incoming) < self.admission.capacity:
-                    break
-                vm = rr_next_vm(dc)
-        return vm
+        # admission guaranteed that some VM has room; rr skips full ones
+        return rr_next_vm(dc)
 
     def _on_start(self, ev: Event, now: float):
         dc = self.datacenters[ev.payload["dc"]]
@@ -274,8 +299,7 @@ class Simulation:
         if vm.running is not None or not vm.queue:
             return
         job = self._pick_next(vm)
-        vm.queue.remove(job)
-        vm.service_prefix = None
+        self._queue_remove(dc, vm, job)
         job.state = RUNNING
         job.start_time = now
         service = job.demand
@@ -291,6 +315,7 @@ class Simulation:
         vm = dc.vms[ev.payload["vm"]]
         job = self.jobs[ev.payload["job"]]
         vm.running = None
+        dc.settled = False
         job.state = COMPLETED
         job.transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
         job.finish_time = now + job.transfer
@@ -303,19 +328,11 @@ class Simulation:
         job = self.jobs[ev.payload["job"]]
         if job.state != QUEUED:
             return
-        vm = self._job_vm.get(job.id)
-        if vm is not None:
-            if job in vm.queue:
-                vm.queue.remove(job)
-                vm.service_prefix = None
-            elif job in vm.incoming:
-                self._drop_incoming(vm, job)
+        dc, vm = self._dc_of_job(job), self._job_vm[job.id]
+        if job in vm.incoming:  # in transit toward vm
+            self._incoming_remove(dc, vm, job)
         else:
-            # in transit: drop it from whichever incoming list holds it
-            for dc in self.datacenters.values():
-                for v in dc.vms:
-                    if job in v.incoming:
-                        self._drop_incoming(v, job)
+            self._queue_remove(dc, vm, job)
         self._reject(job, "DeadlineExpired", now)
 
     def _on_migration_tick(self, ev: Event, now: float):
@@ -334,9 +351,8 @@ class Simulation:
         service-order caches are left up to date."""
         mean_qlen = queued / len(vms)
         targets = [v for v in vms if len(v.queue) < mean_qlen]
-        if self.admission.mode == "queue_cap":
-            cap = self.admission.capacity
-            targets = [v for v in targets if len(v.queue) + len(v.incoming) < cap]
+        if self._capacity is not None:
+            targets = [v for v in targets if self.admission.has_room(v)]
         for v in targets:
             self._service_prefix(v)
         return targets
@@ -351,14 +367,36 @@ class Simulation:
         move. Under sjf the sums add demands in service order rather than
         queue order; for integer-valued demands (all bundled scenarios)
         that is exact, other float demands may differ in the last ulp.
+
+        The check returns at once while `dc.settled`: its last full pass
+        moved no job and nothing in the datacenter has changed since
+        (every enqueue, start, finish, deadline removal, transit landing
+        and move clears the flag). A pass then would move no job either:
+
+        1. With no change, the queues, `incoming` lists, running jobs and
+           `busy_until` are fixed, and so are the target set and every
+           prefix sum.
+        2. A busy VM's residual falls by exactly dt, and an idle VM's
+           stays 0.
+        3. A VM with a non-empty queue is never idle across dt > 0,
+           because its JobStart fires at the same instant and is itself
+           a change.
+        4. So each job's own wait falls by dt, and no candidate wait
+           falls by more. A "stay" therefore stays a "stay".
+
+        This is exact in floats when dt = 0 or all values are whole
+        numbers. Otherwise a skipped decision could differ only where
+        the full pass would itself have turned on a last-ulp tie.
         """
         vms = dc.vms
-        if len(vms) < 2:
+        if dc.settled or len(vms) < 2:
             return
         queued = sum(len(v.queue) for v in vms)
         targets = self._migration_targets(vms, queued)
         if not targets:
-            return  # exact: no VM can take a job, so none can move
+            dc.settled = True  # exact: no VM can take a job, so none can move
+            return
+        logged = len(self.migration_log)
         residual = [self._residual(v, now) for v in vms]
         sjf = self.scheduler == "sjf"
         for vm in vms:
@@ -391,15 +429,14 @@ class Simulation:
                 if target_id is None:
                     continue
                 target = vms[target_id]
-                vm.queue.remove(job)
-                vm.service_prefix = prefix = None
+                self._queue_remove(dc, vm, job)
+                prefix = None
                 moved += 1
                 queued -= 1
                 job.migrations += 1
-                target.incoming.append(job)
-                target.incoming_sum += job.demand
+                self._incoming_add(dc, target, job)
                 targets = self._migration_targets(vms, queued)
-                self._job_vm[job.id] = None
+                self._job_vm[job.id] = target
                 self.migration_log.append(
                     (job.id, vm.id, target_id, now, current_wait,
                      candidates[target_id] + self.hop_ms)
@@ -411,6 +448,7 @@ class Simulation:
                         {"job": job.id, "dc": dc.id, "vm": target_id},
                     )
                 )
+        dc.settled = len(self.migration_log) == logged
 
     # -- run loop ----------------------------------------------------------
 

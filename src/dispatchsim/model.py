@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 MS_PER_HOUR = 3_600_000.0
 
+# Events one run may process. Every job costs at least one event, so a
+# scenario that generates more jobs than this can never finish.
+DEFAULT_EVENT_CAP = 10_000_000
+
 # Job lifecycle states
 QUEUED = "queued"
 RUNNING = "running"
@@ -100,6 +104,12 @@ class AdmissionPolicy:
     deadline: float | None = None  # ms
     capacity: int | None = None  # queued jobs per VM
 
+    def has_room(self, vm: VmInstance) -> bool:
+        """Whether `vm` may take one more job: always under deadline
+        admission; under queue_cap while its queued jobs plus the jobs
+        migrating toward it stay below capacity."""
+        return self.mode != "queue_cap" or len(vm.queue) + len(vm.incoming) < self.capacity
+
 
 @dataclass
 class Datacenter:
@@ -107,6 +117,12 @@ class Datacenter:
     vms: list[VmInstance]
     admission: AdmissionPolicy
     rr_pointer: int = 0
+    # Summaries the engine keeps up to date at every queue change.
+    settled: bool = False  # the last migration check moved no job; nothing changed since
+    open_vms: int = field(init=False)  # VMs that admission.has_room
+
+    def __post_init__(self):
+        self.open_vms = sum(map(self.admission.has_room, self.vms))
 
 
 @dataclass
@@ -161,6 +177,12 @@ def _batch_job(ub: UserBase, arrival: float, batch: int) -> Job:
     )
 
 
+def requests_over(ub: UserBase, horizon_ms: float) -> float:
+    """Requests `ub` emits over the horizon (users x rate x hours),
+    before rounding down to whole requests."""
+    return ub.user_grouping * ub.requests_per_user_per_hour * (horizon_ms / MS_PER_HOUR)
+
+
 def generate_arrivals(ub: UserBase, horizon_ms: float, rng_seed) -> list[Job]:
     """Batched request traffic for one user base over the horizon.
 
@@ -171,8 +193,7 @@ def generate_arrivals(ub: UserBase, horizon_ms: float, rng_seed) -> list[Job]:
     """
     if horizon_ms <= 0:
         return []
-    hours = horizon_ms / MS_PER_HOUR
-    total_requests = int(ub.user_grouping * ub.requests_per_user_per_hour * hours)
+    total_requests = int(requests_over(ub, horizon_ms))
     if total_requests <= 0:
         return []
     rng = _arrival_rng(rng_seed, ub.id)
@@ -195,11 +216,7 @@ def generate_sweep_arrivals(
     rounding)."""
     if total_jobs <= 0 or not user_bases or horizon_ms <= 0:
         return []
-    hours = horizon_ms / MS_PER_HOUR
-    weights = [
-        max(ub.user_grouping * ub.requests_per_user_per_hour * hours, 1.0)
-        for ub in user_bases
-    ]
+    weights = [max(requests_over(ub, horizon_ms), 1.0) for ub in user_bases]
     total_w = sum(weights)
     exact = [total_jobs * w / total_w for w in weights]
     counts = [int(x) for x in exact]
@@ -220,10 +237,9 @@ def generate_sweep_arrivals(
 def admit(job: Job, dc: Datacenter, now: float) -> AdmissionResult:
     """Admission check at arrival. QueueCap rejects when every VM queue
     is at capacity, counting jobs migrating toward a VM since they join
-    its queue on landing; Deadline always admits here (the engine
-    schedules the expiry that may later reject the job)."""
-    policy = dc.admission
-    if policy.mode == "queue_cap":
-        if all(len(vm.queue) + len(vm.incoming) >= policy.capacity for vm in dc.vms):
-            return AdmissionResult(False, "QueueFull")
+    its queue on landing (`dc.open_vms` is 0); Deadline always admits
+    here (the engine schedules the expiry that may later reject the
+    job)."""
+    if dc.admission.mode == "queue_cap" and dc.open_vms == 0:
+        return AdmissionResult(False, "QueueFull")
     return AdmissionResult(True)

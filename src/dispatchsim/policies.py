@@ -15,14 +15,27 @@ class EmptyDatacenter(PolicyError):
     pass
 
 
-def rr_next_vm(dc: Datacenter) -> VmInstance:
-    """Return the VM under the round-robin pointer and advance the
-    pointer by one. Ignores load entirely."""
-    if not dc.vms:
+class DatacenterFull(PolicyError):
+    pass
+
+
+def rr_next_vm(dc: Datacenter, has_room=None) -> VmInstance:
+    """Return the first VM at or after the round-robin pointer that has
+    room for one more job, and move the pointer one past it. `has_room`
+    is a predicate on a VM and defaults to the datacenter's admission
+    rule (`AdmissionPolicy.has_room`), under which every VM has room in
+    deadline mode. Ignores load otherwise."""
+    vms = dc.vms
+    if not vms:
         raise EmptyDatacenter(f"datacenter {dc.id} has no VMs")
-    vm = dc.vms[dc.rr_pointer]
-    dc.rr_pointer = (dc.rr_pointer + 1) % len(dc.vms)
-    return vm
+    if has_room is None:
+        has_room = dc.admission.has_room
+    for _ in range(len(vms)):
+        vm = vms[dc.rr_pointer]
+        dc.rr_pointer = (dc.rr_pointer + 1) % len(vms)
+        if has_room(vm):
+            return vm
+    raise DatacenterFull(f"no VM of datacenter {dc.id} has room")
 
 
 def migration_decision(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import MS_PER_HOUR, UserBase
+from .model import DEFAULT_EVENT_CAP, MS_PER_HOUR, UserBase, requests_over
 
 TIME_UNITS = ("ms", "hours")
 BANDWIDTH_UNITS = ("units_per_ms", "mbps")
@@ -339,6 +339,10 @@ def validate(config: ScenarioConfig) -> None:
                 raise ValidationError(f"[{header}] {k.key} must be finite, got {v!r}")
             if k.check and not k.check[0](v):
                 raise ValidationError(f"[{header}] {k.key} {k.check[1]}, got {v!r}")
+            if k.duration and not math.isfinite(v * config.unit_ms):
+                raise ValidationError(
+                    f"[{header}] {k.key} must be finite in ms, got {v!r} {config.time_unit}"
+                )
     dc_ids = [dc.id for dc in config.datacenters]
     if len(set(dc_ids)) != len(dc_ids):
         raise ValidationError(f"duplicate datacenter ids: {dc_ids}")
@@ -349,6 +353,14 @@ def validate(config: ScenarioConfig) -> None:
         if ub.target_dc not in dc_ids:
             raise ValidationError(
                 f"user base {ub.id} targets unknown datacenter {ub.target_dc!r}"
+            )
+        # every job costs at least one event, so more jobs than the event
+        # cap could only end in HorizonExceeded after allocating them all
+        requests = requests_over(ub, config.horizon_ms)
+        if not math.isfinite(requests) or int(requests) > DEFAULT_EVENT_CAP * ub.request_grouping:
+            raise ValidationError(
+                f"user base {ub.id} generates {requests:.6g} requests over the horizon, "
+                f"more than {DEFAULT_EVENT_CAP} jobs"
             )
     pol = config.policy
     if pol.admission_mode == "queue_cap":

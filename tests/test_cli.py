@@ -140,3 +140,60 @@ def test_deadline_override_is_validated(deadline, tmp_path, capsys):
     assert code == 2
     assert "deadline" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _one_user_base(time_unit, horizon, requests_per_user_per_hour, deadline=1):
+    return f"""
+[scenario]
+name = huge
+time_unit = {time_unit}
+horizon = {horizon}
+seed = 1
+
+[datacenter.DC1]
+vms = 1
+rate = 100
+memory = 1
+bandwidth = 1
+bandwidth_unit = units_per_ms
+
+[userbase.UB1]
+requests_per_user_per_hour = {requests_per_user_per_hour}
+data_size_per_request = 1
+datacenter = DC1
+
+[policy]
+admission = deadline
+deadline = {deadline}
+"""
+
+
+# a duration in ms or the request count overflows to inf
+OVERFLOWING = {
+    "horizon": (_one_user_base("hours", "1e305", 1), "horizon"),
+    "deadline": (_one_user_base("hours", "1", 1, deadline="1e305"), "deadline"),
+    "requests": (_one_user_base("ms", "1e308", "1e9"), "UB1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_overflowing_scenario_exits_2(command, case, tmp_path, capsys):
+    text, named = OVERFLOWING[case]
+    scn = tmp_path / "huge.scn"
+    scn.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, str(scn)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_request_count_over_event_cap_exits_2(tmp_path, capsys):
+    # 1000 users x 2000 requests/h x 1000 h in batches of 100 = 2e7 jobs,
+    # above the 1e7 event cap
+    scn = tmp_path / "big.scn"
+    scn.write_text(_one_user_base("hours", "1000", 2000))
+    assert main(["validate", str(scn)]) == 2
+    assert "more than 10000000 jobs" in capsys.readouterr().err

@@ -1,9 +1,12 @@
-"""Engine-level checks of the wait-vs-hop migration check.
+"""Engine-level checks of the wait-vs-hop migration check and of
+queue_cap admission.
 
 The differential oracle runs random overloaded 2-4 VM scenarios through
-the engine and through a subclass whose `_migration_check` is the
-original O(V^2 Q^2) rescan of every queue, and requires identical
-migration logs and job traces.
+the engine and through a subclass that keeps the original code: the
+O(V^2 Q^2) rescan of every queue as `_migration_check` (which never
+skips a settled datacenter), the `all()` scan as admission and the
+skip-full-VM loop as `_dispatch_vm`. It requires identical migration
+logs and job traces.
 
 Demands are whole milliseconds. The engine sums sjf queues in service
 order while the rescan sums them in queue order; the two orders agree
@@ -11,17 +14,51 @@ exactly for integer-valued demands, but other float demands can differ
 in the last ulp.
 """
 
+import copy
 import dataclasses
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dispatchsim import engine
 from dispatchsim.engine import JOB_ARRIVAL, Event, Simulation
-from dispatchsim.policies import migration_decision
+from dispatchsim.model import AdmissionResult
+from dispatchsim.policies import migration_decision, rr_next_vm
 from dispatchsim.scenario import load_scenario
 
 
+def _any_vm(vm):
+    return True
+
+
+def _all_full_admit(job, dc, now):
+    """`model.admit` as it was before `Datacenter.open_vms`."""
+    policy = dc.admission
+    if policy.mode == "queue_cap":
+        if all(len(vm.queue) + len(vm.incoming) >= policy.capacity for vm in dc.vms):
+            return AdmissionResult(False, "QueueFull")
+    return AdmissionResult(True)
+
+
 class RescanSimulation(Simulation):
-    """Reference: recomputes every wait from the queues on each decision."""
+    """Reference: recomputes every wait from the queues on each decision,
+    admits by scanning every VM and dispatches by stepping the plain
+    round-robin wheel past full VMs."""
+
+    def run(self):
+        with mock.patch.object(engine, "admit", _all_full_admit):
+            return super().run()
+
+    def _dispatch_vm(self, dc):
+        vm = rr_next_vm(dc, _any_vm)
+        if self.admission.mode == "queue_cap":
+            # admission guaranteed a free slot somewhere; skip full VMs,
+            # counting jobs in transit toward each VM as queued
+            for _ in range(len(dc.vms)):
+                if len(vm.queue) + len(vm.incoming) < self.admission.capacity:
+                    break
+                vm = rr_next_vm(dc, _any_vm)
+        return vm
 
     def _sjf_key(self, job, rate):
         return (job.service_demand(rate), job.arrival, job.id)
@@ -61,7 +98,12 @@ class RescanSimulation(Simulation):
                 candidates = {
                     v.id: self._wait_if_added(v, job, now)
                     for v in dc.vms
-                    if v is not vm and len(v.queue) < mean_qlen
+                    if v is not vm
+                    and len(v.queue) < mean_qlen
+                    and (
+                        self.admission.mode != "queue_cap"
+                        or len(v.queue) + len(v.incoming) < self.admission.capacity
+                    )
                 }
                 if not candidates:
                     continue
@@ -73,7 +115,7 @@ class RescanSimulation(Simulation):
                 vm.queue.remove(job)
                 job.migrations += 1
                 target.incoming.append(job)
-                self._job_vm[job.id] = None
+                self._job_vm[job.id] = target
                 hop = self.hop_ms
                 self.migration_log.append(
                     (job.id, vm.id, target_id, now, current_wait,
@@ -89,7 +131,7 @@ class RescanSimulation(Simulation):
 
 
 @st.composite
-def overloaded_scenarios(draw, admission):
+def overloaded_scenarios(draw, admission, migration="on"):
     """Scenario text: one 2-4 VM datacenter fed explicit jobs with
     whole-ms bursts, at a load of up to 4x its capacity."""
     vms = draw(st.integers(2, 4))
@@ -100,7 +142,7 @@ def overloaded_scenarios(draw, admission):
     arrivals = sorted(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
     policy = [
         f"scheduler = {draw(st.sampled_from(['rr', 'sjf']))}",
-        "migration = on",
+        f"migration = {migration}",
         f"hop_time = {draw(st.integers(0, 10))}",
         f"migration_cadence = {draw(st.integers(1, 20))}",
         f"migration_cap = {draw(st.integers(0, 3))}",
@@ -131,9 +173,7 @@ def overloaded_scenarios(draw, admission):
     ) + "\n"
 
 
-@settings(max_examples=150, deadline=None)
-@given(overloaded_scenarios("deadline"))
-def test_migration_check_matches_rescan(text):
+def assert_same_run(text):
     fast = Simulation(load_scenario(text)).run()
     ref = RescanSimulation(load_scenario(text)).run()
     assert fast.migration_log == ref.migration_log
@@ -143,22 +183,95 @@ def test_migration_check_matches_rescan(text):
     assert fast.event_count == ref.event_count
 
 
+ADMISSION_MODES = st.sampled_from(["deadline", "queue_cap"])
+
+
 @settings(max_examples=150, deadline=None)
-@given(overloaded_scenarios("queue_cap"))
-def test_queue_cap_holds_under_migration(text):
-    config = load_scenario(text)
-    capacity = config.policy.queue_capacity
+@given(ADMISSION_MODES.flatmap(overloaded_scenarios))
+def test_migration_check_matches_rescan(text):
+    assert_same_run(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(overloaded_scenarios("queue_cap", migration="off"))
+def test_queue_cap_admission_matches_rescan_without_migration(text):
+    assert_same_run(text)
+
+
+def checked_simulation(check):
+    """Simulation subclass that calls check(sim, ev, now) after every event."""
 
     def checked(handler):
         def run_and_check(sim, ev, now):
             handler(sim, ev, now)
-            for vm in sim.datacenters["DC1"].vms:
-                assert len(vm.queue) <= capacity, (ev.kind, now, vm.id)
+            check(sim, ev, now)
 
         return run_and_check
 
     class CheckedSimulation(Simulation):
         _HANDLERS = {kind: checked(h) for kind, h in Simulation._HANDLERS.items()}
 
-    metrics = CheckedSimulation(config).run()
+    return CheckedSimulation
+
+
+@settings(max_examples=150, deadline=None)
+@given(overloaded_scenarios("queue_cap"))
+def test_queue_cap_holds_under_migration(text):
+    config = load_scenario(text)
+    capacity = config.policy.queue_capacity
+
+    def queues_within_capacity(sim, ev, now):
+        for vm in sim.datacenters["DC1"].vms:
+            assert len(vm.queue) <= capacity, (ev.kind, now, vm.id)
+
+    metrics = checked_simulation(queues_within_capacity)(config).run()
     assert metrics.completed + metrics.rejected == metrics.submitted
+
+
+# sjf and queue_cap: a pass that moves jobs can leave a move for a
+# second pass at the same instant (a VM that shed jobs becomes a
+# target), so only a pass that moved nothing may settle its datacenter.
+SECOND_PASS_MOVES = "\n".join(
+    [
+        "[scenario]", "name = random", "time_unit = ms", "horizon = 444", "seed = 1",
+        "[datacenter.DC1]", "vms = 3", "rate = 100", "memory = 1", "bandwidth = 1000",
+        "bandwidth_unit = units_per_ms",
+        "[policy]", "scheduler = sjf", "migration = on", "hop_time = 6",
+        "migration_cadence = 1", "migration_cap = 3", "admission = queue_cap",
+        "queue_capacity = 3",
+        "[jobs]",
+        *(
+            f"job = {i} {a} {b}"
+            for i, a, b in [
+                (22, 7, 35), (25, 11, 34), (27, 16, 11), (28, 16, 1), (30, 20, 36),
+                (31, 21, 7), (32, 23, 33), (33, 24, 5), (34, 28, 16), (37, 31, 16),
+                (40, 34, 40), (41, 35, 39), (45, 40, 21),
+            ]
+        ),
+    ]
+) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(ADMISSION_MODES.flatmap(overloaded_scenarios))
+@example(SECOND_PASS_MOVES)
+def test_datacenter_summaries_hold_after_every_event(text):
+    """After every event each `open_vms` equals a recount, and a rescan
+    of a settled datacenter, run on a copy, moves no job."""
+    config = load_scenario(text)
+    settled_checks = 0
+
+    def summaries_hold(sim, ev, now):
+        nonlocal settled_checks
+        for dc in sim.datacenters.values():
+            assert dc.open_vms == sum(map(dc.admission.has_room, dc.vms)), (ev.kind, now)
+            if dc.settled:
+                settled_checks += 1
+                twin = copy.deepcopy(sim)
+                twin.__class__ = RescanSimulation
+                twin._migration_check(twin.datacenters[dc.id], now)
+                assert twin.migration_log == sim.migration_log, (ev.kind, now)
+
+    metrics = checked_simulation(summaries_hold)(config).run()
+    assert metrics.completed + metrics.rejected == metrics.submitted
+    assert settled_checks > 0

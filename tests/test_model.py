@@ -141,6 +141,13 @@ def test_admit_queue_cap_with_free_slot():
     assert admit(Job(id=9, arrival=0.0), dc, 0.0).admitted
 
 
+def test_open_vms_counts_jobs_in_transit():
+    dc = _dc_with_queues([1, 0, 0], capacity=1)
+    assert dc.open_vms == 2
+    dc.vms[1].incoming.append(Job(id=8, arrival=0.0))
+    assert Datacenter(id="DC1", vms=dc.vms, admission=dc.admission).open_vms == 1
+
+
 def test_admit_deadline_mode_always_admits():
     dc = _dc_with_queues([5, 5], capacity=1)
     dc.admission = AdmissionPolicy(mode="deadline", deadline=10.0)

@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
-from dispatchsim.model import AdmissionPolicy, Datacenter, VmInstance
-from dispatchsim.policies import EmptyDatacenter, migration_decision, rr_next_vm
+from dispatchsim.model import AdmissionPolicy, Datacenter, Job, VmInstance
+from dispatchsim.policies import (
+    DatacenterFull,
+    EmptyDatacenter,
+    migration_decision,
+    rr_next_vm,
+)
 
 from conftest import sjf_at_zero
 
@@ -38,6 +43,33 @@ def test_rr_empty_datacenter():
     dc.vms = []
     with pytest.raises(EmptyDatacenter):
         rr_next_vm(dc)
+
+
+def test_rr_skips_vms_without_room():
+    dc = _dc(4)
+    dc.rr_pointer = 1
+    open_vms = lambda vm: vm.id in (0, 3)  # noqa: E731
+    assert rr_next_vm(dc, open_vms).id == 3
+    assert dc.rr_pointer == 0
+    assert rr_next_vm(dc, open_vms).id == 0
+    assert dc.rr_pointer == 1
+
+
+def test_rr_queue_cap_counts_queued_and_incoming_jobs():
+    dc = _dc(3)
+    dc.admission = AdmissionPolicy(mode="queue_cap", capacity=1)
+    dc.vms[0].queue.append(Job(id=1, arrival=0.0))
+    dc.vms[1].incoming.append(Job(id=2, arrival=0.0))
+    assert rr_next_vm(dc).id == 2
+    assert dc.rr_pointer == 0
+
+
+def test_rr_no_vm_with_room():
+    dc = _dc(3)
+    dc.rr_pointer = 2
+    with pytest.raises(DatacenterFull):
+        rr_next_vm(dc, lambda vm: False)
+    assert dc.rr_pointer == 2
 
 
 @given(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=6))
