@@ -13,7 +13,7 @@ import os
 import sys
 from importlib import resources
 
-from .engine import EngineError, Simulation
+from .engine import EngineError, Simulation, TooManyJobs
 from .metrics import queue_wait
 from .model import COMPLETED
 from .reporting import (
@@ -88,6 +88,8 @@ def cmd_run(args) -> int:
         return _fail(str(exc), EXIT_BAD_INPUT)
     try:
         metrics = Simulation(config).run()
+    except TooManyJobs as exc:
+        return _fail(str(exc), EXIT_BAD_INPUT)
     except EngineError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     out = args.out or f"{config.name}_out"

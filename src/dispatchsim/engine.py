@@ -16,7 +16,6 @@ from operator import attrgetter
 from .metrics import JobTrace, RunMetrics
 from .model import (
     COMPLETED,
-    DEFAULT_EVENT_CAP,
     QUEUED,
     REJECTED,
     RUNNING,
@@ -25,6 +24,7 @@ from .model import (
     Job,
     VmInstance,
     admit,
+    arrival_count,
     generate_arrivals,
     generate_sweep_arrivals,
     transfer_time,
@@ -38,6 +38,7 @@ JOB_FINISH = "JobFinish"
 MIGRATION_CHECK = "MigrationCheck"
 DEADLINE_EXPIRY = "DeadlineExpiry"
 
+DEFAULT_EVENT_CAP = 10_000_000
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
 _SJF_KEY = attrgetter("sjf_key")
@@ -53,6 +54,10 @@ class PastEvent(EngineError):
 
 class HorizonExceeded(EngineError):
     pass
+
+
+class TooManyJobs(HorizonExceeded):
+    """The scenario makes more jobs than the event cap lets a run reach."""
 
 
 @dataclass
@@ -122,8 +127,7 @@ class Simulation:
             deadline=None if pol.deadline is None else pol.deadline * u,
             capacity=pol.queue_capacity,
         )
-        # VM capacity under queue_cap; None otherwise, which no length equals
-        self._capacity = pol.queue_capacity if pol.admission_mode == "queue_cap" else None
+        self._has_room = self.admission.has_room
         self.starvation_threshold_ms = (
             pol.starvation_threshold * u
             if pol.starvation_threshold is not None
@@ -147,6 +151,16 @@ class Simulation:
 
         self._ub_target = {ub.id: ub.target_dc for ub in config.user_bases}
 
+        if total_jobs is None:
+            # every job costs at least one event, so more jobs than the
+            # cap could only end in HorizonExceeded after allocating them all
+            count = len(config.jobs) + sum(
+                arrival_count(ub, config.horizon_ms) for ub in config.user_bases
+            )
+            if count > event_cap:
+                raise TooManyJobs(
+                    f"scenario makes {count} jobs, more than the event cap {event_cap}"
+                )
         explicit = [
             Job(id=j.id, arrival=j.arrival * u, burst=j.burst * u, data_size=j.data_size)
             for j in config.jobs
@@ -204,41 +218,40 @@ class Simulation:
         return vm.service_prefix
 
     # Every change to a queue or an incoming list goes through one of the
-    # four helpers below (and a finish clears `dc.settled` itself), so
-    # the VM's service-order cache and the datacenter's `settled` flag
-    # and `open_vms` count never go stale. Queued + incoming jobs never
-    # exceed the capacity, so a VM fills or frees up exactly when their
-    # total reaches it or leaves it.
+    # four helpers below, so the VM's service-order cache and the
+    # datacenter's `settled` flag and `open_vms` count never go stale.
+    # `open_vms` moves by one when the change fills or frees up the VM
+    # under the admission rule.
 
     def _queue_add(self, dc: Datacenter, vm: VmInstance, job: Job):
+        was_open = self._has_room(vm)
         vm.queue.append(job)
         vm.service_prefix = None
         dc.settled = False
-        if len(vm.queue) + len(vm.incoming) == self._capacity:
-            dc.open_vms -= 1
+        dc.open_vms += self._has_room(vm) - was_open
 
     def _queue_remove(self, dc: Datacenter, vm: VmInstance, job: Job):
+        was_open = self._has_room(vm)
         vm.queue.remove(job)
         vm.service_prefix = None
         dc.settled = False
-        if len(vm.queue) + len(vm.incoming) + 1 == self._capacity:
-            dc.open_vms += 1
+        dc.open_vms += self._has_room(vm) - was_open
 
     def _incoming_add(self, dc: Datacenter, vm: VmInstance, job: Job):
+        was_open = self._has_room(vm)
         vm.incoming.append(job)
         vm.incoming_sum += job.demand
         dc.settled = False
-        if len(vm.queue) + len(vm.incoming) == self._capacity:
-            dc.open_vms -= 1
+        dc.open_vms += self._has_room(vm) - was_open
 
     def _incoming_remove(self, dc: Datacenter, vm: VmInstance, job: Job):
+        was_open = self._has_room(vm)
         vm.incoming.remove(job)
         # re-summed rather than subtracted, so it stays the exact
         # left-to-right float sum over the list
         vm.incoming_sum = sum(j.demand for j in vm.incoming)
         dc.settled = False
-        if len(vm.queue) + len(vm.incoming) + 1 == self._capacity:
-            dc.open_vms += 1
+        dc.open_vms += self._has_room(vm) - was_open
 
     def _enqueue(self, dc: Datacenter, vm: VmInstance, job: Job, now: float):
         self._queue_add(dc, vm, job)
@@ -315,7 +328,6 @@ class Simulation:
         vm = dc.vms[ev.payload["vm"]]
         job = self.jobs[ev.payload["job"]]
         vm.running = None
-        dc.settled = False
         job.state = COMPLETED
         job.transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
         job.finish_time = now + job.transfer
@@ -350,9 +362,8 @@ class Simulation:
         queue_cap, only those with room for one more job. Their
         service-order caches are left up to date."""
         mean_qlen = queued / len(vms)
-        targets = [v for v in vms if len(v.queue) < mean_qlen]
-        if self._capacity is not None:
-            targets = [v for v in targets if self.admission.has_room(v)]
+        has_room = self._has_room
+        targets = [v for v in vms if len(v.queue) < mean_qlen and has_room(v)]
         for v in targets:
             self._service_prefix(v)
         return targets
@@ -369,18 +380,20 @@ class Simulation:
         that is exact, other float demands may differ in the last ulp.
 
         The check returns at once while `dc.settled`: its last full pass
-        moved no job and nothing in the datacenter has changed since
-        (every enqueue, start, finish, deadline removal, transit landing
-        and move clears the flag). A pass then would move no job either:
+        moved no job and no queue or `incoming` list of the datacenter
+        has changed since (every enqueue, start, deadline removal, transit
+        landing and move clears the flag). A pass then would move no job
+        either:
 
-        1. With no change, the queues, `incoming` lists, running jobs and
-           `busy_until` are fixed, and so are the target set and every
-           prefix sum.
-        2. A busy VM's residual falls by exactly dt, and an idle VM's
-           stays 0.
-        3. A VM with a non-empty queue is never idle across dt > 0,
-           because its JobStart fires at the same instant and is itself
-           a change.
+        1. With no change, the queues, `incoming` lists and `busy_until`
+           are fixed, and so are the target set and every prefix sum.
+        2. A VM's residual is max(0, busy_until - now) whether its job
+           is still running or not: a finish fires at busy_until and
+           leaves the residual 0, as the clock alone would. So it falls
+           by exactly dt while the VM is busy, and stays 0 after.
+        3. A VM with a non-empty queue is never idle across dt > 0: its
+           finish leaves the queue about to start, and that JobStart
+           fires at the same instant and is itself a change.
         4. So each job's own wait falls by dt, and no candidate wait
            falls by more. A "stay" therefore stays a "stay".
 

@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 
 MS_PER_HOUR = 3_600_000.0
 
-# Events one run may process. Every job costs at least one event, so a
-# scenario that generates more jobs than this can never finish.
-DEFAULT_EVENT_CAP = 10_000_000
-
 # Job lifecycle states
 QUEUED = "queued"
 RUNNING = "running"
@@ -181,6 +177,14 @@ def requests_over(ub: UserBase, horizon_ms: float) -> float:
     """Requests `ub` emits over the horizon (users x rate x hours),
     before rounding down to whole requests."""
     return ub.user_grouping * ub.requests_per_user_per_hour * (horizon_ms / MS_PER_HOUR)
+
+
+def arrival_count(ub: UserBase, horizon_ms: float) -> int:
+    """Jobs `generate_arrivals` makes for `ub`: its whole requests over
+    the horizon in batches of `request_grouping`, the last maybe short."""
+    if horizon_ms <= 0:
+        return 0
+    return max(0, -(-int(requests_over(ub, horizon_ms)) // ub.request_grouping))
 
 
 def generate_arrivals(ub: UserBase, horizon_ms: float, rng_seed) -> list[Job]:

@@ -15,27 +15,20 @@ class EmptyDatacenter(PolicyError):
     pass
 
 
-class DatacenterFull(PolicyError):
-    pass
-
-
-def rr_next_vm(dc: Datacenter, has_room=None) -> VmInstance:
+def rr_next_vm(dc: Datacenter) -> VmInstance:
     """Return the first VM at or after the round-robin pointer that has
-    room for one more job, and move the pointer one past it. `has_room`
-    is a predicate on a VM and defaults to the datacenter's admission
-    rule (`AdmissionPolicy.has_room`), under which every VM has room in
-    deadline mode. Ignores load otherwise."""
+    room for one more job under the datacenter's admission rule
+    (`AdmissionPolicy.has_room`; under deadline admission every VM has
+    room), and move the pointer one past it. Ignores load otherwise."""
     vms = dc.vms
     if not vms:
         raise EmptyDatacenter(f"datacenter {dc.id} has no VMs")
-    if has_room is None:
-        has_room = dc.admission.has_room
     for _ in range(len(vms)):
         vm = vms[dc.rr_pointer]
         dc.rr_pointer = (dc.rr_pointer + 1) % len(vms)
-        if has_room(vm):
+        if dc.admission.has_room(vm):
             return vm
-    raise DatacenterFull(f"no VM of datacenter {dc.id} has room")
+    raise PolicyError(f"no VM of datacenter {dc.id} has room")
 
 
 def migration_decision(

@@ -142,7 +142,18 @@ def test_deadline_override_is_validated(deadline, tmp_path, capsys):
     assert not out.exists()
 
 
-def _one_user_base(time_unit, horizon, requests_per_user_per_hour, deadline=1):
+def _user_bases(time_unit, horizon, *rates, deadline=1):
+    """Scenario text with one 1-VM datacenter and one user base per
+    request rate (1000 users, batches of 100 requests)."""
+    user_bases = "".join(
+        f"""
+[userbase.UB{i}]
+requests_per_user_per_hour = {rate}
+data_size_per_request = 1
+datacenter = DC1
+"""
+        for i, rate in enumerate(rates, start=1)
+    )
     return f"""
 [scenario]
 name = huge
@@ -156,12 +167,7 @@ rate = 100
 memory = 1
 bandwidth = 1
 bandwidth_unit = units_per_ms
-
-[userbase.UB1]
-requests_per_user_per_hour = {requests_per_user_per_hour}
-data_size_per_request = 1
-datacenter = DC1
-
+{user_bases}
 [policy]
 admission = deadline
 deadline = {deadline}
@@ -170,9 +176,9 @@ deadline = {deadline}
 
 # a duration in ms or the request count overflows to inf
 OVERFLOWING = {
-    "horizon": (_one_user_base("hours", "1e305", 1), "horizon"),
-    "deadline": (_one_user_base("hours", "1", 1, deadline="1e305"), "deadline"),
-    "requests": (_one_user_base("ms", "1e308", "1e9"), "UB1"),
+    "horizon": (_user_bases("hours", "1e305", 1), "horizon"),
+    "deadline": (_user_bases("hours", "1", 1, deadline="1e305"), "deadline"),
+    "requests": (_user_bases("ms", "1e308", "1e9"), "UB1"),
 }
 
 
@@ -190,10 +196,26 @@ def test_overflowing_scenario_exits_2(command, case, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_request_count_over_event_cap_exits_2(tmp_path, capsys):
-    # 1000 users x 2000 requests/h x 1000 h in batches of 100 = 2e7 jobs,
-    # above the 1e7 event cap
+# 1000 users x 600 requests/h x 1000 h in batches of 100 = 6e6 jobs per
+# user base: each is under the 1e7 event cap, together they are over it
+OVER_CAP = _user_bases("hours", "1000", 600, 600)
+
+
+def test_job_count_over_event_cap_exits_2(tmp_path, capsys):
     scn = tmp_path / "big.scn"
-    scn.write_text(_one_user_base("hours", "1000", 2000))
-    assert main(["validate", str(scn)]) == 2
-    assert "more than 10000000 jobs" in capsys.readouterr().err
+    scn.write_text(OVER_CAP)
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    assert "12000000 jobs, more than the event cap 10000000" in capsys.readouterr().err
+    assert not out.exists()
+    # the count is a property of a run: the file itself is valid
+    assert main(["validate", str(scn)]) == 0
+
+
+def test_sweep_weights_an_over_cap_request_count(tmp_path, capsys):
+    # sweep generates only its levels' jobs and uses the counts as weights
+    scn = tmp_path / "big.scn"
+    scn.write_text(OVER_CAP)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(scn), "--sweep", "5,10", "--out", str(out)]) == 0
+    assert "level 10:" in capsys.readouterr().out

@@ -23,12 +23,15 @@ from hypothesis import example, given, settings, strategies as st
 from dispatchsim import engine
 from dispatchsim.engine import JOB_ARRIVAL, Event, Simulation
 from dispatchsim.model import AdmissionResult
-from dispatchsim.policies import migration_decision, rr_next_vm
+from dispatchsim.policies import migration_decision
 from dispatchsim.scenario import load_scenario
 
 
-def _any_vm(vm):
-    return True
+def _step_wheel(dc):
+    """The plain round-robin wheel: the VM under the pointer, full or not."""
+    vm = dc.vms[dc.rr_pointer]
+    dc.rr_pointer = (dc.rr_pointer + 1) % len(dc.vms)
+    return vm
 
 
 def _all_full_admit(job, dc, now):
@@ -50,14 +53,14 @@ class RescanSimulation(Simulation):
             return super().run()
 
     def _dispatch_vm(self, dc):
-        vm = rr_next_vm(dc, _any_vm)
+        vm = _step_wheel(dc)
         if self.admission.mode == "queue_cap":
             # admission guaranteed a free slot somewhere; skip full VMs,
             # counting jobs in transit toward each VM as queued
             for _ in range(len(dc.vms)):
                 if len(vm.queue) + len(vm.incoming) < self.admission.capacity:
                     break
-                vm = rr_next_vm(dc, _any_vm)
+                vm = _step_wheel(dc)
         return vm
 
     def _sjf_key(self, job, rate):

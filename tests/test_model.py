@@ -14,6 +14,7 @@ from dispatchsim.model import (
     ZeroBandwidth,
     ZeroRate,
     admit,
+    arrival_count,
     generate_arrivals,
     processing_time,
     transfer_time,
@@ -115,7 +116,7 @@ def test_generate_arrivals_count_matches_enumeration(rate, grouping, batch, hour
     jobs = generate_arrivals(ub, horizon, 1)
     total_requests = int(grouping * rate * hours)
     expected = math.ceil(total_requests / batch)
-    assert len(jobs) == expected
+    assert len(jobs) == expected == arrival_count(ub, horizon)
     assert sum(j.batch_size for j in jobs) == total_requests
 
 

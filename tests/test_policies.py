@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dispatchsim.engine import Simulation
 from dispatchsim.model import AdmissionPolicy, Datacenter, Job, VmInstance
 from dispatchsim.policies import (
-    DatacenterFull,
     EmptyDatacenter,
+    PolicyError,
     migration_decision,
     rr_next_vm,
 )
@@ -45,30 +45,35 @@ def test_rr_empty_datacenter():
         rr_next_vm(dc)
 
 
+def _queue_cap_dc(queue_lens, capacity=1):
+    dc = _dc(len(queue_lens))
+    dc.admission = AdmissionPolicy(mode="queue_cap", capacity=capacity)
+    for vm, n in zip(dc.vms, queue_lens):
+        vm.queue = [Job(id=100 * vm.id + k, arrival=0.0) for k in range(n)]
+    return dc
+
+
 def test_rr_skips_vms_without_room():
-    dc = _dc(4)
+    dc = _queue_cap_dc([0, 1, 1, 0])
     dc.rr_pointer = 1
-    open_vms = lambda vm: vm.id in (0, 3)  # noqa: E731
-    assert rr_next_vm(dc, open_vms).id == 3
+    assert rr_next_vm(dc).id == 3
     assert dc.rr_pointer == 0
-    assert rr_next_vm(dc, open_vms).id == 0
+    assert rr_next_vm(dc).id == 0
     assert dc.rr_pointer == 1
 
 
 def test_rr_queue_cap_counts_queued_and_incoming_jobs():
-    dc = _dc(3)
-    dc.admission = AdmissionPolicy(mode="queue_cap", capacity=1)
-    dc.vms[0].queue.append(Job(id=1, arrival=0.0))
+    dc = _queue_cap_dc([1, 0, 0])
     dc.vms[1].incoming.append(Job(id=2, arrival=0.0))
     assert rr_next_vm(dc).id == 2
     assert dc.rr_pointer == 0
 
 
 def test_rr_no_vm_with_room():
-    dc = _dc(3)
+    dc = _queue_cap_dc([2, 2, 2], capacity=2)
     dc.rr_pointer = 2
-    with pytest.raises(DatacenterFull):
-        rr_next_vm(dc, lambda vm: False)
+    with pytest.raises(PolicyError):
+        rr_next_vm(dc)
     assert dc.rr_pointer == 2
 
 
