@@ -122,6 +122,8 @@ def cmd_sweep(args) -> int:
     try:
         for level in levels:
             runs.append(Simulation(config, total_jobs=level).run())
+    except TooManyJobs as exc:
+        return _fail(str(exc), EXIT_BAD_INPUT)
     except EngineError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     out = args.out or f"{config.name}_sweep_out"
@@ -139,8 +141,8 @@ def _demo_result() -> dict:
     u = config.unit_ms
     started = [t for t in metrics.traces if t.state == COMPLETED]
     started.sort(key=lambda t: t.start)
-    order = [t.job_id for t in started]
-    waits = {t.job_id: queue_wait(t) / u for t in started}
+    order = [t.id for t in started]
+    waits = {t.id: queue_wait(t) / u for t in started}
     ok = order == DEMO_EXPECTED_ORDER and waits == DEMO_EXPECTED_WAITS
     return {"order": order, "waits": waits, "ok": ok}
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 
-from .metrics import JobTrace, RunMetrics
+from .metrics import RunMetrics
 from .model import (
     COMPLETED,
     QUEUED,
@@ -151,16 +152,17 @@ class Simulation:
 
         self._ub_target = {ub.id: ub.target_dc for ub in config.user_bases}
 
-        if total_jobs is None:
-            # every job costs at least one event, so more jobs than the
-            # cap could only end in HorizonExceeded after allocating them all
-            count = len(config.jobs) + sum(
-                arrival_count(ub, config.horizon_ms) for ub in config.user_bases
+        # every job costs at least one event, so more jobs than the cap
+        # could only end in HorizonExceeded after allocating them all
+        count = len(config.jobs) + (
+            total_jobs
+            if total_jobs is not None
+            else sum(arrival_count(ub, config.horizon_ms) for ub in config.user_bases)
+        )
+        if count > event_cap:
+            raise TooManyJobs(
+                f"scenario makes {count} jobs, more than the event cap {event_cap}"
             )
-            if count > event_cap:
-                raise TooManyJobs(
-                    f"scenario makes {count} jobs, more than the event cap {event_cap}"
-                )
         explicit = [
             Job(id=j.id, arrival=j.arrival * u, burst=j.burst * u, data_size=j.data_size)
             for j in config.jobs
@@ -255,7 +257,7 @@ class Simulation:
 
     def _enqueue(self, dc: Datacenter, vm: VmInstance, job: Job, now: float):
         self._queue_add(dc, vm, job)
-        job.vm_history.append(vm.id)
+        job.vm_history += (vm.id,)
         self._job_vm[job.id] = vm
         self._maybe_start(dc, vm, now)
 
@@ -314,13 +316,11 @@ class Simulation:
         job = self._pick_next(vm)
         self._queue_remove(dc, vm, job)
         job.state = RUNNING
-        job.start_time = now
-        service = job.demand
-        job.service_time = service
+        job.start = now
         vm.running = job
-        vm.busy_until = now + service
+        vm.busy_until = now + job.demand
         self.calendar.schedule(
-            Event(now + service, JOB_FINISH, {"dc": dc.id, "vm": vm.id, "job": job.id})
+            Event(vm.busy_until, JOB_FINISH, {"dc": dc.id, "vm": vm.id, "job": job.id})
         )
 
     def _on_finish(self, ev: Event, now: float):
@@ -330,7 +330,7 @@ class Simulation:
         vm.running = None
         job.state = COMPLETED
         job.transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
-        job.finish_time = now + job.transfer
+        job.finish = now + job.transfer
         self._active -= 1
         self._maybe_start(dc, vm, now)
         if self.migration_on:
@@ -490,38 +490,16 @@ class Simulation:
         return self._collect()
 
     def _collect(self) -> RunMetrics:
-        traces = []
-        completed = rejected = 0
-        for job in sorted(self.jobs.values(), key=lambda j: j.id):
-            if job.state == COMPLETED:
-                completed += 1
-            elif job.state == REJECTED:
-                rejected += 1
-            traces.append(
-                JobTrace(
-                    job_id=job.id,
-                    origin_ub=job.origin_ub,
-                    arrival=job.arrival,
-                    start=job.start_time,
-                    finish=job.finish_time,
-                    state=job.state,
-                    vm_history=list(job.vm_history),
-                    batch_size=job.batch_size,
-                    processing=job.service_time,
-                    transfer=job.transfer,
-                    migrations=job.migrations,
-                    reject_reason=job.reject_reason,
-                    rejected_at=job.rejected_at,
-                )
-            )
+        traces = sorted(self.jobs.values(), key=attrgetter("id"))
+        states = Counter(map(attrgetter("state"), traces))
         return RunMetrics(
             scenario_name=self.config.name,
             time_unit=self.config.time_unit,
             seed=self.config.seed,
             horizon_ms=self.config.horizon_ms,
             submitted=len(self.jobs),
-            completed=completed,
-            rejected=rejected,
+            completed=states[COMPLETED],
+            rejected=states[REJECTED],
             traces=traces,
             event_count=self.event_count,
             migration_log=self.migration_log,

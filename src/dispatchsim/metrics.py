@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import COMPLETED, REJECTED
+from .model import COMPLETED, REJECTED, Job
 
 
 class MetricsError(Exception):
@@ -27,25 +27,6 @@ class NoSubmissions(MetricsError):
 
 
 @dataclass
-class JobTrace:
-    """Immutable record of one job's lifecycle, in milliseconds."""
-
-    job_id: int
-    origin_ub: str | None
-    arrival: float
-    start: float | None
-    finish: float | None
-    state: str
-    vm_history: list[int]
-    batch_size: int = 1
-    processing: float | None = None  # service duration on the VM
-    transfer: float = 0.0
-    migrations: int = 0
-    reject_reason: str | None = None
-    rejected_at: float | None = None
-
-
-@dataclass
 class StatSummary:
     avg: float
     min: float
@@ -55,8 +36,9 @@ class StatSummary:
 
 @dataclass
 class RunMetrics:
-    """Everything one run produces: counts, per-job traces, and the
-    migration decisions taken along the way."""
+    """Everything one run produces: counts, per-job traces (the run's
+    own jobs, in id order), and the migration decisions taken along the
+    way."""
 
     scenario_name: str
     time_unit: str  # unit the scenario declared; CSV output uses it
@@ -65,7 +47,7 @@ class RunMetrics:
     submitted: int
     completed: int
     rejected: int
-    traces: list[JobTrace] = field(default_factory=list)
+    traces: list[Job] = field(default_factory=list)
     event_count: int = 0
     migration_log: list[tuple] = field(default_factory=list)
 
@@ -83,17 +65,17 @@ def summarize(samples) -> StatSummary:
     )
 
 
-def queue_wait(trace: JobTrace) -> float:
+def queue_wait(trace: Job) -> float:
     """Start minus arrival (the worked-example sense of response time)."""
     if trace.start is None:
-        raise NeverStarted(f"job {trace.job_id} never started")
+        raise NeverStarted(f"job {trace.id} never started")
     return trace.start - trace.arrival
 
 
-def network_response(trace: JobTrace) -> float:
+def network_response(trace: Job) -> float:
     """Finish minus arrival, transfer delay included."""
     if trace.finish is None:
-        raise NeverStarted(f"job {trace.job_id} never finished")
+        raise NeverStarted(f"job {trace.id} never finished")
     return trace.finish - trace.arrival
 
 
@@ -115,12 +97,12 @@ def starvation_report(traces, threshold: float) -> list[tuple[int, float]]:
     for tr in traces:
         if tr.state == REJECTED and tr.reject_reason == "DeadlineExpired":
             waited = (tr.rejected_at or tr.arrival) - tr.arrival
-            out.append((tr.job_id, waited))
+            out.append((tr.id, waited))
         elif tr.start is not None and queue_wait(tr) >= threshold:
-            out.append((tr.job_id, queue_wait(tr)))
+            out.append((tr.id, queue_wait(tr)))
     out.sort(key=lambda e: (-e[1], e[0]))
     return out
 
 
-def completed_traces(metrics: RunMetrics) -> list[JobTrace]:
+def completed_traces(metrics: RunMetrics) -> list[Job]:
     return [t for t in metrics.traces if t.state == COMPLETED]

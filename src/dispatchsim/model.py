@@ -19,8 +19,6 @@ RUNNING = "running"
 COMPLETED = "completed"
 REJECTED = "rejected"
 
-TERMINAL_STATES = (COMPLETED, REJECTED)
-
 
 class ModelError(Exception):
     pass
@@ -34,11 +32,15 @@ class ZeroBandwidth(ModelError):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Job:
     """A unit of work. Either carries an explicit burst duration (demo
     traces) or an instruction length that a VM's rate converts into a
     processing duration. Generated jobs represent one request batch.
+
+    A run's jobs are also its per-job traces: the engine fills in the
+    lifecycle fields, and `RunMetrics.traces` lists the jobs themselves
+    in id order. Times are in ms.
 
     Ids are unique, so jobs compare by identity."""
 
@@ -50,17 +52,16 @@ class Job:
     data_size: float = 0.0  # bytes
     batch_size: int = 1
     state: str = QUEUED
-    start_time: float | None = None
-    finish_time: float | None = None
-    vm_history: list[int] = field(default_factory=list)
+    start: float | None = None
+    finish: float | None = None  # transfer delay included
+    vm_history: tuple[int, ...] = ()  # every VM whose queue it joined
     migrations: int = 0
     reject_reason: str | None = None
     rejected_at: float | None = None
-    service_time: float | None = None  # set when the job runs
     transfer: float = 0.0
     # Set at dispatch. Every VM of a datacenter has the same rate and a
     # job never leaves its datacenter, so both stay valid.
-    demand: float | None = None  # service_demand on its datacenter's VMs
+    demand: float | None = None  # service_demand on its datacenter's VMs; its run time
     sjf_key: tuple | None = None  # (demand, arrival, id); sjf only
 
     def service_demand(self, rate: float) -> float:

@@ -55,7 +55,8 @@ def _unit_div(metrics: RunMetrics) -> float:
 
 def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
     """Write summary.csv, rejections.csv and jobs.csv for one run.
-    Returns the paths keyed by file stem."""
+    jobs.csv lists the traces in the order given (id order from the
+    engine). Returns the paths keyed by file stem."""
     os.makedirs(out_dir, exist_ok=True)
     u = _unit_div(metrics)
     done = completed_traces(metrics)
@@ -64,7 +65,7 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
     if done:
         rows = [
             ("response_time", [network_response(t) / u for t in done]),
-            ("processing_time", [t.processing / t.batch_size / u for t in done]),
+            ("processing_time", [t.demand / t.batch_size / u for t in done]),
             ("queue_wait", [queue_wait(t) / u for t in done]),
         ]
         for name, samples in rows:
@@ -77,12 +78,12 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
         rejection_lines.append(f"{metrics.submitted},{metrics.rejected},{pct}")
 
     job_lines = ["id,arrival,start,finish,wait,vm_history,state"]
-    for t in sorted(metrics.traces, key=lambda t: t.job_id):
+    for t in metrics.traces:
         wait = None if t.start is None else (t.start - t.arrival) / u
         job_lines.append(
             ",".join(
                 [
-                    str(t.job_id),
+                    str(t.id),
                     _fmt(t.arrival / u),
                     _fmt(None if t.start is None else t.start / u),
                     _fmt(None if t.finish is None else t.finish / u),

@@ -375,6 +375,13 @@ def validate(config: ScenarioConfig) -> None:
         for j in config.jobs:
             if j.arrival < 0 or j.burst <= 0 or j.data_size < 0:
                 raise ValidationError(f"explicit job {j.id}: bad arrival/burst/data")
+            for name in ("arrival", "burst"):
+                v = getattr(j, name)
+                if not math.isfinite(v * config.unit_ms):
+                    raise ValidationError(
+                        f"explicit job {j.id}: {name} must be finite in ms, "
+                        f"got {v!r} {config.time_unit}"
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_stat_summary_bounds_and_processing_anchor(capsys):
     metrics = Simulation(bundled("paper_tables.scn")).run()
     done = completed_traces(metrics)
     response = summarize([network_response(t) for t in done])
-    processing = summarize([t.processing / t.batch_size for t in done])
+    processing = summarize([t.demand / t.batch_size for t in done])
     wait = summarize([queue_wait(t) for t in done])
     for s in (response, processing, wait):
         assert s.min <= s.avg <= s.max

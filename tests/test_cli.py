@@ -1,9 +1,11 @@
+import functools
 import json
 
 import pytest
 
 from dispatchsim import cli
 from dispatchsim.cli import main
+from dispatchsim.engine import Simulation
 
 
 def _read(path):
@@ -179,6 +181,8 @@ OVERFLOWING = {
     "horizon": (_user_bases("hours", "1e305", 1), "horizon"),
     "deadline": (_user_bases("hours", "1", 1, deadline="1e305"), "deadline"),
     "requests": (_user_bases("ms", "1e308", "1e9"), "UB1"),
+    "job_arrival": (_user_bases("hours", "1") + "\n[jobs]\njob = 1 1e305 1\n", "arrival"),
+    "job_burst": (_user_bases("hours", "1") + "\n[jobs]\njob = 1 0 1e305\n", "burst"),
 }
 
 
@@ -219,3 +223,12 @@ def test_sweep_weights_an_over_cap_request_count(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", str(scn), "--sweep", "5,10", "--out", str(out)]) == 0
     assert "level 10:" in capsys.readouterr().out
+
+
+def test_sweep_level_over_event_cap_exits_2(monkeypatch, tmp_path, capsys):
+    # level 5 runs (18 events); level 101 fails before its jobs are built
+    monkeypatch.setattr(cli, "Simulation", functools.partial(Simulation, event_cap=100))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "sweep_demo.scn", "--sweep", "5,101", "--out", str(out)]) == 2
+    assert "101 jobs, more than the event cap 100" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,12 +3,14 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from dispatchsim import engine
 from dispatchsim.engine import (
     Event,
     EventCalendar,
     HorizonExceeded,
     PastEvent,
     Simulation,
+    TooManyJobs,
 )
 from dispatchsim.model import MS_PER_HOUR
 from dispatchsim.scenario import ScenarioConfig, PolicyConfig, load_scenario
@@ -69,13 +71,13 @@ def test_run_zero_user_bases():
 def test_run_table6_demo_waits(table6_config):
     metrics = Simulation(table6_config).run()
     waits = {
-        t.job_id: (t.start - t.arrival) / MS_PER_HOUR
+        t.id: (t.start - t.arrival) / MS_PER_HOUR
         for t in metrics.traces
         if t.start is not None
     }
     assert waits == TABLE6_WAITS
     order = sorted((t for t in metrics.traces), key=lambda t: t.start)
-    assert [t.job_id for t in order] == TABLE6_ORDER
+    assert [t.id for t in order] == TABLE6_ORDER
 
 
 def test_sjf_tie_breaks_by_arrival_then_id():
@@ -103,7 +105,7 @@ job = 3 1 3
 job = 2 2 3
 """
     traces = Simulation(load_scenario(text)).run().traces
-    assert [t.job_id for t in sorted(traces, key=lambda t: t.start)] == [1, 3, 2, 4]
+    assert [t.id for t in sorted(traces, key=lambda t: t.start)] == [1, 3, 2, 4]
 
 
 def test_run_deterministic_replay(sweep_config):
@@ -119,6 +121,26 @@ def test_run_deterministic_replay(sweep_config):
 def test_run_event_cap(table6_config):
     with pytest.raises(HorizonExceeded):
         Simulation(table6_config, event_cap=3).run()
+
+
+def test_sweep_level_over_event_cap_builds_no_jobs(sweep_config, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("jobs generated for a level over the cap")
+
+    monkeypatch.setattr(engine, "generate_sweep_arrivals", unreachable)
+    with pytest.raises(TooManyJobs, match="11 jobs, more than the event cap 10"):
+        Simulation(sweep_config, event_cap=10, total_jobs=11)
+
+
+def test_traces_are_the_run_jobs(migration_config):
+    sim = Simulation(migration_config)
+    traces = sim.run().traces
+    assert len(traces) == len(sim.jobs)
+    assert all(t is sim.jobs[t.id] for t in traces)
+    assert [t.id for t in traces] == sorted(sim.jobs)
+    # what reporting and the benchmark's outcome counts read off a trace
+    read = ("state", "arrival", "start", "finish", "reject_reason", "demand", "vm_history")
+    assert all(hasattr(t, name) for t in traces for name in read)
 
 
 def test_conservation(table6_config, sweep_config, migration_config):

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from dispatchsim.metrics import (
     EmptyInput,
-    JobTrace,
     NeverStarted,
     NoSubmissions,
     queue_wait,
@@ -11,6 +10,7 @@ from dispatchsim.metrics import (
     starvation_report,
     summarize,
 )
+from dispatchsim.model import Job
 
 from conftest import TABLE6_JOBS, TABLE6_WAITS
 
@@ -40,14 +40,13 @@ def test_summarize_ordering_invariant(samples):
 
 def _trace(job_id, arrival, start, state="completed", **kw):
     finish = kw.pop("finish", None if start is None else start + 1.0)
-    return JobTrace(
-        job_id=job_id,
-        origin_ub=None,
+    return Job(
+        id=job_id,
         arrival=arrival,
         start=start,
         finish=finish,
         state=state,
-        vm_history=[0] if start is not None else [],
+        vm_history=(0,) if start is not None else (),
         **kw,
     )
 
@@ -76,7 +75,7 @@ def test_queue_wait_never_started():
 
 
 def test_queue_wait_matches_table7():
-    waits = {t.job_id: queue_wait(t) for t in table7_traces()}
+    waits = {t.id: queue_wait(t) for t in table7_traces()}
     assert waits == TABLE6_WAITS
 
 

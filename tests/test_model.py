@@ -183,7 +183,7 @@ job = 2 0 5
 def test_deadline_expiry_rejects_queued_job():
     # one VM, first job occupies it past the second job's deadline
     metrics = Simulation(load_scenario(DEADLINE_SCN)).run()
-    by_id = {t.job_id: t for t in metrics.traces}
+    by_id = {t.id: t for t in metrics.traces}
     assert by_id[1].state == "completed"
     assert by_id[2].state == "rejected"
     assert by_id[2].reject_reason == "DeadlineExpired"

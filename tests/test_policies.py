@@ -108,7 +108,7 @@ def _mean_wait_of_order(jobs, order):
 def test_sjf_at_zero_matches_brute_force(bursts):
     jobs = [(i + 1, 0.0, float(b)) for i, b in enumerate(bursts)]
     traces = Simulation(sjf_at_zero(bursts)).run().traces
-    order = [t.job_id for t in sorted(traces, key=lambda t: t.start)]
+    order = [t.id for t in sorted(traces, key=lambda t: t.start)]
     assert order == [j[0] for j in sorted(jobs, key=lambda j: (j[2], j[0]))]
     best = min(
         _mean_wait_of_order(jobs, perm)
