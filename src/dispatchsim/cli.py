@@ -120,12 +120,14 @@ def cmd_sweep(args) -> int:
         return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
     runs = []
     try:
-        for level in levels:
+        # top level first: only the last level can be over the event cap
+        for level in reversed(levels):
             runs.append(Simulation(config, total_jobs=level).run())
     except TooManyJobs as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except EngineError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
+    runs.reverse()
     out = args.out or f"{config.name}_sweep_out"
     write_sweep_rejections_csv(runs, out)
     emit_plot_series(runs, "rejections_bar", out)

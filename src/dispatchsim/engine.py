@@ -10,9 +10,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
+from typing import NamedTuple
 
 from .metrics import RunMetrics
 from .model import (
@@ -61,17 +61,22 @@ class TooManyJobs(HorizonExceeded):
     """The scenario makes more jobs than the event cap lets a run reach."""
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
+    """One scheduled event. `subject` is what its handler acts on: the
+    Job of a JobArrival or DeadlineExpiry, the (Datacenter, VmInstance)
+    pair of a JobStart or JobFinish, None for a MigrationCheck."""
+
     fire_at: float
+    seq: int
     kind: str
-    payload: dict = field(default_factory=dict)
-    seq: int | None = None
+    subject: object
 
 
 class EventCalendar:
-    """Priority queue keyed on (fire_at, insertion seq). The clock is
-    the fire time of the last popped event and never decreases."""
+    """Priority queue of Events, which order as tuples on (fire_at,
+    insertion seq); seq is unique, so subjects are never compared. The
+    clock is the fire time of the last popped event and never
+    decreases."""
 
     def __init__(self):
         self._heap: list = []
@@ -81,23 +86,21 @@ class EventCalendar:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, ev: Event):
-        if ev.fire_at < self.clock:
+    def schedule(self, fire_at: float, kind: str, subject: object = None) -> None:
+        if fire_at < self.clock:
             raise PastEvent(
-                f"cannot schedule {ev.kind} at t={ev.fire_at} before clock {self.clock}"
+                f"cannot schedule {kind} at t={fire_at} before clock {self.clock}"
             )
-        ev.seq = self._seq
+        heapq.heappush(self._heap, Event(fire_at, self._seq, kind, subject))
         self._seq += 1
-        heapq.heappush(self._heap, (ev.fire_at, ev.seq, ev))
-        return (ev.fire_at, ev.seq)
 
     def pop(self) -> Event:
-        fire_at, _, ev = heapq.heappop(self._heap)
-        self.clock = fire_at
+        ev = heapq.heappop(self._heap)
+        self.clock = ev.fire_at
         return ev
 
     def peek_time(self) -> float:
-        return self._heap[0][0]
+        return self._heap[0].fire_at
 
 
 class Simulation:
@@ -265,9 +268,7 @@ class Simulation:
         key = (dc.id, vm.id)
         if vm.running is None and vm.queue and key not in self._start_pending:
             self._start_pending.add(key)
-            self.calendar.schedule(
-                Event(now, JOB_START, {"dc": dc.id, "vm": vm.id})
-            )
+            self.calendar.schedule(now, JOB_START, (dc, vm))
 
     def _reject(self, job: Job, reason: str, now: float):
         job.state = REJECTED
@@ -277,13 +278,11 @@ class Simulation:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_arrival(self, ev: Event, now: float):
-        job = self.jobs[ev.payload["job"]]
-        if "vm" in ev.payload:  # migration transit completed
+    def _on_arrival(self, job: Job, now: float):
+        if job.vm_history:  # queued before, so a migration landing
             if job.state != QUEUED:
                 return  # expired in transit
-            dc = self.datacenters[ev.payload["dc"]]
-            vm = dc.vms[ev.payload["vm"]]
+            dc, vm = self._dc_of_job(job), self._job_vm[job.id]
             self._incoming_remove(dc, vm, job)
             self._enqueue(dc, vm, job, now)
             return
@@ -294,9 +293,7 @@ class Simulation:
             self._reject(job, result.reason, now)
             return
         if self.admission.mode == "deadline":
-            self.calendar.schedule(
-                Event(now + self.admission.deadline, DEADLINE_EXPIRY, {"job": job.id})
-            )
+            self.calendar.schedule(now + self.admission.deadline, DEADLINE_EXPIRY, job)
         vm = self._dispatch_vm(dc)
         job.demand = job.service_demand(vm.rate)
         if self.scheduler == "sjf":
@@ -307,9 +304,8 @@ class Simulation:
         # admission guaranteed that some VM has room; rr skips full ones
         return rr_next_vm(dc)
 
-    def _on_start(self, ev: Event, now: float):
-        dc = self.datacenters[ev.payload["dc"]]
-        vm = dc.vms[ev.payload["vm"]]
+    def _on_start(self, subject: tuple[Datacenter, VmInstance], now: float):
+        dc, vm = subject
         self._start_pending.discard((dc.id, vm.id))
         if vm.running is not None or not vm.queue:
             return
@@ -319,14 +315,11 @@ class Simulation:
         job.start = now
         vm.running = job
         vm.busy_until = now + job.demand
-        self.calendar.schedule(
-            Event(vm.busy_until, JOB_FINISH, {"dc": dc.id, "vm": vm.id, "job": job.id})
-        )
+        self.calendar.schedule(vm.busy_until, JOB_FINISH, subject)
 
-    def _on_finish(self, ev: Event, now: float):
-        dc = self.datacenters[ev.payload["dc"]]
-        vm = dc.vms[ev.payload["vm"]]
-        job = self.jobs[ev.payload["job"]]
+    def _on_finish(self, subject: tuple[Datacenter, VmInstance], now: float):
+        dc, vm = subject
+        job = vm.running
         vm.running = None
         job.state = COMPLETED
         job.transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
@@ -336,8 +329,7 @@ class Simulation:
         if self.migration_on:
             self._migration_check(dc, now)
 
-    def _on_deadline(self, ev: Event, now: float):
-        job = self.jobs[ev.payload["job"]]
+    def _on_deadline(self, job: Job, now: float):
         if job.state != QUEUED:
             return
         dc, vm = self._dc_of_job(job), self._job_vm[job.id]
@@ -347,7 +339,7 @@ class Simulation:
             self._queue_remove(dc, vm, job)
         self._reject(job, "DeadlineExpired", now)
 
-    def _on_migration_tick(self, ev: Event, now: float):
+    def _on_migration_tick(self, _subject: None, now: float):
         if self._active <= 0:
             return
         for dc in self.datacenters.values():
@@ -355,7 +347,7 @@ class Simulation:
         if len(self.calendar):
             # skip idle gaps so ticks never dominate the event budget
             fire_at = max(now + self.cadence_ms, self.calendar.peek_time())
-            self.calendar.schedule(Event(fire_at, MIGRATION_CHECK, {}))
+            self.calendar.schedule(fire_at, MIGRATION_CHECK)
 
     def _migration_targets(self, vms: list[VmInstance], queued: int) -> list[VmInstance]:
         """VMs whose queue is shorter than the mean, in VM order; under
@@ -454,13 +446,7 @@ class Simulation:
                     (job.id, vm.id, target_id, now, current_wait,
                      candidates[target_id] + self.hop_ms)
                 )
-                self.calendar.schedule(
-                    Event(
-                        now + self.hop_ms,
-                        JOB_ARRIVAL,
-                        {"job": job.id, "dc": dc.id, "vm": target_id},
-                    )
-                )
+                self.calendar.schedule(now + self.hop_ms, JOB_ARRIVAL, job)
         dc.settled = len(self.migration_log) == logged
 
     # -- run loop ----------------------------------------------------------
@@ -476,9 +462,9 @@ class Simulation:
     def run(self) -> RunMetrics:
         cal = self.calendar
         for job in self.jobs.values():
-            cal.schedule(Event(job.arrival, JOB_ARRIVAL, {"job": job.id}))
+            cal.schedule(job.arrival, JOB_ARRIVAL, job)
         if self.migration_on and self.jobs:
-            cal.schedule(Event(self.cadence_ms, MIGRATION_CHECK, {}))
+            cal.schedule(self.cadence_ms, MIGRATION_CHECK)
         while len(cal):
             ev = cal.pop()
             self.event_count += 1
@@ -486,7 +472,7 @@ class Simulation:
                 raise HorizonExceeded(
                     f"event count exceeded safety cap {self.event_cap}"
                 )
-            self._HANDLERS[ev.kind](self, ev, cal.clock)
+            self._HANDLERS[ev.kind](self, ev.subject, cal.clock)
         return self._collect()
 
     def _collect(self) -> RunMetrics:

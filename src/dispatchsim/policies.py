@@ -11,18 +11,12 @@ class PolicyError(Exception):
     pass
 
 
-class EmptyDatacenter(PolicyError):
-    pass
-
-
 def rr_next_vm(dc: Datacenter) -> VmInstance:
     """Return the first VM at or after the round-robin pointer that has
     room for one more job under the datacenter's admission rule
     (`AdmissionPolicy.has_room`; under deadline admission every VM has
     room), and move the pointer one past it. Ignores load otherwise."""
     vms = dc.vms
-    if not vms:
-        raise EmptyDatacenter(f"datacenter {dc.id} has no VMs")
     for _ in range(len(vms)):
         vm = vms[dc.rr_pointer]
         dc.rr_pointer = (dc.rr_pointer + 1) % len(vms)

@@ -1,4 +1,3 @@
-import functools
 import json
 
 import pytest
@@ -226,9 +225,21 @@ def test_sweep_weights_an_over_cap_request_count(tmp_path, capsys):
 
 
 def test_sweep_level_over_event_cap_exits_2(monkeypatch, tmp_path, capsys):
-    # level 5 runs (18 events); level 101 fails before its jobs are built
-    monkeypatch.setattr(cli, "Simulation", functools.partial(Simulation, event_cap=100))
+    # levels run from the top down, so level 101 fails before its jobs
+    # are built and before level 5 runs
+    runs = []
+
+    class CappedSimulation(Simulation):
+        def __init__(self, config, **kwargs):
+            super().__init__(config, event_cap=100, **kwargs)
+
+        def run(self):
+            runs.append(self)
+            return super().run()
+
+    monkeypatch.setattr(cli, "Simulation", CappedSimulation)
     out = tmp_path / "sweep"
     assert main(["sweep", "sweep_demo.scn", "--sweep", "5,101", "--out", str(out)]) == 2
     assert "101 jobs, more than the event cap 100" in capsys.readouterr().err
     assert not out.exists()
+    assert runs == []

@@ -5,14 +5,13 @@ from hypothesis import given, strategies as st
 
 from dispatchsim import engine
 from dispatchsim.engine import (
-    Event,
     EventCalendar,
     HorizonExceeded,
     PastEvent,
     Simulation,
     TooManyJobs,
 )
-from dispatchsim.model import MS_PER_HOUR
+from dispatchsim.model import MS_PER_HOUR, Job
 from dispatchsim.scenario import ScenarioConfig, PolicyConfig, load_scenario
 
 from conftest import TABLE6_ORDER, TABLE6_WAITS
@@ -20,33 +19,38 @@ from conftest import TABLE6_ORDER, TABLE6_WAITS
 
 def test_calendar_single_element():
     cal = EventCalendar()
-    cal.schedule(Event(5.0, "JobArrival", {"job": 1}))
+    job = Job(id=1, arrival=5.0)
+    cal.schedule(5.0, "JobArrival", job)
     ev = cal.pop()
-    assert ev.fire_at == 5.0 and ev.payload == {"job": 1}
+    # the fields the benchmark's traced pop and the run loop read
+    assert ev.fire_at == 5.0 and ev.kind == "JobArrival" and ev.subject is job
     assert len(cal) == 0
 
 
 def test_calendar_fifo_tie_break():
+    # Jobs do not order, so this raises TypeError if the heap ever
+    # compares the subjects of two events at the same instant
     cal = EventCalendar()
-    cal.schedule(Event(5.0, "JobArrival", {"tag": "a"}))
-    cal.schedule(Event(5.0, "JobArrival", {"tag": "b"}))
-    assert cal.pop().payload["tag"] == "a"
-    assert cal.pop().payload["tag"] == "b"
+    a, b = Job(id=1, arrival=5.0), Job(id=2, arrival=5.0)
+    cal.schedule(5.0, "JobArrival", a)
+    cal.schedule(5.0, "JobArrival", b)
+    assert cal.pop().subject is a
+    assert cal.pop().subject is b
 
 
 def test_calendar_rejects_past_event():
     cal = EventCalendar()
-    cal.schedule(Event(10.0, "JobArrival"))
+    cal.schedule(10.0, "JobArrival")
     cal.pop()
     with pytest.raises(PastEvent):
-        cal.schedule(Event(7.0, "JobArrival"))
+        cal.schedule(7.0, "JobArrival")
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
 def test_calendar_pop_order_monotone(times):
     cal = EventCalendar()
     for t in times:
-        cal.schedule(Event(t, "JobArrival"))
+        cal.schedule(t, "JobArrival")
     popped = [cal.pop().fire_at for _ in range(len(times))]
     assert popped == sorted(popped)
 
@@ -215,3 +219,49 @@ job = 1 0 5
     )
     m = Simulation(config).run()
     assert m.completed == 1
+
+
+@pytest.mark.parametrize(
+    "hop_time, state, vm_history, event_count",
+    [
+        # lands at 71, after its deadline at 60: expires in transit
+        (70, "rejected", (0,), 12),
+        # lands at 51 on the idle VM 1 and starts there at once
+        (50, "completed", (0, 1), 14),
+    ],
+)
+def test_migration_landing_and_expiry_in_transit(hop_time, state, vm_history, event_count):
+    # jobs 1 and 3 queue on VM 0, job 2 on VM 1; job 2's finish at t = 1
+    # moves job 3 to VM 1 (wait 99 on VM 0 against the hop time)
+    text = f"""
+[scenario]
+name = landing
+time_unit = ms
+horizon = 0
+seed = 1
+[datacenter.DC1]
+vms = 2
+rate = 1
+memory = 1
+bandwidth = 1
+bandwidth_unit = units_per_ms
+[policy]
+scheduler = rr
+migration = on
+hop_time = {hop_time}
+migration_cadence = 1000
+deadline = 60
+[jobs]
+job = 1 0 100
+job = 2 0 1
+job = 3 0 100
+"""
+    metrics = Simulation(load_scenario(text)).run()
+    assert [entry[:4] for entry in metrics.migration_log] == [(3, 0, 1, 1.0)]
+    job = metrics.traces[2]
+    assert (job.id, job.state, job.vm_history) == (3, state, vm_history)
+    if state == "rejected":
+        assert (job.reject_reason, job.rejected_at, job.start) == ("DeadlineExpired", 60.0, None)
+    else:
+        assert (job.start, job.finish) == (51.0, 151.0)
+    assert metrics.event_count == event_count

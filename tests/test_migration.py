@@ -21,7 +21,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim import engine
-from dispatchsim.engine import JOB_ARRIVAL, Event, Simulation
+from dispatchsim.engine import JOB_ARRIVAL, Simulation
 from dispatchsim.model import AdmissionResult
 from dispatchsim.policies import migration_decision
 from dispatchsim.scenario import load_scenario
@@ -124,13 +124,7 @@ class RescanSimulation(Simulation):
                     (job.id, vm.id, target_id, now, current_wait,
                      candidates[target_id] + hop)
                 )
-                self.calendar.schedule(
-                    Event(
-                        now + hop,
-                        JOB_ARRIVAL,
-                        {"job": job.id, "dc": dc.id, "vm": target_id},
-                    )
-                )
+                self.calendar.schedule(now + hop, JOB_ARRIVAL, job)
 
 
 @st.composite
@@ -202,17 +196,18 @@ def test_queue_cap_admission_matches_rescan_without_migration(text):
 
 
 def checked_simulation(check):
-    """Simulation subclass that calls check(sim, ev, now) after every event."""
+    """Simulation subclass that calls check(sim, kind, now) after every
+    event, where kind is the event's kind."""
 
-    def checked(handler):
-        def run_and_check(sim, ev, now):
-            handler(sim, ev, now)
-            check(sim, ev, now)
+    def checked(kind, handler):
+        def run_and_check(sim, subject, now):
+            handler(sim, subject, now)
+            check(sim, kind, now)
 
         return run_and_check
 
     class CheckedSimulation(Simulation):
-        _HANDLERS = {kind: checked(h) for kind, h in Simulation._HANDLERS.items()}
+        _HANDLERS = {kind: checked(kind, h) for kind, h in Simulation._HANDLERS.items()}
 
     return CheckedSimulation
 
@@ -223,9 +218,9 @@ def test_queue_cap_holds_under_migration(text):
     config = load_scenario(text)
     capacity = config.policy.queue_capacity
 
-    def queues_within_capacity(sim, ev, now):
+    def queues_within_capacity(sim, kind, now):
         for vm in sim.datacenters["DC1"].vms:
-            assert len(vm.queue) <= capacity, (ev.kind, now, vm.id)
+            assert len(vm.queue) <= capacity, (kind, now, vm.id)
 
     metrics = checked_simulation(queues_within_capacity)(config).run()
     assert metrics.completed + metrics.rejected == metrics.submitted
@@ -264,16 +259,16 @@ def test_datacenter_summaries_hold_after_every_event(text):
     config = load_scenario(text)
     settled_checks = 0
 
-    def summaries_hold(sim, ev, now):
+    def summaries_hold(sim, kind, now):
         nonlocal settled_checks
         for dc in sim.datacenters.values():
-            assert dc.open_vms == sum(map(dc.admission.has_room, dc.vms)), (ev.kind, now)
+            assert dc.open_vms == sum(map(dc.admission.has_room, dc.vms)), (kind, now)
             if dc.settled:
                 settled_checks += 1
                 twin = copy.deepcopy(sim)
                 twin.__class__ = RescanSimulation
                 twin._migration_check(twin.datacenters[dc.id], now)
-                assert twin.migration_log == sim.migration_log, (ev.kind, now)
+                assert twin.migration_log == sim.migration_log, (kind, now)
 
     metrics = checked_simulation(summaries_hold)(config).run()
     assert metrics.completed + metrics.rejected == metrics.submitted

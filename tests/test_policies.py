@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from dispatchsim.engine import Simulation
 from dispatchsim.model import AdmissionPolicy, Datacenter, Job, VmInstance
 from dispatchsim.policies import (
-    EmptyDatacenter,
     PolicyError,
     migration_decision,
     rr_next_vm,
@@ -41,7 +40,7 @@ def test_rr_pigeonhole_40_vms():
 def test_rr_empty_datacenter():
     dc = _dc(1)
     dc.vms = []
-    with pytest.raises(EmptyDatacenter):
+    with pytest.raises(PolicyError):
         rr_next_vm(dc)
 
 
