@@ -25,6 +25,7 @@ from .scenario import (
     SCHEDULERS,
     ScenarioConfig,
     ScenarioError,
+    decode_scenario,
     load_scenario,
     normalized_dict,
     validate,
@@ -51,11 +52,11 @@ def _bundled_names():
 
 def _read_scenario_text(path: str) -> str:
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return decode_scenario(fh.read())
     bundled = resources.files("dispatchsim").joinpath("data").joinpath(path)
     if bundled.is_file():
-        return bundled.read_text(encoding="utf-8")
+        return decode_scenario(bundled.read_bytes())
     raise FileNotFoundError(
         f"scenario {path!r} not found (bundled scenarios: {', '.join(_bundled_names())})"
     )
@@ -84,18 +85,15 @@ def _fail(message: str, code: int) -> int:
 def cmd_run(args) -> int:
     try:
         config = _load(args.scenario, args)
-    except (ScenarioError, FileNotFoundError, OSError) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    try:
         metrics = Simulation(config).run()
-    except TooManyJobs as exc:
+        out = args.out or f"{config.name}_out"
+        write_metrics_csv(metrics, out)
+        emit_plot_series(metrics, "hourly_response", out)
+        emit_plot_series(metrics, "rejections_bar", out)
+    except (ScenarioError, OSError, TooManyJobs) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except EngineError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
-    out = args.out or f"{config.name}_out"
-    write_metrics_csv(metrics, out)
-    emit_plot_series(metrics, "hourly_response", out)
-    emit_plot_series(metrics, "rejections_bar", out)
     print(
         f"{config.name}: submitted={metrics.submitted} "
         f"completed={metrics.completed} rejected={metrics.rejected} -> {out}"
@@ -114,23 +112,20 @@ def cmd_sweep(args) -> int:
         )
     try:
         config = _load(args.scenario, args)
-    except (ScenarioError, FileNotFoundError, OSError) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    if not config.user_bases:
-        return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
-    runs = []
-    try:
+        if not config.user_bases:
+            return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
+        runs = []
         # top level first: only the last level can be over the event cap
         for level in reversed(levels):
             runs.append(Simulation(config, total_jobs=level).run())
-    except TooManyJobs as exc:
+        runs.reverse()
+        out = args.out or f"{config.name}_sweep_out"
+        write_sweep_rejections_csv(runs, out)
+        emit_plot_series(runs, "rejections_bar", out)
+    except (ScenarioError, OSError, TooManyJobs) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except EngineError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
-    runs.reverse()
-    out = args.out or f"{config.name}_sweep_out"
-    write_sweep_rejections_csv(runs, out)
-    emit_plot_series(runs, "rejections_bar", out)
     for m in runs:
         print(f"level {m.submitted}: rejected={m.rejected}")
     print(f"sweep -> {out}")
@@ -169,7 +164,7 @@ def cmd_demo(args) -> int:
 def cmd_validate(args) -> int:
     try:
         config = load_scenario(_read_scenario_text(args.scenario))
-    except (ScenarioError, FileNotFoundError, OSError) as exc:
+    except (ScenarioError, OSError) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     print(json.dumps(normalized_dict(config), indent=2))
     return EXIT_OK

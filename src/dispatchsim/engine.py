@@ -63,8 +63,8 @@ class TooManyJobs(HorizonExceeded):
 
 class Event(NamedTuple):
     """One scheduled event. `subject` is what its handler acts on: the
-    Job of a JobArrival or DeadlineExpiry, the (Datacenter, VmInstance)
-    pair of a JobStart or JobFinish, None for a MigrationCheck."""
+    Job of a JobArrival or DeadlineExpiry, the VmInstance of a JobStart
+    or JobFinish, None for a MigrationCheck."""
 
     fire_at: float
     seq: int
@@ -141,19 +141,19 @@ class Simulation:
         self.datacenters: dict[str, Datacenter] = {}
         for spec in config.datacenters:
             vms = [
-                VmInstance(
-                    id=i,
-                    rate=spec.rate,
-                    memory=spec.memory,
-                    bandwidth=spec.bandwidth_per_ms,
-                )
+                VmInstance(id=i, rate=spec.rate, bandwidth=spec.bandwidth_per_ms)
                 for i in range(spec.vm_count)
             ]
             self.datacenters[spec.id] = Datacenter(
                 id=spec.id, vms=vms, admission=self.admission
             )
 
-        self._ub_target = {ub.id: ub.target_dc for ub in config.user_bases}
+        # the datacenter each job arrives at, by its origin user base;
+        # explicit [jobs] entries (origin None) run on the first one
+        self._dc_by_ub: dict[str | None, Datacenter] = {
+            None: next(iter(self.datacenters.values()), None),
+            **{ub.id: self.datacenters[ub.target_dc] for ub in config.user_bases},
+        }
 
         # every job costs at least one event, so more jobs than the cap
         # could only end in HorizonExceeded after allocating them all
@@ -184,23 +184,16 @@ class Simulation:
             j.id = next_id
             next_id += 1
 
-        self.jobs: dict[int, Job] = {j.id: j for j in explicit + generated}
+        self.jobs: list[Job] = explicit + generated
         # the VM whose queue or incoming list holds each job; read only
         # while the job is queued
         self._job_vm: dict[int, VmInstance] = {}
-        self._start_pending: set[tuple[str, int]] = set()
         self._active = len(self.jobs)
         self.migration_log: list[tuple] = []
         self.event_count = 0
         self.calendar = EventCalendar()
 
     # -- helpers -----------------------------------------------------------
-
-    def _dc_of_job(self, job: Job) -> Datacenter:
-        if job.origin_ub is not None:
-            return self.datacenters[self._ub_target[job.origin_ub]]
-        # explicit trace jobs run on the first declared datacenter
-        return next(iter(self.datacenters.values()))
 
     def _pick_next(self, vm: VmInstance) -> Job:
         if self.scheduler == "sjf":
@@ -228,47 +221,46 @@ class Simulation:
     # `open_vms` moves by one when the change fills or frees up the VM
     # under the admission rule.
 
-    def _queue_add(self, dc: Datacenter, vm: VmInstance, job: Job):
+    def _queue_add(self, vm: VmInstance, job: Job):
         was_open = self._has_room(vm)
         vm.queue.append(job)
         vm.service_prefix = None
-        dc.settled = False
-        dc.open_vms += self._has_room(vm) - was_open
+        vm.dc.settled = False
+        vm.dc.open_vms += self._has_room(vm) - was_open
 
-    def _queue_remove(self, dc: Datacenter, vm: VmInstance, job: Job):
+    def _queue_remove(self, vm: VmInstance, job: Job):
         was_open = self._has_room(vm)
         vm.queue.remove(job)
         vm.service_prefix = None
-        dc.settled = False
-        dc.open_vms += self._has_room(vm) - was_open
+        vm.dc.settled = False
+        vm.dc.open_vms += self._has_room(vm) - was_open
 
-    def _incoming_add(self, dc: Datacenter, vm: VmInstance, job: Job):
+    def _incoming_add(self, vm: VmInstance, job: Job):
         was_open = self._has_room(vm)
         vm.incoming.append(job)
         vm.incoming_sum += job.demand
-        dc.settled = False
-        dc.open_vms += self._has_room(vm) - was_open
+        vm.dc.settled = False
+        vm.dc.open_vms += self._has_room(vm) - was_open
 
-    def _incoming_remove(self, dc: Datacenter, vm: VmInstance, job: Job):
+    def _incoming_remove(self, vm: VmInstance, job: Job):
         was_open = self._has_room(vm)
         vm.incoming.remove(job)
         # re-summed rather than subtracted, so it stays the exact
         # left-to-right float sum over the list
         vm.incoming_sum = sum(j.demand for j in vm.incoming)
-        dc.settled = False
-        dc.open_vms += self._has_room(vm) - was_open
+        vm.dc.settled = False
+        vm.dc.open_vms += self._has_room(vm) - was_open
 
-    def _enqueue(self, dc: Datacenter, vm: VmInstance, job: Job, now: float):
-        self._queue_add(dc, vm, job)
+    def _enqueue(self, vm: VmInstance, job: Job, now: float):
+        self._queue_add(vm, job)
         job.vm_history += (vm.id,)
         self._job_vm[job.id] = vm
-        self._maybe_start(dc, vm, now)
+        self._maybe_start(vm, now)
 
-    def _maybe_start(self, dc: Datacenter, vm: VmInstance, now: float):
-        key = (dc.id, vm.id)
-        if vm.running is None and vm.queue and key not in self._start_pending:
-            self._start_pending.add(key)
-            self.calendar.schedule(now, JOB_START, (dc, vm))
+    def _maybe_start(self, vm: VmInstance, now: float):
+        if vm.running is None and vm.queue and not vm.start_pending:
+            vm.start_pending = True
+            self.calendar.schedule(now, JOB_START, vm)
 
     def _reject(self, job: Job, reason: str, now: float):
         job.state = REJECTED
@@ -282,12 +274,12 @@ class Simulation:
         if job.vm_history:  # queued before, so a migration landing
             if job.state != QUEUED:
                 return  # expired in transit
-            dc, vm = self._dc_of_job(job), self._job_vm[job.id]
-            self._incoming_remove(dc, vm, job)
-            self._enqueue(dc, vm, job, now)
+            vm = self._job_vm[job.id]
+            self._incoming_remove(vm, job)
+            self._enqueue(vm, job, now)
             return
 
-        dc = self._dc_of_job(job)
+        dc = self._dc_by_ub[job.origin_ub]
         result = admit(job, dc, now)
         if not result.admitted:
             self._reject(job, result.reason, now)
@@ -298,45 +290,43 @@ class Simulation:
         job.demand = job.service_demand(vm.rate)
         if self.scheduler == "sjf":
             job.sjf_key = (job.demand, job.arrival, job.id)
-        self._enqueue(dc, vm, job, now)
+        self._enqueue(vm, job, now)
 
     def _dispatch_vm(self, dc: Datacenter) -> VmInstance:
         # admission guaranteed that some VM has room; rr skips full ones
         return rr_next_vm(dc)
 
-    def _on_start(self, subject: tuple[Datacenter, VmInstance], now: float):
-        dc, vm = subject
-        self._start_pending.discard((dc.id, vm.id))
+    def _on_start(self, vm: VmInstance, now: float):
+        vm.start_pending = False
         if vm.running is not None or not vm.queue:
             return
         job = self._pick_next(vm)
-        self._queue_remove(dc, vm, job)
+        self._queue_remove(vm, job)
         job.state = RUNNING
         job.start = now
         vm.running = job
         vm.busy_until = now + job.demand
-        self.calendar.schedule(vm.busy_until, JOB_FINISH, subject)
+        self.calendar.schedule(vm.busy_until, JOB_FINISH, vm)
 
-    def _on_finish(self, subject: tuple[Datacenter, VmInstance], now: float):
-        dc, vm = subject
+    def _on_finish(self, vm: VmInstance, now: float):
         job = vm.running
         vm.running = None
         job.state = COMPLETED
         job.transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
         job.finish = now + job.transfer
         self._active -= 1
-        self._maybe_start(dc, vm, now)
+        self._maybe_start(vm, now)
         if self.migration_on:
-            self._migration_check(dc, now)
+            self._migration_check(vm.dc, now)
 
     def _on_deadline(self, job: Job, now: float):
         if job.state != QUEUED:
             return
-        dc, vm = self._dc_of_job(job), self._job_vm[job.id]
+        vm = self._job_vm[job.id]
         if job in vm.incoming:  # in transit toward vm
-            self._incoming_remove(dc, vm, job)
+            self._incoming_remove(vm, job)
         else:
-            self._queue_remove(dc, vm, job)
+            self._queue_remove(vm, job)
         self._reject(job, "DeadlineExpired", now)
 
     def _on_migration_tick(self, _subject: None, now: float):
@@ -434,12 +424,12 @@ class Simulation:
                 if target_id is None:
                     continue
                 target = vms[target_id]
-                self._queue_remove(dc, vm, job)
+                self._queue_remove(vm, job)
                 prefix = None
                 moved += 1
                 queued -= 1
                 job.migrations += 1
-                self._incoming_add(dc, target, job)
+                self._incoming_add(target, job)
                 targets = self._migration_targets(vms, queued)
                 self._job_vm[job.id] = target
                 self.migration_log.append(
@@ -461,7 +451,7 @@ class Simulation:
 
     def run(self) -> RunMetrics:
         cal = self.calendar
-        for job in self.jobs.values():
+        for job in self.jobs:
             cal.schedule(job.arrival, JOB_ARRIVAL, job)
         if self.migration_on and self.jobs:
             cal.schedule(self.cadence_ms, MIGRATION_CHECK)
@@ -476,11 +466,11 @@ class Simulation:
         return self._collect()
 
     def _collect(self) -> RunMetrics:
-        traces = sorted(self.jobs.values(), key=attrgetter("id"))
+        traces = sorted(self.jobs, key=attrgetter("id"))
         states = Counter(map(attrgetter("state"), traces))
         return RunMetrics(
             scenario_name=self.config.name,
-            time_unit=self.config.time_unit,
+            unit_ms=self.config.unit_ms,
             seed=self.config.seed,
             horizon_ms=self.config.horizon_ms,
             submitted=len(self.jobs),

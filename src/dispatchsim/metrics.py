@@ -41,7 +41,7 @@ class RunMetrics:
     way."""
 
     scenario_name: str
-    time_unit: str  # unit the scenario declared; CSV output uses it
+    unit_ms: float  # ms per time unit the scenario declared; CSV output uses it
     seed: int
     horizon_ms: float
     submitted: int

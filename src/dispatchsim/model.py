@@ -73,12 +73,12 @@ class Job:
 
 @dataclass
 class VmInstance:
-    """A server with a FIFO run queue and a busy-until horizon."""
+    """A server of datacenter `dc` with a FIFO run queue and a busy-until horizon."""
 
     id: int
     rate: float  # instructions per ms
-    memory: float  # MB; carried, does not affect timing
     bandwidth: float  # capacity units per ms
+    dc: Datacenter | None = field(default=None, repr=False, compare=False)
     queue: list[Job] = field(default_factory=list)
     busy_until: float = 0.0
     running: Job | None = None
@@ -89,6 +89,7 @@ class VmInstance:
     # (service_prefix[k] = demand served before the k-th job).
     service_keys: list[tuple] = field(default_factory=list)
     service_prefix: list[float] | None = None  # None when stale
+    start_pending: bool = False  # a JobStart for this VM is scheduled
 
 
 @dataclass
@@ -110,6 +111,8 @@ class AdmissionPolicy:
 
 @dataclass
 class Datacenter:
+    """Identical VMs behind one admission rule; sets each VM's `dc`."""
+
     id: str
     vms: list[VmInstance]
     admission: AdmissionPolicy
@@ -119,6 +122,8 @@ class Datacenter:
     open_vms: int = field(init=False)  # VMs that admission.has_room
 
     def __post_init__(self):
+        for vm in self.vms:
+            vm.dc = self
         self.open_vms = sum(map(self.admission.has_room, self.vms))
 
 

@@ -49,16 +49,12 @@ def _write_atomic(path, lines) -> str:
     return path
 
 
-def _unit_div(metrics: RunMetrics) -> float:
-    return MS_PER_HOUR if metrics.time_unit == "hours" else 1.0
-
-
 def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
     """Write summary.csv, rejections.csv and jobs.csv for one run.
     jobs.csv lists the traces in the order given (id order from the
     engine). Returns the paths keyed by file stem."""
     os.makedirs(out_dir, exist_ok=True)
-    u = _unit_div(metrics)
+    u = metrics.unit_ms
     done = completed_traces(metrics)
 
     summary_lines = ["metric,avg,min,max"]
@@ -134,7 +130,7 @@ def emit_plot_series(metrics, kind: str, out_dir) -> list[str]:
                 lines.append(f"{m.submitted},{m.rejected}")
         return [_write_atomic(os.path.join(out_dir, "rejections_bar.csv"), lines)]
 
-    u = _unit_div(metrics)
+    u = metrics.unit_ms
     by_ub: dict[str, dict[int, list[float]]] = {}
     for t in completed_traces(metrics):
         series = t.origin_ub if t.origin_ub is not None else "jobs"

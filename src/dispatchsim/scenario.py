@@ -322,9 +322,18 @@ def load_scenario(source: str) -> ScenarioConfig:
     return config
 
 
+def decode_scenario(data: bytes) -> str:
+    """Scenario text from a file's bytes, which must be UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line) from None
+
+
 def load_scenario_file(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    with open(path, "rb") as fh:
+        return load_scenario(decode_scenario(fh.read()))
 
 
 def validate(config: ScenarioConfig) -> None:

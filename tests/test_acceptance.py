@@ -77,7 +77,7 @@ def test_rr_fairness(capsys):
         for k in (1, 3, 7):
             dc = Datacenter(
                 id="DC",
-                vms=[VmInstance(id=i, rate=100, memory=1, bandwidth=1) for i in range(v)],
+                vms=[VmInstance(id=i, rate=100, bandwidth=1) for i in range(v)],
                 admission=AdmissionPolicy(mode="deadline", deadline=1.0),
             )
             counts = [0] * v

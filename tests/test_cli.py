@@ -109,6 +109,30 @@ def test_validate_duplicate_datacenter(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_non_utf8_scenario_exits_2(command, tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(b"\xff\xfe[scenario]\n")
+    argv = [command, str(scn)] + (["--sweep", "5"] if command == "sweep" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dispatchsim: error: line 1: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "table6_demo.scn"], ["sweep", "paper_tables.scn", "--sweep", "5"]]
+)
+def test_out_path_that_is_a_file_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dispatchsim: error: ") and str(out) in err
+    assert err.count("\n") == 1
+    assert out.read_text() == "keep"
+
+
 def _read_bundled(name):
     from dispatchsim.cli import _read_scenario_text
 

@@ -255,14 +255,19 @@ SECOND_PASS_MOVES = "\n".join(
 @example(SECOND_PASS_MOVES)
 def test_datacenter_summaries_hold_after_every_event(text):
     """After every event each `open_vms` equals a recount, and a rescan
-    of a settled datacenter, run on a copy, moves no job."""
+    of a settled datacenter, run on a copy, moves no job. Once an
+    instant's events are done, no VM is idle with a non-empty queue."""
     config = load_scenario(text)
     settled_checks = 0
 
     def summaries_hold(sim, kind, now):
         nonlocal settled_checks
+        instant_done = not len(sim.calendar) or sim.calendar.peek_time() > now
         for dc in sim.datacenters.values():
             assert dc.open_vms == sum(map(dc.admission.has_room, dc.vms)), (kind, now)
+            if instant_done:
+                for vm in dc.vms:
+                    assert vm.running is not None or not vm.queue, (kind, now, vm.id)
             if dc.settled:
                 settled_checks += 1
                 twin = copy.deepcopy(sim)

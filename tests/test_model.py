@@ -123,7 +123,7 @@ def test_generate_arrivals_count_matches_enumeration(rate, grouping, batch, hour
 def _dc_with_queues(queue_lens, capacity):
     vms = []
     for i, n in enumerate(queue_lens):
-        vm = VmInstance(id=i, rate=100, memory=1, bandwidth=1)
+        vm = VmInstance(id=i, rate=100, bandwidth=1)
         vm.queue = [Job(id=100 * i + k, arrival=0.0) for k in range(n)]
         vms.append(vm)
     return Datacenter(
@@ -147,6 +147,12 @@ def test_open_vms_counts_jobs_in_transit():
     assert dc.open_vms == 2
     dc.vms[1].incoming.append(Job(id=8, arrival=0.0))
     assert Datacenter(id="DC1", vms=dc.vms, admission=dc.admission).open_vms == 1
+
+
+def test_datacenter_sets_each_vm_dc():
+    dc = _dc_with_queues([1, 0], capacity=1)
+    assert all(vm.dc is dc for vm in dc.vms)
+    assert "dc=" not in repr(dc.vms[0])  # the back-reference stays out of repr
 
 
 def test_admit_deadline_mode_always_admits():

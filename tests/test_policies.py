@@ -15,7 +15,7 @@ from conftest import sjf_at_zero
 
 
 def _dc(n_vms):
-    vms = [VmInstance(id=i, rate=100, memory=1, bandwidth=1) for i in range(n_vms)]
+    vms = [VmInstance(id=i, rate=100, bandwidth=1) for i in range(n_vms)]
     return Datacenter(
         id="DC", vms=vms, admission=AdmissionPolicy(mode="deadline", deadline=1.0)
     )

@@ -18,7 +18,7 @@ def _read(path):
 def _empty_metrics():
     return RunMetrics(
         scenario_name="empty",
-        time_unit="ms",
+        unit_ms=1.0,
         seed=1,
         horizon_ms=0.0,
         submitted=0,

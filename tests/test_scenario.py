@@ -8,6 +8,7 @@ from dispatchsim.scenario import (
     UnknownKey,
     ValidationError,
     load_scenario,
+    load_scenario_file,
     normalized_dict,
     serialize,
 )
@@ -86,6 +87,15 @@ def test_unknown_key_is_fatal():
 def test_malformed_line():
     with pytest.raises(ParseError):
         load_scenario(MINIMAL.replace("seed = 1", "seed"))
+
+
+def test_scenario_file_must_be_utf8(tmp_path):
+    path = tmp_path / "mini.scn"
+    path.write_bytes(MINIMAL.replace("\n", "\r\n").encode("utf-8"))
+    assert load_scenario_file(path) == load_scenario(MINIMAL)
+    path.write_bytes(MINIMAL.replace("name = mini", "name = m\xe9").encode("latin-1"))
+    with pytest.raises(ParseError, match="^line 3: not UTF-8 text"):
+        load_scenario_file(path)
 
 
 def test_malformed_number_reports_line():
