@@ -82,11 +82,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _make_out_and_run(out: str, sim: Simulation):
+    """Make the output directory, then run `sim`. Set-up, which checks
+    the event cap, is done, so a bad --out fails before any event."""
+    os.makedirs(out, exist_ok=True)
+    return sim.run()
+
+
 def cmd_run(args) -> int:
     try:
         config = _load(args.scenario, args)
-        metrics = Simulation(config).run()
         out = args.out or f"{config.name}_out"
+        metrics = _make_out_and_run(out, Simulation(config))
         write_metrics_csv(metrics, out)
         emit_plot_series(metrics, "hourly_response", out)
         emit_plot_series(metrics, "rejections_bar", out)
@@ -114,12 +121,13 @@ def cmd_sweep(args) -> int:
         config = _load(args.scenario, args)
         if not config.user_bases:
             return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
-        runs = []
-        # top level first: only the last level can be over the event cap
-        for level in reversed(levels):
-            runs.append(Simulation(config, total_jobs=level).run())
-        runs.reverse()
         out = args.out or f"{config.name}_sweep_out"
+        # top level first: only the last level can be over the event cap
+        runs = [
+            _make_out_and_run(out, Simulation(config, total_jobs=level))
+            for level in reversed(levels)
+        ]
+        runs.reverse()
         write_sweep_rejections_csv(runs, out)
         emit_plot_series(runs, "rejections_bar", out)
     except (ScenarioError, OSError, TooManyJobs) as exc:

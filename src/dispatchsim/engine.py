@@ -8,6 +8,7 @@ function of (scenario, seed).
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
@@ -20,7 +21,6 @@ from .model import (
     QUEUED,
     REJECTED,
     RUNNING,
-    AdmissionPolicy,
     Datacenter,
     Job,
     VmInstance,
@@ -126,16 +126,17 @@ class Simulation:
             else DEFAULT_MIGRATION_CADENCE_MS
         )
         self.hop_ms = pol.hop_time * u
-        self.admission = AdmissionPolicy(
-            mode=pol.admission_mode,
-            deadline=None if pol.deadline is None else pol.deadline * u,
-            capacity=pol.queue_capacity,
-        )
-        self._has_room = self.admission.has_room
+        # Deadline admission is queue_cap admission with room for any
+        # number of jobs, plus an expiry scheduled at each admitted
+        # arrival; no code after set-up reads the mode.
+        deadline = None if pol.deadline is None else pol.deadline * u
+        queue_cap = pol.admission_mode == "queue_cap"
+        capacity = pol.queue_capacity if queue_cap else math.inf
+        self.deadline_ms = None if queue_cap else deadline
         self.starvation_threshold_ms = (
             pol.starvation_threshold * u
             if pol.starvation_threshold is not None
-            else self.admission.deadline
+            else deadline
         )
 
         self.datacenters: dict[str, Datacenter] = {}
@@ -144,9 +145,7 @@ class Simulation:
                 VmInstance(id=i, rate=spec.rate, bandwidth=spec.bandwidth_per_ms)
                 for i in range(spec.vm_count)
             ]
-            self.datacenters[spec.id] = Datacenter(
-                id=spec.id, vms=vms, admission=self.admission
-            )
+            self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
 
         # the datacenter each job arrives at, by its origin user base;
         # explicit [jobs] entries (origin None) run on the first one
@@ -201,7 +200,7 @@ class Simulation:
         return vm.queue[0]
 
     def _residual(self, vm: VmInstance, now: float) -> float:
-        return max(0.0, vm.busy_until - now) if vm.running is not None else 0.0
+        return max(0.0, vm.busy_until - now)
 
     def _service_prefix(self, vm: VmInstance) -> list[float]:
         """Prefix sums of queued demand in service order (FIFO under rr,
@@ -219,37 +218,41 @@ class Simulation:
     # four helpers below, so the VM's service-order cache and the
     # datacenter's `settled` flag and `open_vms` count never go stale.
     # `open_vms` moves by one when the change fills or frees up the VM
-    # under the admission rule.
+    # (`Datacenter.has_room`).
 
     def _queue_add(self, vm: VmInstance, job: Job):
-        was_open = self._has_room(vm)
+        dc = vm.dc
+        was_open = dc.has_room(vm)
         vm.queue.append(job)
         vm.service_prefix = None
-        vm.dc.settled = False
-        vm.dc.open_vms += self._has_room(vm) - was_open
+        dc.settled = False
+        dc.open_vms += dc.has_room(vm) - was_open
 
     def _queue_remove(self, vm: VmInstance, job: Job):
-        was_open = self._has_room(vm)
+        dc = vm.dc
+        was_open = dc.has_room(vm)
         vm.queue.remove(job)
         vm.service_prefix = None
-        vm.dc.settled = False
-        vm.dc.open_vms += self._has_room(vm) - was_open
+        dc.settled = False
+        dc.open_vms += dc.has_room(vm) - was_open
 
     def _incoming_add(self, vm: VmInstance, job: Job):
-        was_open = self._has_room(vm)
+        dc = vm.dc
+        was_open = dc.has_room(vm)
         vm.incoming.append(job)
         vm.incoming_sum += job.demand
-        vm.dc.settled = False
-        vm.dc.open_vms += self._has_room(vm) - was_open
+        dc.settled = False
+        dc.open_vms += dc.has_room(vm) - was_open
 
     def _incoming_remove(self, vm: VmInstance, job: Job):
-        was_open = self._has_room(vm)
+        dc = vm.dc
+        was_open = dc.has_room(vm)
         vm.incoming.remove(job)
         # re-summed rather than subtracted, so it stays the exact
         # left-to-right float sum over the list
         vm.incoming_sum = sum(j.demand for j in vm.incoming)
-        vm.dc.settled = False
-        vm.dc.open_vms += self._has_room(vm) - was_open
+        dc.settled = False
+        dc.open_vms += dc.has_room(vm) - was_open
 
     def _enqueue(self, vm: VmInstance, job: Job, now: float):
         self._queue_add(vm, job)
@@ -284,8 +287,8 @@ class Simulation:
         if not result.admitted:
             self._reject(job, result.reason, now)
             return
-        if self.admission.mode == "deadline":
-            self.calendar.schedule(now + self.admission.deadline, DEADLINE_EXPIRY, job)
+        if self.deadline_ms is not None:
+            self.calendar.schedule(now + self.deadline_ms, DEADLINE_EXPIRY, job)
         vm = self._dispatch_vm(dc)
         job.demand = job.service_demand(vm.rate)
         if self.scheduler == "sjf":
@@ -339,13 +342,13 @@ class Simulation:
             fire_at = max(now + self.cadence_ms, self.calendar.peek_time())
             self.calendar.schedule(fire_at, MIGRATION_CHECK)
 
-    def _migration_targets(self, vms: list[VmInstance], queued: int) -> list[VmInstance]:
-        """VMs whose queue is shorter than the mean, in VM order; under
-        queue_cap, only those with room for one more job. Their
-        service-order caches are left up to date."""
-        mean_qlen = queued / len(vms)
-        has_room = self._has_room
-        targets = [v for v in vms if len(v.queue) < mean_qlen and has_room(v)]
+    def _migration_targets(self, dc: Datacenter, queued: int) -> list[VmInstance]:
+        """VMs whose queue is shorter than the mean and that have room
+        for one more job, in VM order. Their service-order caches are
+        left up to date."""
+        mean_qlen = queued / len(dc.vms)
+        has_room = dc.has_room
+        targets = [v for v in dc.vms if len(v.queue) < mean_qlen and has_room(v)]
         for v in targets:
             self._service_prefix(v)
         return targets
@@ -387,7 +390,7 @@ class Simulation:
         if dc.settled or len(vms) < 2:
             return
         queued = sum(len(v.queue) for v in vms)
-        targets = self._migration_targets(vms, queued)
+        targets = self._migration_targets(dc, queued)
         if not targets:
             dc.settled = True  # exact: no VM can take a job, so none can move
             return
@@ -430,7 +433,7 @@ class Simulation:
                 queued -= 1
                 job.migrations += 1
                 self._incoming_add(target, job)
-                targets = self._migration_targets(vms, queued)
+                targets = self._migration_targets(dc, queued)
                 self._job_vm[job.id] = target
                 self.migration_log.append(
                     (job.id, vm.id, target_id, now, current_wait,
@@ -469,10 +472,7 @@ class Simulation:
         traces = sorted(self.jobs, key=attrgetter("id"))
         states = Counter(map(attrgetter("state"), traces))
         return RunMetrics(
-            scenario_name=self.config.name,
             unit_ms=self.config.unit_ms,
-            seed=self.config.seed,
-            horizon_ms=self.config.horizon_ms,
             submitted=len(self.jobs),
             completed=states[COMPLETED],
             rejected=states[REJECTED],

@@ -40,10 +40,7 @@ class RunMetrics:
     own jobs, in id order), and the migration decisions taken along the
     way."""
 
-    scenario_name: str
     unit_ms: float  # ms per time unit the scenario declared; CSV output uses it
-    seed: int
-    horizon_ms: float
     submitted: int
     completed: int
     rejected: int

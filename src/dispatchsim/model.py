@@ -93,38 +93,30 @@ class VmInstance:
 
 
 @dataclass
-class AdmissionPolicy:
-    """When jobs are turned away. Deadline mode rejects a job that has
-    not started within `deadline` of arrival; QueueCap rejects on
-    arrival when every VM queue in the datacenter is full."""
-
-    mode: str  # "deadline" | "queue_cap"
-    deadline: float | None = None  # ms
-    capacity: int | None = None  # queued jobs per VM
-
-    def has_room(self, vm: VmInstance) -> bool:
-        """Whether `vm` may take one more job: always under deadline
-        admission; under queue_cap while its queued jobs plus the jobs
-        migrating toward it stay below capacity."""
-        return self.mode != "queue_cap" or len(vm.queue) + len(vm.incoming) < self.capacity
-
-
-@dataclass
 class Datacenter:
-    """Identical VMs behind one admission rule; sets each VM's `dc`."""
+    """Identical VMs behind one admission rule; sets each VM's `dc`.
+
+    `capacity` is the number of queued plus in-transit jobs each VM may
+    hold: the queue capacity under queue_cap admission, `math.inf`
+    under deadline admission."""
 
     id: str
     vms: list[VmInstance]
-    admission: AdmissionPolicy
+    capacity: float
     rr_pointer: int = 0
     # Summaries the engine keeps up to date at every queue change.
     settled: bool = False  # the last migration check moved no job; nothing changed since
-    open_vms: int = field(init=False)  # VMs that admission.has_room
+    open_vms: int = field(init=False)  # VMs for which has_room holds
 
     def __post_init__(self):
         for vm in self.vms:
             vm.dc = self
-        self.open_vms = sum(map(self.admission.has_room, self.vms))
+        self.open_vms = sum(map(self.has_room, self.vms))
+
+    def has_room(self, vm: VmInstance) -> bool:
+        """Whether `vm` may take one more job: its queued jobs plus the
+        jobs migrating toward it stay below capacity."""
+        return len(vm.queue) + len(vm.incoming) < self.capacity
 
 
 @dataclass
@@ -245,11 +237,11 @@ def generate_sweep_arrivals(
 
 
 def admit(job: Job, dc: Datacenter, now: float) -> AdmissionResult:
-    """Admission check at arrival. QueueCap rejects when every VM queue
-    is at capacity, counting jobs migrating toward a VM since they join
-    its queue on landing (`dc.open_vms` is 0); Deadline always admits
-    here (the engine schedules the expiry that may later reject the
-    job)."""
-    if dc.admission.mode == "queue_cap" and dc.open_vms == 0:
+    """Admission check at arrival: reject when no VM of `dc` has room
+    (`Datacenter.has_room`, which counts jobs migrating toward a VM
+    since they join its queue on landing), that is when `dc.open_vms`
+    is 0. Under deadline admission every VM has room; the engine
+    schedules the expiry that may later reject the job."""
+    if dc.open_vms == 0:
         return AdmissionResult(False, "QueueFull")
     return AdmissionResult(True)

@@ -13,14 +13,14 @@ class PolicyError(Exception):
 
 def rr_next_vm(dc: Datacenter) -> VmInstance:
     """Return the first VM at or after the round-robin pointer that has
-    room for one more job under the datacenter's admission rule
-    (`AdmissionPolicy.has_room`; under deadline admission every VM has
-    room), and move the pointer one past it. Ignores load otherwise."""
+    room for one more job (`Datacenter.has_room`; under deadline
+    admission every VM has room), and move the pointer one past it.
+    Ignores load otherwise."""
     vms = dc.vms
     for _ in range(len(vms)):
         vm = vms[dc.rr_pointer]
         dc.rr_pointer = (dc.rr_pointer + 1) % len(vms)
-        if dc.admission.has_room(vm):
+        if dc.has_room(vm):
             return vm
     raise PolicyError(f"no VM of datacenter {dc.id} has room")
 

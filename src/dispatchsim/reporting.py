@@ -49,6 +49,19 @@ def _write_atomic(path, lines) -> str:
     return path
 
 
+def _write_rejections(runs, out_dir, name: str, percent: bool) -> str:
+    """Write `name`: a header and one `submitted,rejected[,percent]` row
+    per run that submitted jobs, ordered by submitted count."""
+    lines = ["submitted,rejected,percent" if percent else "submitted,rejected"]
+    for m in sorted(runs, key=lambda m: m.submitted):
+        if m.submitted > 0:
+            row = f"{m.submitted},{m.rejected}"
+            if percent:
+                row += f",{rejection_percentage(m.submitted, m.rejected)}"
+            lines.append(row)
+    return _write_atomic(os.path.join(out_dir, name), lines)
+
+
 def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
     """Write summary.csv, rejections.csv and jobs.csv for one run.
     jobs.csv lists the traces in the order given (id order from the
@@ -67,11 +80,6 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
         for name, samples in rows:
             s = summarize(samples)
             summary_lines.append(f"{name},{_fmt(s.avg)},{_fmt(s.min)},{_fmt(s.max)}")
-
-    rejection_lines = ["submitted,rejected,percent"]
-    if metrics.submitted > 0:
-        pct = rejection_percentage(metrics.submitted, metrics.rejected)
-        rejection_lines.append(f"{metrics.submitted},{metrics.rejected},{pct}")
 
     job_lines = ["id,arrival,start,finish,wait,vm_history,state"]
     for t in metrics.traces:
@@ -92,9 +100,7 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
 
     return {
         "summary": _write_atomic(os.path.join(out_dir, "summary.csv"), summary_lines),
-        "rejections": _write_atomic(
-            os.path.join(out_dir, "rejections.csv"), rejection_lines
-        ),
+        "rejections": _write_rejections([metrics], out_dir, "rejections.csv", True),
         "jobs": _write_atomic(os.path.join(out_dir, "jobs.csv"), job_lines),
     }
 
@@ -103,12 +109,7 @@ def write_sweep_rejections_csv(runs: list[RunMetrics], out_dir) -> str:
     """Aggregated rejections.csv across sweep levels, ordered by
     submitted count."""
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["submitted,rejected,percent"]
-    for m in sorted(runs, key=lambda m: m.submitted):
-        if m.submitted > 0:
-            pct = rejection_percentage(m.submitted, m.rejected)
-            lines.append(f"{m.submitted},{m.rejected},{pct}")
-    return _write_atomic(os.path.join(out_dir, "rejections.csv"), lines)
+    return _write_rejections(runs, out_dir, "rejections.csv", True)
 
 
 def emit_plot_series(metrics, kind: str, out_dir) -> list[str]:
@@ -124,11 +125,7 @@ def emit_plot_series(metrics, kind: str, out_dir) -> list[str]:
 
     if kind == "rejections_bar":
         runs = metrics if isinstance(metrics, list) else [metrics]
-        lines = ["submitted,rejected"]
-        for m in sorted(runs, key=lambda m: m.submitted):
-            if m.submitted > 0:
-                lines.append(f"{m.submitted},{m.rejected}")
-        return [_write_atomic(os.path.join(out_dir, "rejections_bar.csv"), lines)]
+        return [_write_rejections(runs, out_dir, "rejections_bar.csv", False)]
 
     u = metrics.unit_ms
     by_ub: dict[str, dict[int, list[float]]] = {}

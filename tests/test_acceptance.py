@@ -2,6 +2,7 @@
 PASS line (visible with pytest -s / -v -rA)."""
 
 import itertools
+import math
 import random
 import time
 
@@ -15,7 +16,7 @@ from dispatchsim.metrics import (
     starvation_report,
     summarize,
 )
-from dispatchsim.model import AdmissionPolicy, Datacenter, VmInstance
+from dispatchsim.model import Datacenter, VmInstance
 from dispatchsim.policies import rr_next_vm
 
 from conftest import bundled, sjf_at_zero
@@ -78,7 +79,7 @@ def test_rr_fairness(capsys):
             dc = Datacenter(
                 id="DC",
                 vms=[VmInstance(id=i, rate=100, bandwidth=1) for i in range(v)],
-                admission=AdmissionPolicy(mode="deadline", deadline=1.0),
+                capacity=math.inf,
             )
             counts = [0] * v
             for _ in range(k * v):

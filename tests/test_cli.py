@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -120,10 +121,28 @@ def test_non_utf8_scenario_exits_2(command, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _recording_simulation(runs, **fixed):
+    """`Simulation` subclass that appends each instance to `runs` when
+    it runs; `fixed` keyword arguments override the caller's."""
+
+    class RecordingSimulation(Simulation):
+        def __init__(self, config, **kwargs):
+            super().__init__(config, **{**kwargs, **fixed})
+
+        def run(self):
+            runs.append(self)
+            return super().run()
+
+    return RecordingSimulation
+
+
 @pytest.mark.parametrize(
     "argv", [["run", "table6_demo.scn"], ["sweep", "paper_tables.scn", "--sweep", "5"]]
 )
-def test_out_path_that_is_a_file_exits_2(argv, tmp_path, capsys):
+def test_out_path_that_is_a_file_exits_2(argv, monkeypatch, tmp_path, capsys):
+    # the output directory is made before any simulation runs
+    runs = []
+    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs))
     out = tmp_path / "taken"
     out.write_text("keep")
     assert main(argv + ["--out", str(out)]) == 2
@@ -131,6 +150,7 @@ def test_out_path_that_is_a_file_exits_2(argv, tmp_path, capsys):
     assert err.startswith("dispatchsim: error: ") and str(out) in err
     assert err.count("\n") == 1
     assert out.read_text() == "keep"
+    assert runs == []
 
 
 def _read_bundled(name):
@@ -165,6 +185,31 @@ def test_deadline_override_is_validated(deadline, tmp_path, capsys):
     assert code == 2
     assert "deadline" in capsys.readouterr().err
     assert not out.exists()
+
+
+QCAP_DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "qcap_demo.scn")
+
+
+def test_deadline_override_ignores_queue_capacity(monkeypatch, tmp_path):
+    # --deadline makes a queue_cap file a deadline file: its
+    # queue_capacity no longer bounds any queue
+    runs = []
+    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs))
+    out = tmp_path / "override"
+    assert main(["run", QCAP_DEMO, "--deadline", "1000000", "--out", str(out)]) == 0
+    (sim,) = runs
+    assert [t for t in sim.jobs if t.reject_reason == "QueueFull"] == []
+    text = _read(QCAP_DEMO)
+    assert "admission = queue_cap\nqueue_capacity = 2\n" in text
+    edited = tmp_path / "deadline.scn"
+    edited.write_text(
+        text.replace(
+            "admission = queue_cap\nqueue_capacity = 2\n",
+            "admission = deadline\ndeadline = 1000000\n",
+        )
+    )
+    assert main(["run", str(edited), "--out", str(tmp_path / "file")]) == 0
+    assert (out / "jobs.csv").read_bytes() == (tmp_path / "file" / "jobs.csv").read_bytes()
 
 
 def _user_bases(time_unit, horizon, *rates, deadline=1):
@@ -252,16 +297,7 @@ def test_sweep_level_over_event_cap_exits_2(monkeypatch, tmp_path, capsys):
     # levels run from the top down, so level 101 fails before its jobs
     # are built and before level 5 runs
     runs = []
-
-    class CappedSimulation(Simulation):
-        def __init__(self, config, **kwargs):
-            super().__init__(config, event_cap=100, **kwargs)
-
-        def run(self):
-            runs.append(self)
-            return super().run()
-
-    monkeypatch.setattr(cli, "Simulation", CappedSimulation)
+    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs, event_cap=100))
     out = tmp_path / "sweep"
     assert main(["sweep", "sweep_demo.scn", "--sweep", "5,101", "--out", str(out)]) == 2
     assert "101 jobs, more than the event cap 100" in capsys.readouterr().err

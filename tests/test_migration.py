@@ -4,9 +4,9 @@ queue_cap admission.
 The differential oracle runs random overloaded 2-4 VM scenarios through
 the engine and through a subclass that keeps the original code: the
 O(V^2 Q^2) rescan of every queue as `_migration_check` (which never
-skips a settled datacenter), the `all()` scan as admission and the
-skip-full-VM loop as `_dispatch_vm`. It requires identical migration
-logs and job traces.
+skips a settled datacenter) with a residual that is 0 on an idle VM,
+the `all()` scan as admission and the skip-full-VM loop as
+`_dispatch_vm`. It requires identical migration logs and job traces.
 
 Demands are whole milliseconds. The engine sums sjf queues in service
 order while the rescan sums them in queue order; the two orders agree
@@ -34,34 +34,42 @@ def _step_wheel(dc):
     return vm
 
 
-def _all_full_admit(job, dc, now):
-    """`model.admit` as it was before `Datacenter.open_vms`."""
-    policy = dc.admission
-    if policy.mode == "queue_cap":
-        if all(len(vm.queue) + len(vm.incoming) >= policy.capacity for vm in dc.vms):
-            return AdmissionResult(False, "QueueFull")
-    return AdmissionResult(True)
-
-
 class RescanSimulation(Simulation):
     """Reference: recomputes every wait from the queues on each decision,
     admits by scanning every VM and dispatches by stepping the plain
-    round-robin wheel past full VMs."""
+    round-robin wheel past full VMs. It reads the admission mode and
+    queue capacity from the scenario, never from `Datacenter`."""
 
     def run(self):
-        with mock.patch.object(engine, "admit", _all_full_admit):
+        with mock.patch.object(engine, "admit", self._all_full_admit):
             return super().run()
+
+    def _is_full(self, vm):
+        """Under queue_cap, whether `vm`'s queued jobs plus the jobs in
+        transit toward it reach the queue capacity."""
+        pol = self.config.policy
+        return (
+            pol.admission_mode == "queue_cap"
+            and len(vm.queue) + len(vm.incoming) >= pol.queue_capacity
+        )
+
+    def _all_full_admit(self, job, dc, now):
+        """`model.admit` as it was before `Datacenter.open_vms`."""
+        if all(map(self._is_full, dc.vms)):
+            return AdmissionResult(False, "QueueFull")
+        return AdmissionResult(True)
 
     def _dispatch_vm(self, dc):
         vm = _step_wheel(dc)
-        if self.admission.mode == "queue_cap":
-            # admission guaranteed a free slot somewhere; skip full VMs,
-            # counting jobs in transit toward each VM as queued
-            for _ in range(len(dc.vms)):
-                if len(vm.queue) + len(vm.incoming) < self.admission.capacity:
-                    break
-                vm = _step_wheel(dc)
+        # admission guaranteed a free slot somewhere; skip full VMs
+        for _ in range(len(dc.vms)):
+            if not self._is_full(vm):
+                break
+            vm = _step_wheel(dc)
         return vm
+
+    def _residual(self, vm, now):
+        return max(0.0, vm.busy_until - now) if vm.running is not None else 0.0
 
     def _sjf_key(self, job, rate):
         return (job.service_demand(rate), job.arrival, job.id)
@@ -101,12 +109,7 @@ class RescanSimulation(Simulation):
                 candidates = {
                     v.id: self._wait_if_added(v, job, now)
                     for v in dc.vms
-                    if v is not vm
-                    and len(v.queue) < mean_qlen
-                    and (
-                        self.admission.mode != "queue_cap"
-                        or len(v.queue) + len(v.incoming) < self.admission.capacity
-                    )
+                    if v is not vm and len(v.queue) < mean_qlen and not self._is_full(v)
                 }
                 if not candidates:
                     continue
@@ -264,7 +267,7 @@ def test_datacenter_summaries_hold_after_every_event(text):
         nonlocal settled_checks
         instant_done = not len(sim.calendar) or sim.calendar.peek_time() > now
         for dc in sim.datacenters.values():
-            assert dc.open_vms == sum(map(dc.admission.has_room, dc.vms)), (kind, now)
+            assert dc.open_vms == sum(map(dc.has_room, dc.vms)), (kind, now)
             if instant_done:
                 for vm in dc.vms:
                     assert vm.running is not None or not vm.queue, (kind, now, vm.id)

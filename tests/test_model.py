@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
 from dispatchsim.model import (
-    AdmissionPolicy,
     AdmissionResult,
     Datacenter,
     Job,
@@ -126,9 +125,7 @@ def _dc_with_queues(queue_lens, capacity):
         vm = VmInstance(id=i, rate=100, bandwidth=1)
         vm.queue = [Job(id=100 * i + k, arrival=0.0) for k in range(n)]
         vms.append(vm)
-    return Datacenter(
-        id="DC1", vms=vms, admission=AdmissionPolicy(mode="queue_cap", capacity=capacity)
-    )
+    return Datacenter(id="DC1", vms=vms, capacity=capacity)
 
 
 def test_admit_queue_cap_saturated():
@@ -146,7 +143,7 @@ def test_open_vms_counts_jobs_in_transit():
     dc = _dc_with_queues([1, 0, 0], capacity=1)
     assert dc.open_vms == 2
     dc.vms[1].incoming.append(Job(id=8, arrival=0.0))
-    assert Datacenter(id="DC1", vms=dc.vms, admission=dc.admission).open_vms == 1
+    assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).open_vms == 1
 
 
 def test_datacenter_sets_each_vm_dc():
@@ -156,8 +153,7 @@ def test_datacenter_sets_each_vm_dc():
 
 
 def test_admit_deadline_mode_always_admits():
-    dc = _dc_with_queues([5, 5], capacity=1)
-    dc.admission = AdmissionPolicy(mode="deadline", deadline=10.0)
+    dc = _dc_with_queues([5, 5], capacity=math.inf)
     assert admit(Job(id=9, arrival=0.0), dc, 0.0).admitted
 
 

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
-from dispatchsim.model import AdmissionPolicy, Datacenter, Job, VmInstance
+from dispatchsim.model import Datacenter, Job, VmInstance
 from dispatchsim.policies import (
     PolicyError,
     migration_decision,
@@ -16,9 +17,7 @@ from conftest import sjf_at_zero
 
 def _dc(n_vms):
     vms = [VmInstance(id=i, rate=100, bandwidth=1) for i in range(n_vms)]
-    return Datacenter(
-        id="DC", vms=vms, admission=AdmissionPolicy(mode="deadline", deadline=1.0)
-    )
+    return Datacenter(id="DC", vms=vms, capacity=math.inf)
 
 
 def test_rr_wheel_semantics():
@@ -46,7 +45,7 @@ def test_rr_empty_datacenter():
 
 def _queue_cap_dc(queue_lens, capacity=1):
     dc = _dc(len(queue_lens))
-    dc.admission = AdmissionPolicy(mode="queue_cap", capacity=capacity)
+    dc.capacity = capacity
     for vm, n in zip(dc.vms, queue_lens):
         vm.queue = [Job(id=100 * vm.id + k, arrival=0.0) for k in range(n)]
     return dc

@@ -17,10 +17,7 @@ def _read(path):
 
 def _empty_metrics():
     return RunMetrics(
-        scenario_name="empty",
         unit_ms=1.0,
-        seed=1,
-        horizon_ms=0.0,
         submitted=0,
         completed=0,
         rejected=0,
