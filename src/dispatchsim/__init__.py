@@ -2,7 +2,7 @@
 dispatch with Round-Robin scheduling, Shortest-Job-First load
 balancing, wait-vs-hop migration, and rejection/starvation metrics."""
 
-from .engine import EventCalendar, Event, HorizonExceeded, PastEvent, Simulation, run
+from .engine import EventCalendar, Event, HorizonExceeded, PastEvent, Simulation
 from .metrics import RunMetrics, StatSummary
 from .scenario import ScenarioConfig, load_scenario, load_scenario_file, serialize
 
@@ -17,7 +17,6 @@ __all__ = [
     "StatSummary",
     "load_scenario",
     "load_scenario_file",
-    "run",
     "serialize",
 ]
 

@@ -128,15 +128,14 @@ class Simulation:
         self.hop_ms = pol.hop_time * u
         # Deadline admission is queue_cap admission with room for any
         # number of jobs, plus an expiry scheduled at each admitted
-        # arrival; no code after set-up reads the mode.
-        deadline = None if pol.deadline is None else pol.deadline * u
-        queue_cap = pol.admission_mode == "queue_cap"
-        capacity = pol.queue_capacity if queue_cap else math.inf
-        self.deadline_ms = None if queue_cap else deadline
+        # arrival; no code after set-up reads the mode, and `validate`
+        # allows a deadline under deadline admission only.
+        self.deadline_ms = None if pol.deadline is None else pol.deadline * u
+        capacity = pol.queue_capacity if pol.admission_mode == "queue_cap" else math.inf
         self.starvation_threshold_ms = (
             pol.starvation_threshold * u
             if pol.starvation_threshold is not None
-            else deadline
+            else self.deadline_ms
         )
 
         self.datacenters: dict[str, Datacenter] = {}
@@ -184,8 +183,7 @@ class Simulation:
             next_id += 1
 
         self.jobs: list[Job] = explicit + generated
-        # the VM whose queue or incoming list holds each job; read only
-        # while the job is queued
+        # the VM whose queue or incoming list holds each queued job, by id
         self._job_vm: dict[int, VmInstance] = {}
         self._active = len(self.jobs)
         self.migration_log: list[tuple] = []
@@ -305,6 +303,7 @@ class Simulation:
             return
         job = self._pick_next(vm)
         self._queue_remove(vm, job)
+        del self._job_vm[job.id]
         job.state = RUNNING
         job.start = now
         vm.running = job
@@ -315,8 +314,8 @@ class Simulation:
         job = vm.running
         vm.running = None
         job.state = COMPLETED
-        job.transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
-        job.finish = now + job.transfer
+        transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
+        job.finish = now + transfer
         self._active -= 1
         self._maybe_start(vm, now)
         if self.migration_on:
@@ -325,7 +324,7 @@ class Simulation:
     def _on_deadline(self, job: Job, now: float):
         if job.state != QUEUED:
             return
-        vm = self._job_vm[job.id]
+        vm = self._job_vm.pop(job.id)
         if job in vm.incoming:  # in transit toward vm
             self._incoming_remove(vm, job)
         else:
@@ -480,8 +479,3 @@ class Simulation:
             event_count=self.event_count,
             migration_log=self.migration_log,
         )
-
-
-def run(scenario: ScenarioConfig, **kwargs) -> RunMetrics:
-    """Execute one deterministic run of a validated scenario."""
-    return Simulation(scenario, **kwargs).run()

@@ -58,7 +58,6 @@ class Job:
     migrations: int = 0
     reject_reason: str | None = None
     rejected_at: float | None = None
-    transfer: float = 0.0
     # Set at dispatch. Every VM of a datacenter has the same rate and a
     # job never leaves its datacenter, so both stay valid.
     demand: float | None = None  # service_demand on its datacenter's VMs; its run time

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .model import MS_PER_HOUR, UserBase, requests_over
 
@@ -154,9 +155,10 @@ _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 
 _SCN, _DC, _UB, _POL = ("scenario",), ("datacenter",), ("userbase",), ("policy",)
-_ADV_UB = ("advanced", "userbase")
+_ADV_UB, _JOB = ("advanced", "userbase"), ("job",)
 
-# Rows are in file order within each section.
+# Rows are in file order within each section; the job rows are the
+# columns of a [jobs] entry, required ones first.
 _SCHEMA = (
     _Key(_SCN, "name", str, required=True),
     _Key(_SCN, "time_unit", TIME_UNITS, required=True),
@@ -184,11 +186,15 @@ _SCHEMA = (
     _Key(_POL, "migration_cadence", float, check=_POSITIVE, duration=True),
     _Key(_POL, "migration_cap", int, check=_NON_NEGATIVE),
     _Key(_POL, "starvation_threshold", float, check=_POSITIVE, duration=True),
+    _Key(_JOB, "id", int, required=True),
+    _Key(_JOB, "arrival", float, required=True, check=_NON_NEGATIVE, duration=True),
+    _Key(_JOB, "burst", float, required=True, check=_POSITIVE, duration=True),
+    _Key(_JOB, "data_size", float, check=_NON_NEGATIVE),
 )
 
 _SECTIONS = {
     s: {k.key: k for k in _SCHEMA if s in k.sections}
-    for s in ("scenario", "advanced", "datacenter", "userbase", "policy")
+    for s in ("scenario", "advanced", "datacenter", "userbase", "policy", "job")
 }
 
 
@@ -271,23 +277,18 @@ def _read(entries, section: str, schema: str, **values) -> dict:
 
 
 def _read_jobs(entries) -> list[ExplicitJob]:
+    columns = _SECTIONS["job"]
+    usage = " ".join(k.key if k.required else f"[{k.key}]" for k in columns.values())
+    required = sum(k.required for k in columns.values())
     jobs = []
     for key, value, lineno in entries:
         if key != "job":
             raise UnknownKey(f"unknown key {key!r} in section [jobs]", lineno)
-        parts = value.split()
-        if len(parts) not in (3, 4):
-            raise ParseError(
-                f"job entry needs 'id arrival burst [data_size]', got {value!r}", lineno
-            )
-        jobs.append(
-            ExplicitJob(
-                id=_num(parts[0], lineno, kind=int),
-                arrival=_num(parts[1], lineno),
-                burst=_num(parts[2], lineno),
-                data_size=_num(parts[3], lineno) if len(parts) == 4 else 0.0,
-            )
-        )
+        fields = value.split()
+        if not required <= len(fields) <= len(columns):
+            raise ParseError(f"job entry needs {usage!r}, got {value!r}", lineno)
+        row = zip(columns, fields, repeat(lineno))
+        jobs.append(ExplicitJob(**_read(row, "jobs", "job")))
     return jobs
 
 
@@ -339,18 +340,20 @@ def load_scenario_file(path) -> ScenarioConfig:
 def validate(config: ScenarioConfig) -> None:
     """Per-key and cross-field checks; raises ValidationError on the
     first problem."""
-    for header, schema, obj in _sections(config):
+    keyed = ((f"[{header}]", schema, obj) for header, schema, obj in _sections(config))
+    rows = ((f"[jobs] job {j.id}", "job", j) for j in config.jobs)
+    for where, schema, obj in chain(keyed, rows):
         for k in _SECTIONS[schema].values():
             v = getattr(obj, k.attr)
             if v is None:
                 continue
             if k.kind is float and not math.isfinite(v):
-                raise ValidationError(f"[{header}] {k.key} must be finite, got {v!r}")
+                raise ValidationError(f"{where} {k.key} must be finite, got {v!r}")
             if k.check and not k.check[0](v):
-                raise ValidationError(f"[{header}] {k.key} {k.check[1]}, got {v!r}")
+                raise ValidationError(f"{where} {k.key} {k.check[1]}, got {v!r}")
             if k.duration and not math.isfinite(v * config.unit_ms):
                 raise ValidationError(
-                    f"[{header}] {k.key} must be finite in ms, got {v!r} {config.time_unit}"
+                    f"{where} {k.key} must be finite in ms, got {v!r} {config.time_unit}"
                 )
     dc_ids = [dc.id for dc in config.datacenters]
     if len(set(dc_ids)) != len(dc_ids):
@@ -373,6 +376,8 @@ def validate(config: ScenarioConfig) -> None:
     if pol.admission_mode == "queue_cap":
         if pol.queue_capacity is None:
             raise ValidationError("queue_cap admission requires queue_capacity")
+        if pol.deadline is not None:
+            raise ValidationError("queue_cap admission takes no deadline")
     elif pol.deadline is None:
         raise ValidationError("deadline admission requires a deadline")
     if config.jobs:
@@ -381,16 +386,6 @@ def validate(config: ScenarioConfig) -> None:
         job_ids = [j.id for j in config.jobs]
         if len(set(job_ids)) != len(job_ids):
             raise ValidationError(f"duplicate explicit job ids: {job_ids}")
-        for j in config.jobs:
-            if j.arrival < 0 or j.burst <= 0 or j.data_size < 0:
-                raise ValidationError(f"explicit job {j.id}: bad arrival/burst/data")
-            for name in ("arrival", "burst"):
-                v = getattr(j, name)
-                if not math.isfinite(v * config.unit_ms):
-                    raise ValidationError(
-                        f"explicit job {j.id}: {name} must be finite in ms, "
-                        f"got {v!r} {config.time_unit}"
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +410,9 @@ def serialize(config: ScenarioConfig) -> str:
     if config.jobs:
         lines += ["", "[jobs]"]
         for j in config.jobs:
-            entry = f"job = {j.id} {_fmt(j.arrival)} {_fmt(j.burst)}"
-            if j.data_size:
-                entry += f" {_fmt(j.data_size)}"
-            lines.append(entry)
+            # an optional column is left out when it is zero
+            row = ((k, getattr(j, k.attr)) for k in _SECTIONS["job"].values())
+            lines.append("job = " + " ".join(_fmt(v) for k, v in row if k.required or v))
     return "\n".join(lines[1:]) + "\n"
 
 
@@ -445,13 +439,5 @@ def normalized_dict(config: ScenarioConfig) -> dict:
         "datacenters": datacenters,
         "user_bases": [{"id": ub.id, **view(ub, "userbase")} for ub in config.user_bases],
         "policy": view(config.policy, "policy"),
-        "jobs": [
-            {
-                "id": j.id,
-                "arrival_ms": j.arrival * u,
-                "burst_ms": j.burst * u,
-                "data_size": j.data_size,
-            }
-            for j in config.jobs
-        ],
+        "jobs": [view(j, "job") for j in config.jobs],
     }

@@ -212,6 +212,15 @@ def test_deadline_override_ignores_queue_capacity(monkeypatch, tmp_path):
     assert (out / "jobs.csv").read_bytes() == (tmp_path / "file" / "jobs.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_deadline_under_queue_cap_exits_2(command, tmp_path, capsys):
+    text = _read(QCAP_DEMO).replace("queue_capacity = 2\n", "queue_capacity = 2\ndeadline = 1\n")
+    path = tmp_path / "qcap_deadline.scn"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert "queue_cap admission takes no deadline" in capsys.readouterr().err
+
+
 def _user_bases(time_unit, horizon, *rates, deadline=1):
     """Scenario text with one 1-VM datacenter and one user base per
     request rate (1000 users, batches of 100 requests)."""

@@ -264,3 +264,15 @@ job = 3 0 100
     else:
         assert (job.start, job.finish) == (51.0, 151.0)
     assert metrics.event_count == event_count
+
+
+@pytest.mark.parametrize("deadline, expired", [(150, 0), (30, 2)])
+def test_job_vm_holds_only_queued_jobs(migration_config, deadline, expired):
+    # migration_demo moves two jobs; at deadline 30 one job expires
+    # queued and one in transit
+    migration_config.policy.deadline = deadline
+    sim = Simulation(migration_config)
+    metrics = sim.run()
+    assert len(metrics.migration_log) == 2
+    assert [t.reject_reason for t in metrics.traces].count("DeadlineExpired") == expired
+    assert sim._job_vm == {}

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dispatchsim.model import MS_PER_HOUR
 from dispatchsim.scenario import (
+    ExplicitJob,
     ParseError,
     ScenarioError,
     UnknownKey,
@@ -11,6 +12,7 @@ from dispatchsim.scenario import (
     load_scenario_file,
     normalized_dict,
     serialize,
+    validate,
 )
 
 MINIMAL = """
@@ -119,6 +121,22 @@ def test_deadline_mode_requires_deadline():
         load_scenario(MINIMAL.replace("deadline = 50", ""))
 
 
+@pytest.mark.parametrize(
+    "job, column",
+    [
+        (ExplicitJob(7, arrival=-1.0, burst=1.0), "arrival"),
+        (ExplicitJob(7, arrival=0.0, burst=0.0), "burst"),
+        (ExplicitJob(7, arrival=0.0, burst=1.0, data_size=-1.0), "data_size"),
+        (ExplicitJob(7, arrival=0.0, burst=1.0, data_size=float("nan")), "data_size"),
+    ],
+)
+def test_bad_explicit_job_column_rejected(job, column):
+    config = load_scenario(MINIMAL)
+    config.jobs = [job]
+    with pytest.raises(ValidationError, match=f"^\\[jobs\\] job 7 {column} must be "):
+        validate(config)
+
+
 def test_duplicate_explicit_job_ids(table6_config):
     text = serialize(table6_config).replace("job = 2 1.0 4.0", "job = 1 1.0 4.0")
     with pytest.raises(ValidationError):
@@ -199,9 +217,11 @@ _GOOD = {
     "scheduler": st.sampled_from(["rr", "sjf"]),
     "migration": st.sampled_from(["on", "off"]),
     "admission": st.sampled_from(["deadline", "queue_cap"]),
-    "job": st.tuples(st.integers(0, 99), st.floats(0, 9), st.floats(0.5, 9)).map(
-        lambda j: " ".join(map(repr, j))
-    ),
+    # id arrival burst, sometimes with a data_size column (zero included)
+    "job": st.tuples(
+        st.integers(0, 99), st.floats(0, 9), st.floats(0.5, 9),
+        st.lists(st.just(0.0) | st.floats(0, 9), max_size=1),
+    ).map(lambda j: " ".join(map(repr, (*j[:3], *j[3])))),
     "name": st.text(max_size=6),
     **dict.fromkeys(["seed", "vms", "user_grouping", "request_grouping",
                      "queue_capacity", "migration_cap"], _INT),
@@ -236,6 +256,8 @@ def test_parser_fuzz_round_trip():
     @settings(max_examples=400, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(scenario_texts())
+    # job rows with a zero and a non-zero data_size column
+    @example(MINIMAL + "[jobs]\njob = 1 0 5 0\njob = 2 1 5 7.5\n")
     def check(text):
         try:
             config = load_scenario(text)
