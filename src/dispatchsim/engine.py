@@ -140,10 +140,7 @@ class Simulation:
 
         self.datacenters: dict[str, Datacenter] = {}
         for spec in config.datacenters:
-            vms = [
-                VmInstance(id=i, rate=spec.rate, bandwidth=spec.bandwidth_per_ms)
-                for i in range(spec.vm_count)
-            ]
+            vms = [VmInstance(id=i, bandwidth=spec.bandwidth_per_ms) for i in range(spec.vm_count)]
             self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
 
         # the datacenter each job arrives at, by its origin user base;
@@ -165,18 +162,20 @@ class Simulation:
                 f"scenario makes {count} jobs, more than the event cap {event_cap}"
             )
         explicit = [
-            Job(id=j.id, arrival=j.arrival * u, burst=j.burst * u, data_size=j.data_size)
+            Job(id=j.id, arrival=j.arrival * u, demand=j.burst * u, data_size=j.data_size)
             for j in config.jobs
         ]
+        rates = {spec.id: spec.rate for spec in config.datacenters}
         if total_jobs is not None:
             generated = generate_sweep_arrivals(
-                config.user_bases, config.horizon_ms, config.seed, total_jobs
+                config.user_bases, config.horizon_ms, config.seed, total_jobs, rates
             )
         else:
             generated = []
             for ub in config.user_bases:
-                generated.extend(generate_arrivals(ub, config.horizon_ms, config.seed))
-            generated.sort(key=lambda j: j.arrival)
+                generated += generate_arrivals(ub, config.horizon_ms, config.seed, rates)
+        # stable, so equal arrivals keep user base then generation order
+        generated.sort(key=attrgetter("arrival"))
         next_id = max((j.id for j in explicit), default=0) + 1
         for j in generated:
             j.id = next_id
@@ -288,7 +287,6 @@ class Simulation:
         if self.deadline_ms is not None:
             self.calendar.schedule(now + self.deadline_ms, DEADLINE_EXPIRY, job)
         vm = self._dispatch_vm(dc)
-        job.demand = job.service_demand(vm.rate)
         if self.scheduler == "sjf":
             job.sjf_key = (job.demand, job.arrival, job.id)
         self._enqueue(vm, job, now)

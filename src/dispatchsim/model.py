@@ -34,9 +34,10 @@ class ZeroBandwidth(ModelError):
 
 @dataclass(eq=False, slots=True)
 class Job:
-    """A unit of work. Either carries an explicit burst duration (demo
-    traces) or an instruction length that a VM's rate converts into a
-    processing duration. Generated jobs represent one request batch.
+    """A unit of work: one `[jobs]` row, or one request batch of
+    generated traffic. Set-up builds it with its `demand`, its run time
+    on the VMs of its datacenter: every VM of a datacenter has the same
+    rate and a job never leaves its datacenter.
 
     A run's jobs are also its per-job traces: the engine fills in the
     lifecycle fields, and `RunMetrics.traces` lists the jobs themselves
@@ -46,9 +47,8 @@ class Job:
 
     id: int
     arrival: float  # ms
+    demand: float  # ms, run time on a VM of its datacenter
     origin_ub: str | None = None
-    burst: float | None = None  # ms, explicit service demand
-    instruction_length: float = 0.0  # instructions, generated traffic
     data_size: float = 0.0  # bytes
     batch_size: int = 1
     state: str = QUEUED
@@ -58,24 +58,15 @@ class Job:
     migrations: int = 0
     reject_reason: str | None = None
     rejected_at: float | None = None
-    # Set at dispatch. Every VM of a datacenter has the same rate and a
-    # job never leaves its datacenter, so both stay valid.
-    demand: float | None = None  # service_demand on its datacenter's VMs; its run time
-    sjf_key: tuple | None = None  # (demand, arrival, id); sjf only
-
-    def service_demand(self, rate: float) -> float:
-        """Service duration this job needs on a VM of the given rate."""
-        if self.burst is not None:
-            return self.burst
-        return processing_time(self.instruction_length, rate)
+    sjf_key: tuple | None = None  # (demand, arrival, id); set at dispatch, sjf only
 
 
 @dataclass
 class VmInstance:
-    """A server of datacenter `dc` with a FIFO run queue and a busy-until horizon."""
+    """A server of datacenter `dc` with a FIFO run queue and a busy-until
+    horizon. Its datacenter's rate is already in each job's `demand`."""
 
     id: int
-    rate: float  # instructions per ms
     bandwidth: float  # capacity units per ms
     dc: Datacenter | None = field(default=None, repr=False, compare=False)
     queue: list[Job] = field(default_factory=list)
@@ -159,12 +150,12 @@ def _arrival_rng(seed, ub_id: str, tag: str = "") -> random.Random:
     return random.Random(f"{seed}:{tag}{ub_id}")
 
 
-def _batch_job(ub: UserBase, arrival: float, batch: int) -> Job:
+def _batch_job(ub: UserBase, arrival: float, batch: int, rate: float) -> Job:
     return Job(
         id=0,  # assigned after merging across user bases
         arrival=arrival,
+        demand=processing_time(ub.instruction_length * batch, rate),
         origin_ub=ub.id,
-        instruction_length=ub.instruction_length * batch,
         data_size=ub.data_size_per_request * batch,
         batch_size=batch,
     )
@@ -179,42 +170,40 @@ def requests_over(ub: UserBase, horizon_ms: float) -> float:
 def arrival_count(ub: UserBase, horizon_ms: float) -> int:
     """Jobs `generate_arrivals` makes for `ub`: its whole requests over
     the horizon in batches of `request_grouping`, the last maybe short."""
-    if horizon_ms <= 0:
-        return 0
     return max(0, -(-int(requests_over(ub, horizon_ms)) // ub.request_grouping))
 
 
-def generate_arrivals(ub: UserBase, horizon_ms: float, rng_seed) -> list[Job]:
+def generate_arrivals(
+    ub: UserBase, horizon_ms: float, rng_seed, rates: dict[str, float]
+) -> list[Job]:
     """Batched request traffic for one user base over the horizon.
 
-    Total requests = users x rate x hours, grouped into batches of
-    `request_grouping` (the last batch may be short). Each batch is one
-    job; arrival times are uniform over the horizon from the seeded
-    generator. Output is sorted by arrival.
+    Total requests = users x rate x hours, grouped into
+    `arrival_count` batches of `request_grouping` (the last batch may
+    be short). Each batch is one job whose demand is its summed
+    instruction length at its datacenter's VM rate,
+    `rates[ub.target_dc]`; arrival times are uniform over the horizon
+    from the seeded generator. Jobs are in generation order.
     """
-    if horizon_ms <= 0:
-        return []
-    total_requests = int(requests_over(ub, horizon_ms))
-    if total_requests <= 0:
-        return []
     rng = _arrival_rng(rng_seed, ub.id)
-    jobs = []
-    remaining = total_requests
-    while remaining > 0:
-        batch = min(ub.request_grouping, remaining)
-        remaining -= batch
-        jobs.append(_batch_job(ub, rng.uniform(0.0, horizon_ms), batch))
-    jobs.sort(key=lambda j: j.arrival)
-    return jobs
+    rate = rates[ub.target_dc]
+    requests = int(requests_over(ub, horizon_ms))
+    full = ub.request_grouping
+    return [
+        _batch_job(ub, rng.uniform(0.0, horizon_ms), min(full, requests - k * full), rate)
+        for k in range(arrival_count(ub, horizon_ms))
+    ]
 
 
 def generate_sweep_arrivals(
-    user_bases: list[UserBase], horizon_ms: float, rng_seed, total_jobs: int
+    user_bases: list[UserBase], horizon_ms: float, rng_seed, total_jobs: int,
+    rates: dict[str, float],
 ) -> list[Job]:
     """Arrival list for one load-sweep level: exactly `total_jobs`
     full-batch jobs over the horizon, split across user bases in
     proportion to their nominal traffic volume (largest-remainder
-    rounding)."""
+    rounding). Demands and order are as in `generate_arrivals`, user
+    base by user base."""
     if total_jobs <= 0 or not user_bases or horizon_ms <= 0:
         return []
     weights = [max(requests_over(ub, horizon_ms), 1.0) for ub in user_bases]
@@ -229,9 +218,8 @@ def generate_sweep_arrivals(
     jobs = []
     for ub, n in zip(user_bases, counts):
         rng = _arrival_rng(rng_seed, ub.id, tag=f"sweep:{total_jobs}:")
-        for _ in range(n):
-            jobs.append(_batch_job(ub, rng.uniform(0.0, horizon_ms), ub.request_grouping))
-    jobs.sort(key=lambda j: j.arrival)
+        batch, rate = ub.request_grouping, rates[ub.target_dc]
+        jobs += [_batch_job(ub, rng.uniform(0.0, horizon_ms), batch, rate) for _ in range(n)]
     return jobs
 
 

@@ -153,6 +153,8 @@ class _Key:
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+# `run` and `sweep` name their default output directory after it
+_PATH_SAFE = (lambda v: "\0" not in v, "must not hold a NUL character")
 
 _SCN, _DC, _UB, _POL = ("scenario",), ("datacenter",), ("userbase",), ("policy",)
 _ADV_UB, _JOB = ("advanced", "userbase"), ("job",)
@@ -160,7 +162,7 @@ _ADV_UB, _JOB = ("advanced", "userbase"), ("job",)
 # Rows are in file order within each section; the job rows are the
 # columns of a [jobs] entry, required ones first.
 _SCHEMA = (
-    _Key(_SCN, "name", str, required=True),
+    _Key(_SCN, "name", str, required=True, check=_PATH_SAFE),
     _Key(_SCN, "time_unit", TIME_UNITS, required=True),
     _Key(_SCN, "horizon", float, required=True, check=_NON_NEGATIVE, duration=True),
     _Key(_SCN, "seed", int, required=True),

@@ -277,6 +277,19 @@ def test_overflowing_scenario_exits_2(command, case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_nul_in_name_exits_2(command, monkeypatch, tmp_path, capsys):
+    # without --out, run and sweep name their output directory after it
+    monkeypatch.chdir(tmp_path)
+    scn = tmp_path / "nul.scn"
+    scn.write_text(_user_bases("hours", "1", 1).replace("name = huge", "name = a\0b"))
+    argv = [command, str(scn)] + (["--sweep", "5"] if command == "sweep" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "name must not hold a NUL character" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["nul.scn"]
+
+
 # 1000 users x 600 requests/h x 1000 h in batches of 100 = 6e6 jobs per
 # user base: each is under the 1e7 event cap, together they are over it
 OVER_CAP = _user_bases("hours", "1000", 600, 600)

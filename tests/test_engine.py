@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispatchsim import engine
+from dispatchsim.cli import _read_scenario_text
 from dispatchsim.engine import (
     EventCalendar,
     HorizonExceeded,
@@ -19,7 +20,7 @@ from conftest import TABLE6_ORDER, TABLE6_WAITS
 
 def test_calendar_single_element():
     cal = EventCalendar()
-    job = Job(id=1, arrival=5.0)
+    job = Job(id=1, arrival=5.0, demand=1.0)
     cal.schedule(5.0, "JobArrival", job)
     ev = cal.pop()
     # the fields the benchmark's traced pop and the run loop read
@@ -31,7 +32,7 @@ def test_calendar_fifo_tie_break():
     # Jobs do not order, so this raises TypeError if the heap ever
     # compares the subjects of two events at the same instant
     cal = EventCalendar()
-    a, b = Job(id=1, arrival=5.0), Job(id=2, arrival=5.0)
+    a, b = Job(id=1, arrival=5.0, demand=1.0), Job(id=2, arrival=5.0, demand=1.0)
     cal.schedule(5.0, "JobArrival", a)
     cal.schedule(5.0, "JobArrival", b)
     assert cal.pop().subject is a
@@ -218,6 +219,90 @@ job = 1 0 5
     )
     m = Simulation(config).run()
     assert m.completed == 1
+
+
+TWO_RATES = """
+[scenario]
+name = two_rates
+time_unit = hours
+horizon = 1
+seed = 3
+
+[datacenter.FAST]
+vms = 2
+rate = 100
+memory = 1
+bandwidth = 1
+bandwidth_unit = units_per_ms
+
+[datacenter.SLOW]
+vms = 1
+rate = 40
+memory = 1
+bandwidth = 1
+bandwidth_unit = units_per_ms
+
+[userbase.UBF]
+requests_per_user_per_hour = 1
+data_size_per_request = 1
+datacenter = FAST
+user_grouping = 10
+request_grouping = 3
+instruction_length = 50
+
+[userbase.UBS]
+requests_per_user_per_hour = 1
+data_size_per_request = 1
+datacenter = SLOW
+user_grouping = 7
+request_grouping = 3
+instruction_length = 50
+
+[policy]
+admission = deadline
+deadline = 1
+
+[jobs]
+job = 4 0 0.001
+job = 9 0.5 0.002
+"""
+
+
+@pytest.mark.parametrize(
+    "total_jobs, demands",
+    [
+        # 10 and 7 requests in batches of 3, the last batch of each short
+        (None, {("UBF", 1.5), ("UBF", 0.5), ("UBS", 3.75), ("UBS", 1.25)}),
+        (9, {("UBF", 1.5), ("UBS", 3.75)}),  # sweep jobs are full batches
+    ],
+)
+def test_each_job_demand_uses_its_datacenter_rate(total_jobs, demands):
+    config = load_scenario(TWO_RATES)
+    user_bases = {ub.id: ub for ub in config.user_bases}
+    rates = {dc.id: dc.rate for dc in config.datacenters}
+    bursts = {j.id: j.burst * config.unit_ms for j in config.jobs}
+    jobs = Simulation(config, total_jobs=total_jobs).jobs
+    for job in jobs:
+        if job.origin_ub is None:
+            assert job.demand == bursts[job.id]
+        else:
+            ub = user_bases[job.origin_ub]
+            assert job.demand == ub.instruction_length * job.batch_size / rates[ub.target_dc]
+    assert {(j.origin_ub, j.demand) for j in jobs if j.origin_ub} == demands
+
+
+@pytest.mark.parametrize("total_jobs", [None, 500])
+def test_generated_jobs_follow_explicit_ones_in_arrival_order(total_jobs):
+    config = load_scenario(
+        _read_scenario_text("paper_tables.scn") + "\n[jobs]\njob = 7 5 1\njob = 3 0 2\n"
+    )
+    jobs = Simulation(config, total_jobs=total_jobs).jobs
+    explicit, generated = jobs[:2], jobs[2:]
+    assert [j.id for j in explicit] == [7, 3]
+    assert [j.id for j in generated] == list(range(8, 8 + len(generated)))
+    arrivals = [j.arrival for j in generated]
+    assert arrivals == sorted(arrivals)
+    assert {j.origin_ub for j in generated} == {"UB1", "UB2", "UB3", "UB4", "UB5"}
 
 
 @pytest.mark.parametrize(

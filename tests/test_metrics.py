@@ -43,6 +43,7 @@ def _trace(job_id, arrival, start, state="completed", **kw):
     return Job(
         id=job_id,
         arrival=arrival,
+        demand=1.0,
         start=start,
         finish=finish,
         state=state,

@@ -71,31 +71,31 @@ class RescanSimulation(Simulation):
     def _residual(self, vm, now):
         return max(0.0, vm.busy_until - now) if vm.running is not None else 0.0
 
-    def _sjf_key(self, job, rate):
-        return (job.service_demand(rate), job.arrival, job.id)
+    def _sjf_key(self, job):
+        return (job.demand, job.arrival, job.id)
 
     def _wait_ahead_of(self, vm, job, now):
         w = self._residual(vm, now)
         if self.scheduler == "sjf":
-            key = self._sjf_key(job, vm.rate)
-            ahead = [j for j in vm.queue if j is not job and self._sjf_key(j, vm.rate) < key]
+            key = self._sjf_key(job)
+            ahead = [j for j in vm.queue if j is not job and self._sjf_key(j) < key]
         else:
             idx = vm.queue.index(job)
             ahead = vm.queue[:idx]
-        return w + sum(j.service_demand(vm.rate) for j in ahead)
+        return w + sum(j.demand for j in ahead)
 
     def _wait_if_added(self, vm, job, now):
         w = self._residual(vm, now)
         if self.scheduler == "sjf":
-            key = self._sjf_key(job, vm.rate)
+            key = self._sjf_key(job)
             w += sum(
-                j.service_demand(vm.rate)
+                j.demand
                 for j in vm.queue
-                if self._sjf_key(j, vm.rate) < key
+                if self._sjf_key(j) < key
             )
         else:
-            w += sum(j.service_demand(vm.rate) for j in vm.queue)
-        w += sum(j.service_demand(vm.rate) for j in vm.incoming)
+            w += sum(j.demand for j in vm.queue)
+        w += sum(j.demand for j in vm.incoming)
         return w
 
     def _migration_check(self, dc, now):

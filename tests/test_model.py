@@ -79,27 +79,24 @@ def _ub(rate=12, grouping=1000, batch=100, **kw):
     return UserBase(**defaults)
 
 
+RATES = {"DC1": 100.0}
+
+
 def test_generate_arrivals_batch_count_one_hour():
-    jobs = generate_arrivals(_ub(), 3_600_000.0, 42)
+    jobs = generate_arrivals(_ub(), 3_600_000.0, 42, {"DC1": 40.0})
     assert len(jobs) == 120  # 12 * 1000 requests in batches of 100
     assert all(j.batch_size == 100 for j in jobs)
-    assert all(j.instruction_length == 25000 for j in jobs)
+    assert all(j.demand == 625.0 for j in jobs)  # 100 x 250 instructions at 40 per ms
 
 
 def test_generate_arrivals_zero_horizon():
-    assert generate_arrivals(_ub(), 0.0, 42) == []
+    assert generate_arrivals(_ub(), 0.0, 42, RATES) == []
 
 
 def test_generate_arrivals_deterministic():
-    a = generate_arrivals(_ub(), 3_600_000.0, 42)
-    b = generate_arrivals(_ub(), 3_600_000.0, 42)
+    a = generate_arrivals(_ub(), 3_600_000.0, 42, RATES)
+    b = generate_arrivals(_ub(), 3_600_000.0, 42, RATES)
     assert [j.arrival for j in a] == [j.arrival for j in b]
-
-
-def test_generate_arrivals_sorted_by_arrival():
-    jobs = generate_arrivals(_ub(), 3_600_000.0, 7)
-    arrivals = [j.arrival for j in jobs]
-    assert arrivals == sorted(arrivals)
 
 
 @settings(deadline=None)
@@ -112,7 +109,7 @@ def test_generate_arrivals_sorted_by_arrival():
 def test_generate_arrivals_count_matches_enumeration(rate, grouping, batch, hours):
     ub = _ub(rate=rate, grouping=grouping, batch=batch)
     horizon = hours * 3_600_000.0
-    jobs = generate_arrivals(ub, horizon, 1)
+    jobs = generate_arrivals(ub, horizon, 1, RATES)
     total_requests = int(grouping * rate * hours)
     expected = math.ceil(total_requests / batch)
     assert len(jobs) == expected == arrival_count(ub, horizon)
@@ -122,27 +119,27 @@ def test_generate_arrivals_count_matches_enumeration(rate, grouping, batch, hour
 def _dc_with_queues(queue_lens, capacity):
     vms = []
     for i, n in enumerate(queue_lens):
-        vm = VmInstance(id=i, rate=100, bandwidth=1)
-        vm.queue = [Job(id=100 * i + k, arrival=0.0) for k in range(n)]
+        vm = VmInstance(id=i, bandwidth=1)
+        vm.queue = [Job(id=100 * i + k, arrival=0.0, demand=1.0) for k in range(n)]
         vms.append(vm)
     return Datacenter(id="DC1", vms=vms, capacity=capacity)
 
 
 def test_admit_queue_cap_saturated():
     dc = _dc_with_queues([1, 1], capacity=1)
-    result = admit(Job(id=9, arrival=0.0), dc, 0.0)
+    result = admit(Job(id=9, arrival=0.0, demand=1.0), dc, 0.0)
     assert result == AdmissionResult(False, "QueueFull")
 
 
 def test_admit_queue_cap_with_free_slot():
     dc = _dc_with_queues([1, 0], capacity=1)
-    assert admit(Job(id=9, arrival=0.0), dc, 0.0).admitted
+    assert admit(Job(id=9, arrival=0.0, demand=1.0), dc, 0.0).admitted
 
 
 def test_open_vms_counts_jobs_in_transit():
     dc = _dc_with_queues([1, 0, 0], capacity=1)
     assert dc.open_vms == 2
-    dc.vms[1].incoming.append(Job(id=8, arrival=0.0))
+    dc.vms[1].incoming.append(Job(id=8, arrival=0.0, demand=1.0))
     assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).open_vms == 1
 
 
@@ -154,7 +151,7 @@ def test_datacenter_sets_each_vm_dc():
 
 def test_admit_deadline_mode_always_admits():
     dc = _dc_with_queues([5, 5], capacity=math.inf)
-    assert admit(Job(id=9, arrival=0.0), dc, 0.0).admitted
+    assert admit(Job(id=9, arrival=0.0, demand=1.0), dc, 0.0).admitted
 
 
 DEADLINE_SCN = """

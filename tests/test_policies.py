@@ -16,7 +16,7 @@ from conftest import sjf_at_zero
 
 
 def _dc(n_vms):
-    vms = [VmInstance(id=i, rate=100, bandwidth=1) for i in range(n_vms)]
+    vms = [VmInstance(id=i, bandwidth=1) for i in range(n_vms)]
     return Datacenter(id="DC", vms=vms, capacity=math.inf)
 
 
@@ -47,7 +47,7 @@ def _queue_cap_dc(queue_lens, capacity=1):
     dc = _dc(len(queue_lens))
     dc.capacity = capacity
     for vm, n in zip(dc.vms, queue_lens):
-        vm.queue = [Job(id=100 * vm.id + k, arrival=0.0) for k in range(n)]
+        vm.queue = [Job(id=100 * vm.id + k, arrival=0.0, demand=1.0) for k in range(n)]
     return dc
 
 
@@ -62,7 +62,7 @@ def test_rr_skips_vms_without_room():
 
 def test_rr_queue_cap_counts_queued_and_incoming_jobs():
     dc = _queue_cap_dc([1, 0, 0])
-    dc.vms[1].incoming.append(Job(id=2, arrival=0.0))
+    dc.vms[1].incoming.append(Job(id=2, arrival=0.0, demand=1.0))
     assert rr_next_vm(dc).id == 2
     assert dc.rr_pointer == 0
 
