@@ -73,6 +73,7 @@ def _load(path: str, args) -> ScenarioConfig:
     if getattr(args, "deadline", None) is not None:
         config.policy.admission_mode = "deadline"
         config.policy.deadline = args.deadline
+        config.policy.queue_capacity = None
     validate(config)  # overrides obey the same rules as file values
     return config
 

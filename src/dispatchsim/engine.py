@@ -7,10 +7,12 @@ function of (scenario, seed).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
+from contextlib import contextmanager
 from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
@@ -43,6 +45,20 @@ DEFAULT_EVENT_CAP = 10_000_000
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
 _SJF_KEY = attrgetter("sjf_key")
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector; a caller that had it off keeps it off.
+    Building the jobs and running them make no cyclic garbage, and each
+    full collection would walk every live Job."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 class EngineError(Exception):
@@ -142,6 +158,9 @@ class Simulation:
         for spec in config.datacenters:
             vms = [VmInstance(id=i, bandwidth=spec.bandwidth_per_ms) for i in range(spec.vm_count)]
             self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
+            if self.scheduler == "rr":
+                for vm in vms:
+                    vm.service = vm.queue
 
         # the datacenter each job arrives at, by its origin user base;
         # explicit [jobs] entries (origin None) run on the first one
@@ -166,14 +185,15 @@ class Simulation:
             for j in config.jobs
         ]
         rates = {spec.id: spec.rate for spec in config.datacenters}
-        if total_jobs is not None:
-            generated = generate_sweep_arrivals(
-                config.user_bases, config.horizon_ms, config.seed, total_jobs, rates
-            )
-        else:
-            generated = []
-            for ub in config.user_bases:
-                generated += generate_arrivals(ub, config.horizon_ms, config.seed, rates)
+        with _collector_paused():
+            if total_jobs is not None:
+                generated = generate_sweep_arrivals(
+                    config.user_bases, config.horizon_ms, config.seed, total_jobs, rates
+                )
+            else:
+                generated = []
+                for ub in config.user_bases:
+                    generated += generate_arrivals(ub, config.horizon_ms, config.seed, rates)
         # stable, so equal arrivals keep user base then generation order
         generated.sort(key=attrgetter("arrival"))
         next_id = max((j.id for j in explicit), default=0) + 1
@@ -191,28 +211,18 @@ class Simulation:
 
     # -- helpers -----------------------------------------------------------
 
-    def _pick_next(self, vm: VmInstance) -> Job:
-        if self.scheduler == "sjf":
-            return min(vm.queue, key=_SJF_KEY)
-        return vm.queue[0]
-
     def _residual(self, vm: VmInstance, now: float) -> float:
         return max(0.0, vm.busy_until - now)
 
     def _service_prefix(self, vm: VmInstance) -> list[float]:
-        """Prefix sums of queued demand in service order (FIFO under rr,
-        ascending sjf_key under sjf), rebuilt only after the queue
-        changed. Under sjf, vm.service_keys holds the matching keys."""
+        """Prefix sums of the demands in `vm.service`, rebuilt only after
+        the queue changed."""
         if vm.service_prefix is None:
-            jobs = vm.queue
-            if self.scheduler == "sjf":
-                jobs = sorted(jobs, key=_SJF_KEY)
-                vm.service_keys = [j.sjf_key for j in jobs]
-            vm.service_prefix = list(accumulate((j.demand for j in jobs), initial=0.0))
+            vm.service_prefix = list(accumulate((j.demand for j in vm.service), initial=0.0))
         return vm.service_prefix
 
     # Every change to a queue or an incoming list goes through one of the
-    # four helpers below, so the VM's service-order cache and the
+    # four helpers below, so the VM's service order, its prefix sums and the
     # datacenter's `settled` flag and `open_vms` count never go stale.
     # `open_vms` moves by one when the change fills or frees up the VM
     # (`Datacenter.has_room`).
@@ -221,6 +231,8 @@ class Simulation:
         dc = vm.dc
         was_open = dc.has_room(vm)
         vm.queue.append(job)
+        if vm.service is not vm.queue:
+            insort(vm.service, job, key=_SJF_KEY)
         vm.service_prefix = None
         dc.settled = False
         dc.open_vms += dc.has_room(vm) - was_open
@@ -229,6 +241,8 @@ class Simulation:
         dc = vm.dc
         was_open = dc.has_room(vm)
         vm.queue.remove(job)
+        if vm.service is not vm.queue:
+            vm.service.remove(job)
         vm.service_prefix = None
         dc.settled = False
         dc.open_vms += dc.has_room(vm) - was_open
@@ -299,7 +313,7 @@ class Simulation:
         vm.start_pending = False
         if vm.running is not None or not vm.queue:
             return
-        job = self._pick_next(vm)
+        job = vm.service[0]
         self._queue_remove(vm, job)
         del self._job_vm[job.id]
         job.state = RUNNING
@@ -341,8 +355,7 @@ class Simulation:
 
     def _migration_targets(self, dc: Datacenter, queued: int) -> list[VmInstance]:
         """VMs whose queue is shorter than the mean and that have room
-        for one more job, in VM order. Their service-order caches are
-        left up to date."""
+        for one more job, in VM order, with their prefix sums up to date."""
         mean_qlen = queued / len(dc.vms)
         has_room = dc.has_room
         targets = [v for v in dc.vms if len(v.queue) < mean_qlen and has_room(v)]
@@ -403,7 +416,8 @@ class Simulation:
                 if sjf:
                     key = job.sjf_key
                     candidates = {
-                        v.id: (residual[v.id] + v.service_prefix[bisect_left(v.service_keys, key)])
+                        v.id: (residual[v.id]
+                               + v.service_prefix[bisect_left(v.service, key, key=_SJF_KEY)])
                         + v.incoming_sum
                         for v in targets
                         if v is not vm
@@ -418,7 +432,7 @@ class Simulation:
                     continue
                 if prefix is None:
                     prefix = self._service_prefix(vm)
-                ahead = bisect_left(vm.service_keys, key) if sjf else i - moved
+                ahead = bisect_left(vm.service, key, key=_SJF_KEY) if sjf else i - moved
                 current_wait = residual[vm.id] + prefix[ahead]
                 target_id = migration_decision(current_wait, candidates, self.hop_ms)
                 if target_id is None:
@@ -451,18 +465,19 @@ class Simulation:
 
     def run(self) -> RunMetrics:
         cal = self.calendar
-        for job in self.jobs:
-            cal.schedule(job.arrival, JOB_ARRIVAL, job)
-        if self.migration_on and self.jobs:
-            cal.schedule(self.cadence_ms, MIGRATION_CHECK)
-        while len(cal):
-            ev = cal.pop()
-            self.event_count += 1
-            if self.event_count > self.event_cap:
-                raise HorizonExceeded(
-                    f"event count exceeded safety cap {self.event_cap}"
-                )
-            self._HANDLERS[ev.kind](self, ev.subject, cal.clock)
+        with _collector_paused():
+            for job in self.jobs:
+                cal.schedule(job.arrival, JOB_ARRIVAL, job)
+            if self.migration_on and self.jobs:
+                cal.schedule(self.cadence_ms, MIGRATION_CHECK)
+            while len(cal):
+                ev = cal.pop()
+                self.event_count += 1
+                if self.event_count > self.event_cap:
+                    raise HorizonExceeded(
+                        f"event count exceeded safety cap {self.event_cap}"
+                    )
+                self._HANDLERS[ev.kind](self, ev.subject, cal.clock)
         return self._collect()
 
     def _collect(self) -> RunMetrics:

@@ -74,11 +74,11 @@ class VmInstance:
     running: Job | None = None
     incoming: list[Job] = field(default_factory=list)  # migrations in transit
     incoming_sum: float = 0.0  # demands in `incoming`, summed in list order
-    # Queue in service order, rebuilt by the engine after the queue
-    # changes: sjf keys ascending, and prefix sums of demands
-    # (service_prefix[k] = demand served before the k-th job).
-    service_keys: list[tuple] = field(default_factory=list)
-    service_prefix: list[float] | None = None  # None when stale
+    # The queued jobs in service order, kept by the engine at every queue
+    # change: `queue` itself under rr, ascending sjf_key under sjf.
+    service: list[Job] = field(default_factory=list)
+    # service_prefix[k] = demand served before service[k]; None when stale
+    service_prefix: list[float] | None = None
     start_pending: bool = False  # a JobStart for this VM is scheduled
 
 

@@ -1,6 +1,7 @@
 """Dispatch and balancing decision procedures: Round-Robin VM
 selection and the wait-vs-hop migration rule. Shortest-Job-First
-service order lives in the engine (`Simulation._pick_next`)."""
+service order lives in the engine (`VmInstance.service`, kept by
+`Simulation._queue_add` and `_queue_remove`)."""
 
 from __future__ import annotations
 

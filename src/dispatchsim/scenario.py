@@ -382,6 +382,8 @@ def validate(config: ScenarioConfig) -> None:
             raise ValidationError("queue_cap admission takes no deadline")
     elif pol.deadline is None:
         raise ValidationError("deadline admission requires a deadline")
+    elif pol.queue_capacity is not None:
+        raise ValidationError("deadline admission takes no queue_capacity")
     if config.jobs:
         if not config.datacenters:
             raise ValidationError("explicit jobs require at least one datacenter")

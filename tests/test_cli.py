@@ -221,6 +221,19 @@ def test_deadline_under_queue_cap_exits_2(command, tmp_path, capsys):
     assert "queue_cap admission takes no deadline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_queue_capacity_under_deadline_exits_2(command, tmp_path, monkeypatch, capsys):
+    # deadline admission would never apply the capacity
+    text = _read_bundled("migration_demo.scn")
+    assert "admission = deadline\n" in text
+    path = tmp_path / "deadline_qcap.scn"
+    path.write_text(text.replace("deadline = 150\n", "deadline = 150\nqueue_capacity = 1\n"))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(path)]) == 2
+    assert "deadline admission takes no queue_capacity" in capsys.readouterr().err
+    assert not (tmp_path / "migration_demo_out").exists()
+
+
 def _user_bases(time_unit, horizon, *rates, deadline=1):
     """Scenario text with one 1-VM datacenter and one user base per
     request rate (1000 users, batches of 100 requests)."""

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -361,3 +363,54 @@ def test_job_vm_holds_only_queued_jobs(migration_config, deadline, expired):
     assert len(metrics.migration_log) == 2
     assert [t.reject_reason for t in metrics.traces].count("DeadlineExpired") == expired
     assert sim._job_vm == {}
+
+
+QCAP_DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "qcap_demo.scn")
+
+
+@pytest.mark.parametrize("migration", [False, True])
+@pytest.mark.parametrize("scheduler", ["rr", "sjf"])
+@pytest.mark.parametrize(
+    "scenario, deadline",
+    [
+        ("migration_demo.scn", None),
+        ("paper_tables.scn", None),
+        ("sweep_demo.scn", None),
+        ("table6_demo.scn", None),
+        (QCAP_DEMO, None),
+        ("migration_demo.scn", 30),  # jobs expire both queued and in transit
+    ],
+)
+def test_set_up_and_run_make_no_cyclic_garbage(scenario, deadline, scheduler, migration):
+    # the cyclic collector is paused while the jobs are built and run,
+    # which is safe only while they leave no cycle behind for it to free
+    config = load_scenario(_read_scenario_text(scenario))
+    config.policy.scheduler = scheduler
+    config.policy.migration = migration
+    if deadline is not None:
+        config.policy.deadline = deadline
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(config)
+        sim.run()
+        # `sim` still holds its datacenters, which cycle with their VMs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_set_up_and_run_restore_the_collector(table6_config):
+    sim = Simulation(table6_config)
+    assert gc.isenabled()
+    sim.run()
+    assert gc.isenabled()
+    with pytest.raises(HorizonExceeded):
+        Simulation(table6_config, event_cap=len(table6_config.jobs)).run()
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        Simulation(table6_config).run()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -16,6 +16,7 @@ in the last ulp.
 
 import copy
 import dataclasses
+from operator import attrgetter
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -118,7 +119,7 @@ class RescanSimulation(Simulation):
                 if target_id is None:
                     continue
                 target = dc.vms[target_id]
-                vm.queue.remove(job)
+                self._queue_remove(vm, job)
                 job.migrations += 1
                 target.incoming.append(job)
                 self._job_vm[job.id] = target
@@ -257,10 +258,13 @@ SECOND_PASS_MOVES = "\n".join(
 @given(ADMISSION_MODES.flatmap(overloaded_scenarios))
 @example(SECOND_PASS_MOVES)
 def test_datacenter_summaries_hold_after_every_event(text):
-    """After every event each `open_vms` equals a recount, and a rescan
-    of a settled datacenter, run on a copy, moves no job. Once an
-    instant's events are done, no VM is idle with a non-empty queue."""
+    """After every event each `open_vms` equals a recount, each VM's
+    service order is its queue (rr) or its queue sorted by sjf key
+    (sjf), and a rescan of a settled datacenter, run on a copy, moves no
+    job. Once an instant's events are done, no VM is idle with a
+    non-empty queue."""
     config = load_scenario(text)
+    sjf = config.policy.scheduler == "sjf"
     settled_checks = 0
 
     def summaries_hold(sim, kind, now):
@@ -268,8 +272,13 @@ def test_datacenter_summaries_hold_after_every_event(text):
         instant_done = not len(sim.calendar) or sim.calendar.peek_time() > now
         for dc in sim.datacenters.values():
             assert dc.open_vms == sum(map(dc.has_room, dc.vms)), (kind, now)
-            if instant_done:
-                for vm in dc.vms:
+            for vm in dc.vms:
+                assert (
+                    vm.service == sorted(vm.queue, key=attrgetter("sjf_key"))
+                    if sjf
+                    else vm.service is vm.queue
+                ), (kind, now, vm.id)
+                if instant_done:
                     assert vm.running is not None or not vm.queue, (kind, now, vm.id)
             if dc.settled:
                 settled_checks += 1
