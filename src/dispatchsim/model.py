@@ -150,17 +150,6 @@ def _arrival_rng(seed, ub_id: str, tag: str = "") -> random.Random:
     return random.Random(f"{seed}:{tag}{ub_id}")
 
 
-def _batch_job(ub: UserBase, arrival: float, batch: int, rate: float) -> Job:
-    return Job(
-        id=0,  # assigned after merging across user bases
-        arrival=arrival,
-        demand=processing_time(ub.instruction_length * batch, rate),
-        origin_ub=ub.id,
-        data_size=ub.data_size_per_request * batch,
-        batch_size=batch,
-    )
-
-
 def requests_over(ub: UserBase, horizon_ms: float) -> float:
     """Requests `ub` emits over the horizon (users x rate x hours),
     before rounding down to whole requests."""
@@ -173,6 +162,16 @@ def arrival_count(ub: UserBase, horizon_ms: float) -> int:
     return max(0, -(-int(requests_over(ub, horizon_ms)) // ub.request_grouping))
 
 
+def _batches(ub: UserBase, n: int, batch: int, rate: float, horizon_ms, draw) -> list[Job]:
+    """`n` jobs of `batch` requests from `ub` arriving at `horizon_ms x draw()`,
+    sharing one demand and one data size; ids are set after merging."""
+    if n <= 0:
+        return []
+    demand = processing_time(ub.instruction_length * batch, rate)
+    data_size = ub.data_size_per_request * batch
+    return [Job(0, horizon_ms * draw(), demand, ub.id, data_size, batch) for _ in range(n)]
+
+
 def generate_arrivals(
     ub: UserBase, horizon_ms: float, rng_seed, rates: dict[str, float]
 ) -> list[Job]:
@@ -181,18 +180,18 @@ def generate_arrivals(
     Total requests = users x rate x hours, grouped into
     `arrival_count` batches of `request_grouping` (the last batch may
     be short). Each batch is one job whose demand is its summed
-    instruction length at its datacenter's VM rate,
-    `rates[ub.target_dc]`; arrival times are uniform over the horizon
-    from the seeded generator. Jobs are in generation order.
+    instruction length at `rates[ub.target_dc]`, its datacenter's VM
+    rate. Arrival times are `horizon_ms x random()` from the seeded
+    generator, equal to `uniform(0, horizon_ms)`, in generation order.
     """
-    rng = _arrival_rng(rng_seed, ub.id)
     rate = rates[ub.target_dc]
-    requests = int(requests_over(ub, horizon_ms))
-    full = ub.request_grouping
-    return [
-        _batch_job(ub, rng.uniform(0.0, horizon_ms), min(full, requests - k * full), rate)
-        for k in range(arrival_count(ub, horizon_ms))
-    ]
+    n = arrival_count(ub, horizon_ms)
+    if n == 0:
+        return []
+    draw = _arrival_rng(rng_seed, ub.id).random
+    last = int(requests_over(ub, horizon_ms)) - (n - 1) * ub.request_grouping
+    jobs = _batches(ub, n - 1, ub.request_grouping, rate, horizon_ms, draw)
+    return jobs + _batches(ub, 1, last, rate, horizon_ms, draw)
 
 
 def generate_sweep_arrivals(
@@ -202,8 +201,9 @@ def generate_sweep_arrivals(
     """Arrival list for one load-sweep level: exactly `total_jobs`
     full-batch jobs over the horizon, split across user bases in
     proportion to their nominal traffic volume (largest-remainder
-    rounding). Demands and order are as in `generate_arrivals`, user
-    base by user base."""
+    rounding, ties to the earlier user base). Each user base draws
+    `horizon_ms x random()`, equal to `uniform(0, horizon_ms)`, from its
+    own stream seeded by `total_jobs` too; jobs are in generation order."""
     if total_jobs <= 0 or not user_bases or horizon_ms <= 0:
         return []
     weights = [max(requests_over(ub, horizon_ms), 1.0) for ub in user_bases]
@@ -217,9 +217,8 @@ def generate_sweep_arrivals(
         counts[i] += 1
     jobs = []
     for ub, n in zip(user_bases, counts):
-        rng = _arrival_rng(rng_seed, ub.id, tag=f"sweep:{total_jobs}:")
-        batch, rate = ub.request_grouping, rates[ub.target_dc]
-        jobs += [_batch_job(ub, rng.uniform(0.0, horizon_ms), batch, rate) for _ in range(n)]
+        draw = _arrival_rng(rng_seed, ub.id, tag=f"sweep:{total_jobs}:").random
+        jobs += _batches(ub, n, ub.request_grouping, rates[ub.target_dc], horizon_ms, draw)
     return jobs
 
 

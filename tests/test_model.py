@@ -1,7 +1,9 @@
+import dataclasses
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
 from dispatchsim.model import (
@@ -15,7 +17,9 @@ from dispatchsim.model import (
     admit,
     arrival_count,
     generate_arrivals,
+    generate_sweep_arrivals,
     processing_time,
+    requests_over,
     transfer_time,
 )
 from dispatchsim.scenario import load_scenario
@@ -114,6 +118,153 @@ def test_generate_arrivals_count_matches_enumeration(rate, grouping, batch, hour
     expected = math.ceil(total_requests / batch)
     assert len(jobs) == expected == arrival_count(ub, horizon)
     assert sum(j.batch_size for j in jobs) == total_requests
+
+
+def _per_job(ub, arrival, batch, rate):
+    return Job(
+        id=0,
+        arrival=arrival,
+        demand=processing_time(ub.instruction_length * batch, rate),
+        origin_ub=ub.id,
+        data_size=ub.data_size_per_request * batch,
+        batch_size=batch,
+    )
+
+
+def reference_arrivals(ub, horizon, seed, rates):
+    """`generate_arrivals` by the per-job formula: one `uniform` draw and
+    one `processing_time` per job, batch k holding min(full, requests -
+    k * full) requests."""
+    rng = random.Random(f"{seed}:{ub.id}")
+    requests = int(requests_over(ub, horizon))
+    full = ub.request_grouping
+    return [
+        _per_job(ub, rng.uniform(0.0, horizon), min(full, requests - k * full), rates[ub.target_dc])
+        for k in range(arrival_count(ub, horizon))
+    ]
+
+
+def reference_sweep(user_bases, horizon, seed, counts, rates):
+    """`generate_sweep_arrivals` by the per-job formula, given the jobs
+    each user base makes."""
+    jobs = []
+    for ub, n in zip(user_bases, counts):
+        rng = random.Random(f"{seed}:sweep:{sum(counts)}:{ub.id}")
+        batch, rate = ub.request_grouping, rates[ub.target_dc]
+        jobs += [_per_job(ub, rng.uniform(0.0, horizon), batch, rate) for _ in range(n)]
+    return jobs
+
+
+def _counts(jobs, user_bases):
+    return [sum(j.origin_ub == ub.id for j in jobs) for ub in user_bases]
+
+
+user_bases = st.builds(
+    _ub,
+    rate=st.floats(min_value=0, max_value=20),
+    grouping=st.integers(min_value=1, max_value=200),
+    batch=st.integers(min_value=1, max_value=50),
+    instruction_length=st.floats(min_value=1, max_value=1e4),
+    data_size_per_request=st.floats(min_value=0, max_value=1e6),
+)
+horizons = st.floats(min_value=1.0, max_value=2 * 3_600_000.0)
+vm_rates = st.floats(min_value=1e-3, max_value=1e3)
+seeds = st.integers(min_value=0, max_value=2**32)
+
+
+def _astuples(jobs):
+    return [dataclasses.astuple(j) for j in jobs]
+
+
+@settings(deadline=None)
+@given(ub=user_bases, horizon=horizons, vm_rate=vm_rates, seed=seeds)
+@example(ub=_ub(grouping=21), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # 252: short last
+@example(ub=_ub(grouping=25), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # 300: exact
+@example(ub=_ub(rate=1, grouping=1), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # 1 request
+@example(ub=_ub(rate=0), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # no request
+def test_generate_arrivals_matches_the_per_job_formula(ub, horizon, vm_rate, seed):
+    rates = {"DC1": vm_rate}
+    jobs = generate_arrivals(ub, horizon, seed, rates)
+    assert _astuples(jobs) == _astuples(reference_arrivals(ub, horizon, seed, rates))
+
+
+@settings(deadline=None)
+@given(
+    ubs=st.lists(user_bases, min_size=1, max_size=3),
+    horizon=horizons,
+    vm_rate=vm_rates,
+    seed=seeds,
+    total=st.integers(min_value=0, max_value=300),
+)
+def test_generate_sweep_arrivals_matches_the_per_job_formula(ubs, horizon, vm_rate, seed, total):
+    ubs = [dataclasses.replace(ub, id=f"UB{i}") for i, ub in enumerate(ubs)]
+    rates = {"DC1": vm_rate}
+    jobs = generate_sweep_arrivals(ubs, horizon, seed, total, rates)
+    expected = reference_sweep(ubs, horizon, seed, _counts(jobs, ubs), rates)
+    assert _astuples(jobs) == _astuples(expected)
+
+
+@settings(deadline=None)
+@given(
+    ubs=st.lists(user_bases, min_size=1, max_size=4),
+    horizon=horizons,
+    total=st.integers(min_value=1, max_value=300),
+)
+def test_sweep_makes_total_jobs_split_by_largest_remainder(ubs, horizon, total):
+    ubs = [dataclasses.replace(ub, id=f"UB{i}") for i, ub in enumerate(ubs)]
+    jobs = generate_sweep_arrivals(ubs, horizon, 1, total, RATES)
+    assert len(jobs) == total
+    batch = {ub.id: ub.request_grouping for ub in ubs}
+    assert all(j.batch_size == batch[j.origin_ub] for j in jobs)
+    weights = [max(requests_over(ub, horizon), 1.0) for ub in ubs]
+    exact = [total * w / sum(weights) for w in weights]
+    counts = _counts(jobs, ubs)
+    # each user base gets its share rounded down or up, and the ones
+    # rounded up have the largest remainders
+    assert all(int(x) <= n <= int(x) + 1 for x, n in zip(exact, counts))
+    up = [x - int(x) for x, n in zip(exact, counts) if n > int(x)]
+    down = [x - int(x) for x, n in zip(exact, counts) if n == int(x)]
+    assert not up or not down or min(up) >= max(down)
+
+
+def test_sweep_split_ties_go_to_the_earlier_user_base():
+    equal = [_ub(id=f"UB{i}") for i in range(3)]
+    assert _counts(generate_sweep_arrivals(equal, 3_600_000.0, 1, 4, RATES), equal) == [2, 1, 1]
+    assert _counts(generate_sweep_arrivals(equal, 3_600_000.0, 1, 5, RATES), equal) == [2, 2, 1]
+    # a user base with no requests weighs as one request
+    idle = [_ub(id="UB0", rate=0), _ub(id="UB1", rate=0)]
+    assert _counts(generate_sweep_arrivals(idle, 3_600_000.0, 1, 3, RATES), idle) == [2, 1]
+    uneven = [_ub(id="UB0", rate=12), _ub(id="UB1", rate=24)]  # shares 10/3 and 20/3
+    assert _counts(generate_sweep_arrivals(uneven, 3_600_000.0, 1, 10, RATES), uneven) == [3, 7]
+
+
+@pytest.mark.parametrize(
+    "ubs, horizon, total",
+    [
+        ([_ub()], 3_600_000.0, 0),
+        ([_ub()], 3_600_000.0, -1),
+        ([], 3_600_000.0, 10),
+        ([_ub()], 0.0, 10),
+        ([_ub()], -1.0, 10),
+    ],
+)
+def test_sweep_makes_no_jobs(ubs, horizon, total):
+    assert generate_sweep_arrivals(ubs, horizon, 1, total, RATES) == []
+
+
+def test_sweep_level_arrivals_depend_only_on_seed_user_base_and_level():
+    ubs = [_ub(id="UB0"), _ub(id="UB1", rate=30)]
+    level = generate_sweep_arrivals(ubs, 3_600_000.0, 7, 10, RATES)
+    for other in (5, 15, 20):
+        generate_sweep_arrivals(ubs, 3_600_000.0, 7, other, RATES)
+    assert _astuples(generate_sweep_arrivals(ubs, 3_600_000.0, 7, 10, RATES)) == _astuples(level)
+    # each user base draws from its own stream: alone, UB0 makes all ten
+    # jobs, and the first of them are the ones it made beside UB1
+    alone = generate_sweep_arrivals(ubs[:1], 3_600_000.0, 7, 10, RATES)
+    ub0 = [j for j in level if j.origin_ub == "UB0"]
+    assert _astuples(alone[: len(ub0)]) == _astuples(ub0)
+    other_seed = generate_sweep_arrivals(ubs, 3_600_000.0, 8, 10, RATES)
+    assert [j.arrival for j in other_seed] != [j.arrival for j in level]
 
 
 def _dc_with_queues(queue_lens, capacity):

@@ -6,14 +6,20 @@ with K + 1 places: a job is rejected iff K + 1 jobs are in the system
 when it arrives. A loss queue fed the engine's own arrival times must
 reject exactly the jobs the engine rejects.
 
+The rejected fraction must also match the M/D/1 loss probability
+for K + 1 places: generated arrivals are i.i.d. uniform over the
+horizon, a Poisson process conditioned on its count.
+
 Arrivals at one instant are left out: the engine counts a job whose
 zero-delay start is still pending as queued, so the second of two jobs
 arriving together at an idle VM with K = 1 is rejected where the loss
 queue admits it. Generated arrival times do not coincide.
 """
 
+import math
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
@@ -102,3 +108,47 @@ def test_arrival_at_a_finish_finds_the_finishing_job_in_the_system():
     metrics = sim.run()
     assert [t.reject_reason for t in metrics.traces] == [None, None, "QueueFull", None]
     assert loss_queue_rejections(sim.jobs, 2) == {3}
+
+
+def md1k_loss(rho, places):
+    """Loss probability of an M/D/1 queue with `places` places (the job
+    in service included) at offered load `rho`, from the chain of the
+    number left behind at departures: with a_k = e^-rho rho^k / k!
+    arrivals per service, solve for its stationary pi over 0..places-1
+    by power iteration; then P_loss = 1 - 1 / (pi_0 + rho) (Gross &
+    Harris, Fundamentals of Queueing Theory, on M/G/1/K)."""
+    a = [math.exp(-rho) * rho**k / math.factorial(k) for k in range(places)]
+    top = places - 1
+    chain = []
+    for i in range(places):
+        # a departure leaving i > 0 behind starts the next service at
+        # once; one leaving 0 behind waits for the next arrival
+        low = max(i - 1, 0)
+        row = [a[j - low] if low <= j < top else 0.0 for j in range(top)]
+        chain.append(row + [1.0 - sum(row)])
+    pi = [1.0 / places] * places
+    for _ in range(10_000):
+        last, pi = pi, [sum(p * row[j] for p, row in zip(pi, chain)) for j in range(places)]
+        if max(abs(x - y) for x, y in zip(pi, last)) < 1e-15:
+            break
+    return 1.0 - 1.0 / (pi[0] + rho)
+
+
+def test_md1k_loss_matches_known_limits():
+    for rho in (0.5, 1.0, 2.0):
+        # with no waiting room the service law does not matter: M/G/1/1
+        # loses rho / (1 + rho) of the arrivals
+        assert math.isclose(md1k_loss(rho, 1), rho / (1 + rho))
+    # a long room loses nothing under load and the excess 1 - 1/rho over it
+    assert abs(md1k_loss(0.5, 40)) < 1e-12
+    assert math.isclose(md1k_loss(1.5, 40), 1 - 1 / 1.5, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("capacity, rho", [(1, 0.7), (3, 0.9), (6, 1.2)])
+def test_rejected_fraction_matches_md1k(capacity, rho):
+    sim = Simulation(one_vm_queue_cap(capacity, rho, seed=1, jobs=20_000))
+    metrics = sim.run()
+    n = len(sim.jobs)
+    loss = md1k_loss(rho, capacity + 1)
+    z = (metrics.rejected / n - loss) / math.sqrt(loss * (1 - loss) / n)
+    assert abs(z) < 4, f"rejected {metrics.rejected} of {n}, M/D/1/K loss {loss:.4f}, z {z:.2f}"
