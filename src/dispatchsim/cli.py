@@ -90,14 +90,20 @@ def _make_out_and_run(out: str, sim: Simulation):
     return sim.run()
 
 
+def _sweep_level(out: str, config: ScenarioConfig, level: int) -> tuple[int, int]:
+    """Run one sweep level and keep only its (submitted, rejected)
+    counts, so its jobs are freed before the next level is built."""
+    metrics = _make_out_and_run(out, Simulation(config, total_jobs=level))
+    return metrics.submitted, metrics.rejected
+
+
 def cmd_run(args) -> int:
     try:
         config = _load(args.scenario, args)
         out = args.out or f"{config.name}_out"
         metrics = _make_out_and_run(out, Simulation(config))
         write_metrics_csv(metrics, out)
-        emit_plot_series(metrics, "hourly_response", out)
-        emit_plot_series(metrics, "rejections_bar", out)
+        emit_plot_series(metrics, out)
     except (ScenarioError, OSError, TooManyJobs) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except EngineError as exc:
@@ -124,19 +130,15 @@ def cmd_sweep(args) -> int:
             return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
         out = args.out or f"{config.name}_sweep_out"
         # top level first: only the last level can be over the event cap
-        runs = [
-            _make_out_and_run(out, Simulation(config, total_jobs=level))
-            for level in reversed(levels)
-        ]
-        runs.reverse()
-        write_sweep_rejections_csv(runs, out)
-        emit_plot_series(runs, "rejections_bar", out)
+        rows = [_sweep_level(out, config, level) for level in reversed(levels)]
+        rows.reverse()
+        write_sweep_rejections_csv(rows, out)
     except (ScenarioError, OSError, TooManyJobs) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except EngineError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
-    for m in runs:
-        print(f"level {m.submitted}: rejected={m.rejected}")
+    for submitted, rejected in rows:
+        print(f"level {submitted}: rejected={rejected}")
     print(f"sweep -> {out}")
     return EXIT_OK
 

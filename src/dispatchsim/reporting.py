@@ -1,5 +1,9 @@
 """CSV and plot-series output for completed runs.
 
+`run` writes summary.csv, jobs.csv, rejections.csv, rejections_bar.csv
+and one hourly_response_<series>.csv per series; `sweep` writes only
+rejections.csv and rejections_bar.csv, with one row per level.
+
 All files are UTF-8 with \\n line endings and a '.' decimal separator.
 Durations are written in the time unit the scenario declared. Files
 are written to a temp name and renamed, so failures leave no partial
@@ -21,16 +25,6 @@ from .metrics import (
 )
 from .model import MS_PER_HOUR
 
-PLOT_KINDS = ("hourly_response", "rejections_bar")
-
-
-class ReportError(Exception):
-    pass
-
-
-class UnknownKind(ReportError):
-    pass
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -49,23 +43,30 @@ def _write_atomic(path, lines) -> str:
     return path
 
 
-def _write_rejections(runs, out_dir, name: str, percent: bool) -> str:
-    """Write `name`: a header and one `submitted,rejected[,percent]` row
-    per run that submitted jobs, ordered by submitted count."""
-    lines = ["submitted,rejected,percent" if percent else "submitted,rejected"]
-    for m in sorted(runs, key=lambda m: m.submitted):
-        if m.submitted > 0:
-            row = f"{m.submitted},{m.rejected}"
-            if percent:
-                row += f",{rejection_percentage(m.submitted, m.rejected)}"
-            lines.append(row)
-    return _write_atomic(os.path.join(out_dir, name), lines)
+def write_sweep_rejections_csv(rows, out_dir) -> dict[str, str]:
+    """Write rejections.csv (`submitted,rejected,percent`) and
+    rejections_bar.csv (`submitted,rejected`) from `(submitted,
+    rejected)` pairs: a header, then one row per pair that submitted
+    jobs, ordered by submitted count. A run writes its one pair, a
+    sweep one per level. Returns both paths keyed by file stem."""
+    os.makedirs(out_dir, exist_ok=True)
+    rows = sorted(row for row in rows if row[0] > 0)
+    files = {
+        "rejections": ["submitted,rejected,percent"]
+        + [f"{s},{r},{rejection_percentage(s, r)}" for s, r in rows],
+        "rejections_bar": ["submitted,rejected"] + [f"{s},{r}" for s, r in rows],
+    }
+    return {
+        stem: _write_atomic(os.path.join(out_dir, f"{stem}.csv"), lines)
+        for stem, lines in files.items()
+    }
 
 
 def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
-    """Write summary.csv, rejections.csv and jobs.csv for one run.
-    jobs.csv lists the traces in the order given (id order from the
-    engine). Returns the paths keyed by file stem."""
+    """Write summary.csv, jobs.csv and, through
+    `write_sweep_rejections_csv` with the run's one row, rejections.csv
+    and rejections_bar.csv. jobs.csv lists the traces in the order given
+    (id order from the engine). Returns the paths keyed by file stem."""
     os.makedirs(out_dir, exist_ok=True)
     u = metrics.unit_ms
     done = completed_traces(metrics)
@@ -100,33 +101,17 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
 
     return {
         "summary": _write_atomic(os.path.join(out_dir, "summary.csv"), summary_lines),
-        "rejections": _write_rejections([metrics], out_dir, "rejections.csv", True),
+        **write_sweep_rejections_csv([(metrics.submitted, metrics.rejected)], out_dir),
         "jobs": _write_atomic(os.path.join(out_dir, "jobs.csv"), job_lines),
     }
 
 
-def write_sweep_rejections_csv(runs: list[RunMetrics], out_dir) -> str:
-    """Aggregated rejections.csv across sweep levels, ordered by
-    submitted count."""
+def emit_plot_series(metrics: RunMetrics, out_dir) -> list[str]:
+    """Write hourly_response_<series>.csv for external plotting: per
+    series, `hour,avg_response`, the average network response of the
+    completed jobs bucketed by arrival hour. A series is a user base id,
+    or `jobs` for the `[jobs]` rows. Returns the paths in series order."""
     os.makedirs(out_dir, exist_ok=True)
-    return _write_rejections(runs, out_dir, "rejections.csv", True)
-
-
-def emit_plot_series(metrics, kind: str, out_dir) -> list[str]:
-    """Two-column (x, y) series files for external plotting.
-
-    hourly_response: one file per user base, average network response
-    of jobs bucketed by arrival hour. rejections_bar: rejected count
-    per submitted-count level; accepts a single run or a sweep list.
-    """
-    if kind not in PLOT_KINDS:
-        raise UnknownKind(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    os.makedirs(out_dir, exist_ok=True)
-
-    if kind == "rejections_bar":
-        runs = metrics if isinstance(metrics, list) else [metrics]
-        return [_write_rejections(runs, out_dir, "rejections_bar.csv", False)]
-
     u = metrics.unit_ms
     by_ub: dict[str, dict[int, list[float]]] = {}
     for t in completed_traces(metrics):

@@ -364,6 +364,15 @@ def validate(config: ScenarioConfig) -> None:
     if len(set(ub_ids)) != len(ub_ids):
         raise ValidationError(f"duplicate user base ids: {ub_ids}")
     for ub in config.user_bases:
+        # `run` names a file after each user base: hourly_response_<id>.csv
+        if "/" in ub.id or "\0" in ub.id:
+            raise ValidationError(
+                f"user base id {ub.id!r} must not hold '/' or a NUL character"
+            )
+        if ub.id == "jobs" and config.jobs:
+            raise ValidationError(
+                "user base id 'jobs' names the [jobs] rows' hourly series; rename it"
+            )
         if ub.target_dc not in dc_ids:
             raise ValidationError(
                 f"user base {ub.id} targets unknown datacenter {ub.target_dc!r}"

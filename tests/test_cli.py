@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -77,6 +79,39 @@ def test_sweep_single_level(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "sweep_demo.scn", "--sweep", "5", "--out", str(out)]) == 0
     assert len(_read(out / "rejections.csv").splitlines()) == 2
+
+
+def test_sweep_holds_one_level_at_a_time(monkeypatch, tmp_path, capsys):
+    # each level is reduced to its counts before the next level's jobs
+    # are built, and none is alive when the rejection files are written
+    levels = []
+
+    def all_freed():
+        gc.collect()
+        return all(ref() is None for ref in levels)
+
+    class WeakSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            assert all_freed()
+            super().__init__(*args, **kwargs)
+
+        def run(self):
+            metrics = super().run()
+            levels.append(weakref.ref(metrics))
+            return metrics
+
+    write = cli.write_sweep_rejections_csv
+
+    def write_once_freed(rows, out_dir):
+        assert len(levels) == 3 and all_freed()
+        return write(rows, out_dir)
+
+    monkeypatch.setattr(cli, "Simulation", WeakSimulation)
+    monkeypatch.setattr(cli, "write_sweep_rejections_csv", write_once_freed)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "sweep_demo.scn", "--sweep", "5,10,15", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("level 5: rejected=")
+    assert sorted(os.listdir(out)) == ["rejections.csv", "rejections_bar.csv"]
 
 
 @pytest.mark.parametrize("levels", ["", "0,5", "10,5", "5,5", "a,b"])
@@ -301,6 +336,36 @@ def test_nul_in_name_exits_2(command, monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "name must not hold a NUL character" in err and "Traceback" not in err
     assert os.listdir(tmp_path) == ["nul.scn"]
+
+
+# `run` names a file after each user base, hourly_response_<id>.csv
+BAD_USER_BASE_IDS = {
+    "slash": ("[userbase.a/b]", "", "must not hold '/' or a NUL character"),
+    "nul": ("[userbase.a\0b]", "", "must not hold '/' or a NUL character"),
+    "jobs": ("[userbase.jobs]", "[jobs]\njob = 1 0 1\n", "names the [jobs] rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_USER_BASE_IDS))
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_bad_user_base_id_exits_2(command, case, monkeypatch, tmp_path, capsys):
+    header, jobs, message = BAD_USER_BASE_IDS[case]
+    monkeypatch.chdir(tmp_path)
+    scn = tmp_path / "ub.scn"
+    scn.write_text(_user_bases("hours", "1", 1).replace("[userbase.UB1]", header) + jobs)
+    argv = [command, str(scn)] + (["--sweep", "5"] if command == "sweep" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["ub.scn"]
+
+
+def test_user_base_named_jobs_without_job_rows(tmp_path, capsys):
+    scn = tmp_path / "ub.scn"
+    scn.write_text(_user_bases("hours", "1", 1).replace("[userbase.UB1]", "[userbase.jobs]"))
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    assert "hourly_response_jobs.csv" in os.listdir(out)
 
 
 # 1000 users x 600 requests/h x 1000 h in batches of 100 = 6e6 jobs per

@@ -9,14 +9,22 @@ behaviour on purpose updates the digest it moves and says why.
 Print the current digests with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or compare them all with the recorded ones, without pytest (so under
+any supported Python), with
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which prints each mismatch and exits 1 if there is one.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
-
-import pytest
+import sys
+import tempfile
 
 from dispatchsim.cli import _read_scenario_text, main
 from dispatchsim.scenario import load_scenario, serialize
@@ -248,33 +256,64 @@ def output_digests(argv, out_dir) -> dict:
     return digests
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+def current_digests():
+    """(GOLDEN, TEXT_GOLDEN) as the code now gives them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {}
+        for case in sorted(CASES):
+            with contextlib.redirect_stdout(io.StringIO()):
+                outputs[case] = output_digests(CASES[case], os.path.join(tmp, case))
+    return outputs, {scn: text_digests(scn) for scn in SCENARIOS}
+
+
+# parametrized here rather than by decorator, so that `--check` runs
+# without pytest installed; the test ids are the same
+def pytest_generate_tests(metafunc):
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", sorted(CASES))
+    if "scn" in metafunc.fixturenames:
+        metafunc.parametrize("scn", SCENARIOS)
+
+
 def test_golden_outputs(case, tmp_path, capsys):
     assert output_digests(CASES[case], tmp_path / "out") == GOLDEN[case]
 
 
-@pytest.mark.parametrize("scn", SCENARIOS)
 def test_golden_text(scn):
     assert text_digests(scn) == TEXT_GOLDEN[scn]
 
 
-if __name__ == "__main__":
-    import tempfile
+def check() -> int:
+    """Compare every digest with the recorded one; 1 on any mismatch."""
+    outputs, texts = current_digests()
+    mismatches = 0
+    for label, got, want in (("GOLDEN", outputs, GOLDEN), ("TEXT_GOLDEN", texts, TEXT_GOLDEN)):
+        for case in sorted(got.keys() | want.keys()):
+            g, w = got.get(case, {}), want.get(case, {})
+            for name in sorted(g.keys() | w.keys()):
+                if g.get(name) != w.get(name):
+                    mismatches += 1
+                    print(f"{label}[{case!r}][{name!r}]: {g.get(name)} != recorded {w.get(name)}")
+    total = sum(map(len, GOLDEN.values())) + sum(map(len, TEXT_GOLDEN.values()))
+    print(f"{sys.version.split()[0]}: {total} recorded digests, {mismatches} mismatched")
+    return 1 if mismatches else 0
 
-    with tempfile.TemporaryDirectory() as tmp:
-        print("GOLDEN = {")
-        for case in sorted(CASES):
-            with contextlib.redirect_stdout(io.StringIO()):
-                digests = output_digests(CASES[case], os.path.join(tmp, case))
+
+def print_digests():
+    outputs, texts = current_digests()
+    for label, digests in (("GOLDEN", outputs), ("TEXT_GOLDEN", texts)):
+        print(f"{label} = {{")
+        for case, files in digests.items():
             print(f"    {case!r}: {{")
-            for name, digest in digests.items():
+            for name, digest in files.items():
                 print(f"        {name!r}: {digest!r},")
             print("    },")
         print("}")
-        print("TEXT_GOLDEN = {")
-        for scn in SCENARIOS:
-            print(f"    {scn!r}: {{")
-            for name, digest in text_digests(scn).items():
-                print(f"        {name!r}: {digest!r},")
-            print("    },")
-        print("}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print or check the golden digests.")
+    parser.add_argument("--check", action="store_true", help="compare with the recorded digests")
+    if parser.parse_args().check:
+        sys.exit(check())
+    print_digests()

@@ -16,6 +16,7 @@ in the last ulp.
 
 import copy
 import dataclasses
+from collections import defaultdict
 from operator import attrgetter
 from unittest import mock
 
@@ -290,3 +291,87 @@ def test_datacenter_summaries_hold_after_every_event(text):
     metrics = checked_simulation(summaries_hold)(config).run()
     assert metrics.completed + metrics.rejected == metrics.submitted
     assert settled_checks > 0
+
+
+# 48 jobs at t = 0 on two VMs: jobs expire queued, migrate and land,
+# and expire in transit
+EXPIRES_IN_TRANSIT = "\n".join(
+    [
+        "[scenario]", "name = random", "time_unit = ms", "horizon = 54", "seed = 1",
+        "[datacenter.DC1]", "vms = 2", "rate = 100", "memory = 1", "bandwidth = 1000",
+        "bandwidth_unit = units_per_ms",
+        "[policy]", "scheduler = rr", "migration = on", "hop_time = 1",
+        "migration_cadence = 1", "migration_cap = 1", "admission = deadline",
+        "deadline = 20",
+        "[jobs]",
+        *(f"job = {i} 0 {({32: 4, 44: 3}).get(i, 1)}" for i in range(1, 49)),
+    ]
+) + "\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.tuples(ADMISSION_MODES, st.sampled_from(["on", "off"])).flatmap(
+        lambda mode: overloaded_scenarios(*mode)
+    )
+)
+@example(EXPIRES_IN_TRANSIT)
+def test_time_in_queues_and_on_vms_matches_the_traces(text):
+    """Little's law on the sample path, exactly (arrivals, demands and
+    hops are whole ms). The area under Σ_v len(v.queue) equals Σ (start
+    − arrival) over started jobs plus Σ (rejected_at − arrival) over
+    deadline expiries, minus the time in transit: `hop_ms` per
+    `migration_log` entry, or up to `rejected_at` for a job that expired
+    in transit. Per VM, the area under its queue length equals the stays
+    the traces give it: each runs from arrival or landing to the next
+    move, the start or the expiry. A VM's busy time equals the demand of
+    the jobs it started."""
+    config = load_scenario(text)
+    area, busy = defaultdict(float), defaultdict(float)
+    last = {"t": 0.0, "vms": ()}
+
+    def integrate(sim, kind, now):
+        # the state left by one event holds until the next
+        dt = now - last["t"]
+        for vm_id, queued, running in last["vms"]:
+            area[vm_id] += queued * dt
+            busy[vm_id] += running * dt
+        vms = sim.datacenters["DC1"].vms
+        last["t"] = now
+        last["vms"] = [(vm.id, len(vm.queue), vm.running is not None) for vm in vms]
+
+    sim = checked_simulation(integrate)(config)
+    metrics = sim.run()
+    hop = sim.hop_ms
+    moves = defaultdict(list)
+    for entry in metrics.migration_log:
+        moves[entry[0]].append(entry)
+
+    queued = transit = 0.0
+    stays, demand = defaultdict(float), defaultdict(float)
+    for job in metrics.traces:
+        if job.start is not None:
+            end = job.start
+            demand[job.vm_history[-1]] += job.demand
+        elif job.reject_reason == "DeadlineExpired":
+            end = job.rejected_at
+        else:
+            assert not job.vm_history  # rejected at admission
+            continue
+        queued += end - job.arrival
+        own = moves[job.id]
+        transit += sum(min(hop, end - move[3]) for move in own)
+        # stay k is on vm_history[k]; a job that expired in transit
+        # never landed, so it has as many stays as moves, not one more
+        assert len(job.vm_history) - len(own) in (0, 1)
+        for k, vm_id in enumerate(job.vm_history):
+            enter = job.arrival if k == 0 else own[k - 1][3] + hop
+            if k < len(own):
+                assert own[k][1] == vm_id
+                stays[vm_id] += own[k][3] - enter
+            else:
+                stays[vm_id] += end - enter
+
+    assert sum(area.values()) == queued - transit
+    assert {v: a for v, a in area.items() if a} == {v: s for v, s in stays.items() if s}
+    assert {v: b for v, b in busy.items() if b} == demand

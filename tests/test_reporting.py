@@ -1,9 +1,8 @@
-import pytest
+import os
 
 from dispatchsim.engine import Simulation
 from dispatchsim.metrics import RunMetrics
 from dispatchsim.reporting import (
-    UnknownKind,
     emit_plot_series,
     write_metrics_csv,
     write_sweep_rejections_csv,
@@ -38,6 +37,7 @@ def test_empty_run_headers_only(tmp_path):
     paths = write_metrics_csv(_empty_metrics(), tmp_path)
     assert _read(paths["summary"]) == "metric,avg,min,max\n"
     assert _read(paths["rejections"]) == "submitted,rejected,percent\n"
+    assert _read(paths["rejections_bar"]) == "submitted,rejected\n"
     assert _read(paths["jobs"]) == "id,arrival,start,finish,wait,vm_history,state\n"
 
 
@@ -64,17 +64,27 @@ def test_deterministic_bytes(sweep_config, tmp_path):
         assert _read(paths_a[key]) == _read(paths_b[key])
 
 
+def _rows(sweep_config, levels):
+    """(submitted, rejected) of a sweep_demo run at each level."""
+    runs = [Simulation(sweep_config, total_jobs=n).run() for n in levels]
+    return [(m.submitted, m.rejected) for m in runs]
+
+
 def test_sweep_rejections_rows_ordered(sweep_config, tmp_path):
-    runs = [Simulation(sweep_config, total_jobs=n).run() for n in (15, 5, 10)]
-    path = write_sweep_rejections_csv(runs, tmp_path)
-    rows = _read(path).splitlines()
-    assert len(rows) == 4
-    assert [int(r.split(",")[0]) for r in rows[1:]] == [5, 10, 15]
+    paths = write_sweep_rejections_csv(_rows(sweep_config, (15, 5, 10)), tmp_path)
+    assert paths == {
+        "rejections": str(tmp_path / "rejections.csv"),
+        "rejections_bar": str(tmp_path / "rejections_bar.csv"),
+    }
+    for path in paths.values():
+        rows = _read(path).splitlines()
+        assert len(rows) == 4
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [5, 10, 15]
 
 
 def test_hourly_response_bucket_bound(paper_config, tmp_path):
     metrics = Simulation(paper_config).run()
-    paths = emit_plot_series(metrics, "hourly_response", tmp_path)
+    paths = emit_plot_series(metrics, tmp_path)
     assert len(paths) == 5  # one series per user base
     for path in paths:
         rows = _read(path).splitlines()
@@ -83,8 +93,8 @@ def test_hourly_response_bucket_bound(paper_config, tmp_path):
 
 
 def test_rejections_bar_sweep(sweep_config, tmp_path):
-    runs = [Simulation(sweep_config, total_jobs=n).run() for n in (5, 10, 15, 20, 25, 30)]
-    (path,) = emit_plot_series(runs, "rejections_bar", tmp_path)
+    levels = _rows(sweep_config, (5, 10, 15, 20, 25, 30))
+    path = write_sweep_rejections_csv(levels, tmp_path)["rejections_bar"]
     rows = _read(path).splitlines()
     assert rows[0] == "submitted,rejected"
     assert len(rows) - 1 == 6
@@ -93,15 +103,8 @@ def test_rejections_bar_sweep(sweep_config, tmp_path):
 
 
 def test_empty_metrics_empty_series(tmp_path):
-    paths = emit_plot_series(_empty_metrics(), "hourly_response", tmp_path)
-    assert paths == []
-    (path,) = emit_plot_series(_empty_metrics(), "rejections_bar", tmp_path)
-    assert _read(path) == "submitted,rejected\n"
-
-
-def test_unknown_plot_kind(tmp_path):
-    with pytest.raises(UnknownKind):
-        emit_plot_series(_empty_metrics(), "pie", tmp_path)
+    assert emit_plot_series(_empty_metrics(), tmp_path) == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_no_partial_files_left_behind(table6_config, tmp_path):
