@@ -148,11 +148,6 @@ class Simulation:
         # allows a deadline under deadline admission only.
         self.deadline_ms = None if pol.deadline is None else pol.deadline * u
         capacity = pol.queue_capacity if pol.admission_mode == "queue_cap" else math.inf
-        self.starvation_threshold_ms = (
-            pol.starvation_threshold * u
-            if pol.starvation_threshold is not None
-            else self.deadline_ms
-        )
 
         self.datacenters: dict[str, Datacenter] = {}
         for spec in config.datacenters:
@@ -202,8 +197,6 @@ class Simulation:
             next_id += 1
 
         self.jobs: list[Job] = explicit + generated
-        # the VM whose queue or incoming list holds each queued job, by id
-        self._job_vm: dict[int, VmInstance] = {}
         self._active = len(self.jobs)
         self.migration_log: list[tuple] = []
         self.event_count = 0
@@ -212,7 +205,8 @@ class Simulation:
     # -- helpers -----------------------------------------------------------
 
     def _residual(self, vm: VmInstance, now: float) -> float:
-        return max(0.0, vm.busy_until - now)
+        job = vm.running
+        return 0.0 if job is None else job.start + job.demand - now
 
     def _service_prefix(self, vm: VmInstance) -> list[float]:
         """Prefix sums of the demands in `vm.service`, rebuilt only after
@@ -268,7 +262,7 @@ class Simulation:
     def _enqueue(self, vm: VmInstance, job: Job, now: float):
         self._queue_add(vm, job)
         job.vm_history += (vm.id,)
-        self._job_vm[job.id] = vm
+        job.vm = vm
         self._maybe_start(vm, now)
 
     def _maybe_start(self, vm: VmInstance, now: float):
@@ -288,7 +282,7 @@ class Simulation:
         if job.vm_history:  # queued before, so a migration landing
             if job.state != QUEUED:
                 return  # expired in transit
-            vm = self._job_vm[job.id]
+            vm = job.vm
             self._incoming_remove(vm, job)
             self._enqueue(vm, job, now)
             return
@@ -300,14 +294,11 @@ class Simulation:
             return
         if self.deadline_ms is not None:
             self.calendar.schedule(now + self.deadline_ms, DEADLINE_EXPIRY, job)
-        vm = self._dispatch_vm(dc)
+        # admission guaranteed that some VM has room; rr skips full ones
+        vm = rr_next_vm(dc)
         if self.scheduler == "sjf":
             job.sjf_key = (job.demand, job.arrival, job.id)
         self._enqueue(vm, job, now)
-
-    def _dispatch_vm(self, dc: Datacenter) -> VmInstance:
-        # admission guaranteed that some VM has room; rr skips full ones
-        return rr_next_vm(dc)
 
     def _on_start(self, vm: VmInstance, now: float):
         vm.start_pending = False
@@ -315,12 +306,11 @@ class Simulation:
             return
         job = vm.service[0]
         self._queue_remove(vm, job)
-        del self._job_vm[job.id]
+        job.vm = None
         job.state = RUNNING
         job.start = now
         vm.running = job
-        vm.busy_until = now + job.demand
-        self.calendar.schedule(vm.busy_until, JOB_FINISH, vm)
+        self.calendar.schedule(now + job.demand, JOB_FINISH, vm)
 
     def _on_finish(self, vm: VmInstance, now: float):
         job = vm.running
@@ -336,7 +326,7 @@ class Simulation:
     def _on_deadline(self, job: Job, now: float):
         if job.state != QUEUED:
             return
-        vm = self._job_vm.pop(job.id)
+        vm, job.vm = job.vm, None
         if job in vm.incoming:  # in transit toward vm
             self._incoming_remove(vm, job)
         else:
@@ -380,12 +370,12 @@ class Simulation:
         landing and move clears the flag). A pass then would move no job
         either:
 
-        1. With no change, the queues, `incoming` lists and `busy_until`
+        1. With no change, the queues, `incoming` lists and running jobs
            are fixed, and so are the target set and every prefix sum.
-        2. A VM's residual is max(0, busy_until - now) whether its job
-           is still running or not: a finish fires at busy_until and
-           leaves the residual 0, as the clock alone would. So it falls
-           by exactly dt while the VM is busy, and stays 0 after.
+        2. A VM's residual is start + demand - now of its running job,
+           0 when idle. A finish fires at start + demand and leaves the
+           residual 0, as the clock alone would take it. So it falls by
+           exactly dt while the VM is busy, and stays 0 after.
         3. A VM with a non-empty queue is never idle across dt > 0: its
            finish leaves the queue about to start, and that JobStart
            fires at the same instant and is itself a change.
@@ -411,7 +401,7 @@ class Simulation:
             prefix = None
             moved = 0
             for i, job in enumerate(list(vm.queue)):
-                if job.migrations >= self.migration_cap:
+                if len(job.vm_history) > self.migration_cap:  # all its moves landed
                     continue
                 if sjf:
                     key = job.sjf_key
@@ -442,10 +432,9 @@ class Simulation:
                 prefix = None
                 moved += 1
                 queued -= 1
-                job.migrations += 1
                 self._incoming_add(target, job)
                 targets = self._migration_targets(dc, queued)
-                self._job_vm[job.id] = target
+                job.vm = target
                 self.migration_log.append(
                     (job.id, vm.id, target_id, now, current_wait,
                      candidates[target_id] + self.hop_ms)

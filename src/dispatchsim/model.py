@@ -55,7 +55,7 @@ class Job:
     start: float | None = None
     finish: float | None = None  # transfer delay included
     vm_history: tuple[int, ...] = ()  # every VM whose queue it joined
-    migrations: int = 0
+    vm: VmInstance | None = None  # whose queue or incoming list holds it, else None
     reject_reason: str | None = None
     rejected_at: float | None = None
     sjf_key: tuple | None = None  # (demand, arrival, id); set at dispatch, sjf only
@@ -63,14 +63,14 @@ class Job:
 
 @dataclass
 class VmInstance:
-    """A server of datacenter `dc` with a FIFO run queue and a busy-until
-    horizon. Its datacenter's rate is already in each job's `demand`."""
+    """A server of datacenter `dc` with a run queue and at most one
+    running job, which finishes at its `start + demand`. Its
+    datacenter's rate is already in each job's `demand`."""
 
     id: int
     bandwidth: float  # capacity units per ms
     dc: Datacenter | None = field(default=None, repr=False, compare=False)
-    queue: list[Job] = field(default_factory=list)
-    busy_until: float = 0.0
+    queue: list[Job] = field(default_factory=list)  # in arrival and landing order
     running: Job | None = None
     incoming: list[Job] = field(default_factory=list)  # migrations in transit
     incoming_sum: float = 0.0  # demands in `incoming`, summed in list order

@@ -1,10 +1,13 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
+import dispatchsim
 from dispatchsim import cli
 from dispatchsim.cli import main
 from dispatchsim.engine import Simulation
@@ -55,6 +58,19 @@ def test_demo_json(capsys):
     assert payload["order"] == [1, 4, 2, 5, 3]
     assert payload["waits"] == {"1": 0, "4": 3, "2": 9, "5": 8, "3": 16}
     assert payload["ok"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dispatchsim.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "dispatchsim", "demo"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "demo: PASS" in done.stdout
 
 
 def test_demo_tampered_expectations_fail(monkeypatch, capsys):

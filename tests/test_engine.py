@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,9 +178,12 @@ def test_migration_cap_and_rule(migration_config):
     sim = Simulation(migration_config)
     metrics = sim.run()
     cap = migration_config.policy.migration_cap
+    moves = Counter(entry[0] for entry in metrics.migration_log)
+    assert moves and max(moves.values()) <= cap
     for t in metrics.traces:
-        assert t.migrations <= cap
-        assert len(t.vm_history) - 1 == t.migrations
+        # every move of a started job landed on the VM that ran it
+        if t.start is not None:
+            assert len(t.vm_history) - 1 == moves[t.id]
         if not t.vm_history:
             assert t.start is None
     # every logged move strictly improved the predicted wait
@@ -354,7 +358,7 @@ job = 3 0 100
 
 
 @pytest.mark.parametrize("deadline, expired", [(150, 0), (30, 2)])
-def test_job_vm_holds_only_queued_jobs(migration_config, deadline, expired):
+def test_no_job_holds_a_vm_after_the_run(migration_config, deadline, expired):
     # migration_demo moves two jobs; at deadline 30 one job expires
     # queued and one in transit
     migration_config.policy.deadline = deadline
@@ -362,7 +366,7 @@ def test_job_vm_holds_only_queued_jobs(migration_config, deadline, expired):
     metrics = sim.run()
     assert len(metrics.migration_log) == 2
     assert [t.reject_reason for t in metrics.traces].count("DeadlineExpired") == expired
-    assert sim._job_vm == {}
+    assert [t for t in metrics.traces if t.vm is not None] == []
 
 
 QCAP_DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "qcap_demo.scn")

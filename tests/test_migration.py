@@ -4,9 +4,9 @@ queue_cap admission.
 The differential oracle runs random overloaded 2-4 VM scenarios through
 the engine and through a subclass that keeps the original code: the
 O(V^2 Q^2) rescan of every queue as `_migration_check` (which never
-skips a settled datacenter) with a residual that is 0 on an idle VM,
-the `all()` scan as admission and the skip-full-VM loop as
-`_dispatch_vm`. It requires identical migration logs and job traces.
+skips a settled datacenter), the `all()` scan as admission and the
+skip-full-VM loop as round-robin dispatch. It requires identical
+migration logs and job traces.
 
 Demands are whole milliseconds. The engine sums sjf queues in service
 order while the rescan sums them in queue order; the two orders agree
@@ -43,7 +43,8 @@ class RescanSimulation(Simulation):
     queue capacity from the scenario, never from `Datacenter`."""
 
     def run(self):
-        with mock.patch.object(engine, "admit", self._all_full_admit):
+        with mock.patch.object(engine, "admit", self._all_full_admit), \
+                mock.patch.object(engine, "rr_next_vm", self._skip_full_dispatch):
             return super().run()
 
     def _is_full(self, vm):
@@ -61,7 +62,7 @@ class RescanSimulation(Simulation):
             return AdmissionResult(False, "QueueFull")
         return AdmissionResult(True)
 
-    def _dispatch_vm(self, dc):
+    def _skip_full_dispatch(self, dc):
         vm = _step_wheel(dc)
         # admission guaranteed a free slot somewhere; skip full VMs
         for _ in range(len(dc.vms)):
@@ -69,9 +70,6 @@ class RescanSimulation(Simulation):
                 break
             vm = _step_wheel(dc)
         return vm
-
-    def _residual(self, vm, now):
-        return max(0.0, vm.busy_until - now) if vm.running is not None else 0.0
 
     def _sjf_key(self, job):
         return (job.demand, job.arrival, job.id)
@@ -105,7 +103,7 @@ class RescanSimulation(Simulation):
             return
         for vm in dc.vms:
             for job in list(vm.queue):
-                if job.migrations >= self.migration_cap:
+                if len(job.vm_history) - 1 >= self.migration_cap:
                     continue
                 mean_qlen = sum(len(v.queue) for v in dc.vms) / len(dc.vms)
                 candidates = {
@@ -121,9 +119,8 @@ class RescanSimulation(Simulation):
                     continue
                 target = dc.vms[target_id]
                 self._queue_remove(vm, job)
-                job.migrations += 1
                 target.incoming.append(job)
-                self._job_vm[job.id] = target
+                job.vm = target
                 hop = self.hop_ms
                 self.migration_log.append(
                     (job.id, vm.id, target_id, now, current_wait,
@@ -262,8 +259,9 @@ def test_datacenter_summaries_hold_after_every_event(text):
     """After every event each `open_vms` equals a recount, each VM's
     service order is its queue (rr) or its queue sorted by sjf key
     (sjf), and a rescan of a settled datacenter, run on a copy, moves no
-    job. Once an instant's events are done, no VM is idle with a
-    non-empty queue."""
+    job. Each job's `vm` is the VM whose queue or incoming list holds
+    it, and None once it has started or been rejected. Once an instant's
+    events are done, no VM is idle with a non-empty queue."""
     config = load_scenario(text)
     sjf = config.policy.scheduler == "sjf"
     settled_checks = 0
@@ -271,9 +269,14 @@ def test_datacenter_summaries_hold_after_every_event(text):
     def summaries_hold(sim, kind, now):
         nonlocal settled_checks
         instant_done = not len(sim.calendar) or sim.calendar.peek_time() > now
+        for job in sim.jobs:
+            if job.start is not None or job.state == "rejected":
+                assert job.vm is None, (kind, now, job.id)
         for dc in sim.datacenters.values():
             assert dc.open_vms == sum(map(dc.has_room, dc.vms)), (kind, now)
             for vm in dc.vms:
+                for job in vm.queue + vm.incoming:
+                    assert job.vm is vm, (kind, now, vm.id, job.id)
                 assert (
                     vm.service == sorted(vm.queue, key=attrgetter("sjf_key"))
                     if sjf
@@ -360,6 +363,7 @@ def test_time_in_queues_and_on_vms_matches_the_traces(text):
             continue
         queued += end - job.arrival
         own = moves[job.id]
+        assert len(own) <= sim.migration_cap
         transit += sum(min(hop, end - move[3]) for move in own)
         # stay k is on vm_history[k]; a job that expired in transit
         # never landed, so it has as many stays as moves, not one more
