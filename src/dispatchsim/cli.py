@@ -1,8 +1,10 @@
 """Command-line entry point: run scenarios, sweep load levels, replay
 the built-in worked example, and validate scenario files.
 
-Exit codes: 0 success, 2 bad input (parse/validation/arguments),
-3 runtime failure, 4 demo self-check mismatch.
+Exit codes: 0 success, 2 bad input, 3 runtime failure, 4 demo
+self-check mismatch. `main` maps every error raised to its code: a
+scenario error, an OS error or a job count over the event cap gives 2,
+any other engine error 3.
 """
 
 from __future__ import annotations
@@ -42,35 +44,34 @@ DEMO_EXPECTED_ORDER = [1, 4, 2, 5, 3]
 DEMO_EXPECTED_WAITS = {1: 0.0, 4: 3.0, 2: 9.0, 5: 8.0, 3: 16.0}
 
 
-def _bundled_names():
-    return sorted(
-        entry.name
-        for entry in resources.files("dispatchsim").joinpath("data").iterdir()
-        if entry.name.endswith(".scn")
-    )
+BUNDLED = resources.files("dispatchsim").joinpath("data")
 
 
 def _read_scenario_text(path: str) -> str:
+    """A scenario file's text: `path` if it exists, else the bundled
+    scenario of that name."""
     if os.path.exists(path):
         with open(path, "rb") as fh:
             return decode_scenario(fh.read())
-    bundled = resources.files("dispatchsim").joinpath("data").joinpath(path)
+    bundled = BUNDLED.joinpath(path)
     if bundled.is_file():
         return decode_scenario(bundled.read_bytes())
+    names = sorted(e.name for e in BUNDLED.iterdir() if e.name.endswith(".scn"))
     raise FileNotFoundError(
-        f"scenario {path!r} not found (bundled scenarios: {', '.join(_bundled_names())})"
+        f"scenario {path!r} not found (bundled scenarios: {', '.join(names)})"
     )
 
 
-def _load(path: str, args) -> ScenarioConfig:
-    config = load_scenario(_read_scenario_text(path))
-    if getattr(args, "seed", None) is not None:
+def _load(args) -> ScenarioConfig:
+    """The scenario of `run` or `sweep`, with the command-line overrides."""
+    config = load_scenario(_read_scenario_text(args.scenario))
+    if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "scheduler", None):
+    if args.scheduler:
         config.policy.scheduler = args.scheduler
-    if getattr(args, "migration", None):
+    if args.migration:
         config.policy.migration = args.migration == "on"
-    if getattr(args, "deadline", None) is not None:
+    if args.deadline is not None:
         config.policy.admission_mode = "deadline"
         config.policy.deadline = args.deadline
         config.policy.queue_capacity = None
@@ -98,16 +99,11 @@ def _sweep_level(out: str, config: ScenarioConfig, level: int) -> tuple[int, int
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load(args.scenario, args)
-        out = args.out or f"{config.name}_out"
-        metrics = _make_out_and_run(out, Simulation(config))
-        write_metrics_csv(metrics, out)
-        emit_plot_series(metrics, out)
-    except (ScenarioError, OSError, TooManyJobs) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except EngineError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
+    config = _load(args)
+    out = args.out or f"{config.name}_out"
+    metrics = _make_out_and_run(out, Simulation(config))
+    write_metrics_csv(metrics, out)
+    emit_plot_series(metrics, out)
     print(
         f"{config.name}: submitted={metrics.submitted} "
         f"completed={metrics.completed} rejected={metrics.rejected} -> {out}"
@@ -115,68 +111,57 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def _sweep_levels(spec: str) -> list[int] | None:
+    """The integers of a comma-separated `--sweep` list, or None."""
     try:
-        levels = [int(x) for x in args.sweep.split(",") if x.strip()]
+        return [int(x) for x in spec.split(",") if x.strip()]
     except ValueError:
+        return None
+
+
+def cmd_sweep(args) -> int:
+    levels = _sweep_levels(args.sweep)
+    if levels is None:
         return _fail(f"bad sweep list {args.sweep!r}", EXIT_BAD_INPUT)
     if not levels or any(n <= 0 for n in levels) or levels != sorted(set(levels)):
         return _fail(
             "sweep levels must be positive and strictly increasing", EXIT_BAD_INPUT
         )
-    try:
-        config = _load(args.scenario, args)
-        if not config.user_bases:
-            return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
-        out = args.out or f"{config.name}_sweep_out"
-        # top level first: only the last level can be over the event cap
-        rows = [_sweep_level(out, config, level) for level in reversed(levels)]
-        rows.reverse()
-        write_sweep_rejections_csv(rows, out)
-    except (ScenarioError, OSError, TooManyJobs) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except EngineError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    for submitted, rejected in rows:
-        print(f"level {submitted}: rejected={rejected}")
+    config = _load(args)
+    if not config.user_bases:
+        return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
+    out = args.out or f"{config.name}_sweep_out"
+    # top level first: only the last level can be over the event cap
+    rows = [_sweep_level(out, config, level) for level in reversed(levels)]
+    rows.reverse()
+    write_sweep_rejections_csv(rows, out)
+    # print the level asked for: a row's submitted count adds the [jobs] rows
+    for level, (_, rejected) in zip(levels, rows):
+        print(f"level {level}: rejected={rejected}")
     print(f"sweep -> {out}")
     return EXIT_OK
 
 
-def _demo_result() -> dict:
-    config = load_scenario(_read_scenario_text(DEMO_SCENARIO))
-    metrics = Simulation(config).run()
-    u = config.unit_ms
-    started = [t for t in metrics.traces if t.state == COMPLETED]
-    started.sort(key=lambda t: t.start)
-    order = [t.id for t in started]
-    waits = {t.id: queue_wait(t) / u for t in started}
-    ok = order == DEMO_EXPECTED_ORDER and waits == DEMO_EXPECTED_WAITS
-    return {"order": order, "waits": waits, "ok": ok}
-
-
 def cmd_demo(args) -> int:
-    try:
-        result = _demo_result()
-    except (ScenarioError, EngineError) as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    if args.json:
-        payload = dict(result)
-        payload["waits"] = {str(k): v for k, v in payload["waits"].items()}
-        print(json.dumps(payload, sort_keys=True))
+    # the bundled file only, never a file of that name in the working directory
+    config = load_scenario(decode_scenario(BUNDLED.joinpath(DEMO_SCENARIO).read_bytes()))
+    completed = [t for t in Simulation(config).run().traces if t.state == COMPLETED]
+    started = sorted(completed, key=lambda t: t.start)
+    order = [t.id for t in started]
+    waits = {t.id: queue_wait(t) / config.unit_ms for t in started}
+    ok = order == DEMO_EXPECTED_ORDER and waits == DEMO_EXPECTED_WAITS
+    if args.json:  # json prints the int keys of `waits` as strings
+        print(json.dumps({"order": order, "waits": waits, "ok": ok}, sort_keys=True))
     else:
-        print("order: " + " ".join(str(j) for j in result["order"]))
-        for job_id in sorted(result["waits"]):
-            print(f"wait job={job_id} {result['waits'][job_id]:g}")
-        print("demo: " + ("PASS" if result["ok"] else "FAIL"))
-    return EXIT_OK if result["ok"] else EXIT_DEMO_MISMATCH
+        print("order: " + " ".join(str(j) for j in order))
+        for job_id in sorted(waits):
+            print(f"wait job={job_id} {waits[job_id]:g}")
+        print("demo: " + ("PASS" if ok else "FAIL"))
+    return EXIT_OK if ok else EXIT_DEMO_MISMATCH
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_scenario(_read_scenario_text(args.scenario))
-    except (ScenarioError, OSError) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
+    config = load_scenario(_read_scenario_text(args.scenario))
     print(json.dumps(normalized_dict(config), indent=2))
     return EXIT_OK
 
@@ -228,7 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ScenarioError, OSError, TooManyJobs) as exc:
+        return _fail(str(exc), EXIT_BAD_INPUT)
+    except EngineError as exc:
+        return _fail(str(exc), EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

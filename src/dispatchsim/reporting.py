@@ -5,9 +5,10 @@ and one hourly_response_<series>.csv per series; `sweep` writes only
 rejections.csv and rejections_bar.csv, with one row per level.
 
 All files are UTF-8 with \\n line endings and a '.' decimal separator.
-Durations are written in the time unit the scenario declared. Files
-are written to a temp name and renamed, so failures leave no partial
-output behind.
+Durations are written in the time unit the scenario declared. Each
+writer's `out_dir` must exist. Files are written to `<name>.tmp` and
+renamed, and a failed write or rename removes the temp file, so
+failures leave no partial output behind.
 """
 
 from __future__ import annotations
@@ -36,10 +37,14 @@ def _fmt(value) -> str:
 
 def _write_atomic(path, lines) -> str:
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:  # from here on `tmp` is ours to remove
+        with fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return path
 
 
@@ -47,9 +52,8 @@ def write_sweep_rejections_csv(rows, out_dir) -> dict[str, str]:
     """Write rejections.csv (`submitted,rejected,percent`) and
     rejections_bar.csv (`submitted,rejected`) from `(submitted,
     rejected)` pairs: a header, then one row per pair that submitted
-    jobs, ordered by submitted count. A run writes its one pair, a
-    sweep one per level. Returns both paths keyed by file stem."""
-    os.makedirs(out_dir, exist_ok=True)
+    jobs, ordered by submitted count, into the existing `out_dir`. A run
+    writes its one pair, a sweep one per level. Returns both paths."""
     rows = sorted(row for row in rows if row[0] > 0)
     files = {
         "rejections": ["submitted,rejected,percent"]
@@ -65,9 +69,8 @@ def write_sweep_rejections_csv(rows, out_dir) -> dict[str, str]:
 def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
     """Write summary.csv, jobs.csv and, through
     `write_sweep_rejections_csv` with the run's one row, rejections.csv
-    and rejections_bar.csv. jobs.csv lists the traces in the order given
-    (id order from the engine). Returns the paths keyed by file stem."""
-    os.makedirs(out_dir, exist_ok=True)
+    and rejections_bar.csv into the existing `out_dir`. jobs.csv lists
+    the traces in id order. Returns the paths keyed by file stem."""
     u = metrics.unit_ms
     done = completed_traces(metrics)
 
@@ -110,8 +113,8 @@ def emit_plot_series(metrics: RunMetrics, out_dir) -> list[str]:
     """Write hourly_response_<series>.csv for external plotting: per
     series, `hour,avg_response`, the average network response of the
     completed jobs bucketed by arrival hour. A series is a user base id,
-    or `jobs` for the `[jobs]` rows. Returns the paths in series order."""
-    os.makedirs(out_dir, exist_ok=True)
+    or `jobs` for the `[jobs]` rows; `out_dir` must exist. Returns the
+    paths in series order."""
     u = metrics.unit_ms
     by_ub: dict[str, dict[int, list[float]]] = {}
     for t in completed_traces(metrics):

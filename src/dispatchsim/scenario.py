@@ -326,9 +326,11 @@ def load_scenario(source: str) -> ScenarioConfig:
 
 
 def decode_scenario(data: bytes) -> str:
-    """Scenario text from a file's bytes, which must be UTF-8."""
+    """Scenario text from a file's bytes, which must be UTF-8; one
+    leading byte-order mark is dropped. Stripped after decoding, the
+    mark leaves an error's byte offset and line those of the file."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line) from None

@@ -1,3 +1,4 @@
+import codecs
 import gc
 import json
 import os
@@ -60,15 +61,20 @@ def test_demo_json(capsys):
     assert payload["ok"] is True
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_m(*argv):
+    """Run `python -m dispatchsim *argv` in a new process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dispatchsim.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-m", "dispatchsim", "demo"],
+    return subprocess.run(
+        [sys.executable, "-m", "dispatchsim", *argv],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python_m("demo")
     assert done.returncode == 0, done.stderr
     assert "demo: PASS" in done.stdout
 
@@ -419,3 +425,78 @@ def test_sweep_level_over_event_cap_exits_2(monkeypatch, tmp_path, capsys):
     assert "101 jobs, more than the event cap 100" in capsys.readouterr().err
     assert not out.exists()
     assert runs == []
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [(["run", "table6_demo.scn"], 10), (["sweep", "sweep_demo.scn", "--sweep", "5"], 6)],
+)
+def test_event_cap_exceeded_exits_3(argv, cap, monkeypatch, tmp_path, capsys):
+    # the cap is above the job count, so set-up passes and the run fails
+    runs = []
+    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs, event_cap=cap))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dispatchsim: error: event count exceeded safety cap ")
+    assert err.count("\n") == 1
+    assert len(runs) == 1
+    assert os.listdir(out) == []
+
+
+def test_demo_ignores_a_scenario_in_the_working_directory(monkeypatch, tmp_path, capsys):
+    (tmp_path / "table6_demo.scn").write_text("[scenario]\nname = broken\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["demo"]) == 0
+    assert "demo: PASS" in capsys.readouterr().out
+
+
+def test_process_exit_code_comes_from_main():
+    done = _python_m("validate", "missing.scn")
+    assert done.returncode == 2
+    assert done.stderr.startswith("dispatchsim: error: scenario 'missing.scn' not found")
+    assert done.stderr.count("\n") == 1
+
+
+def test_scenario_with_byte_order_mark(tmp_path, capsys):
+    assert main(["validate", "table6_demo.scn"]) == 0
+    plain = capsys.readouterr().out
+    scn = tmp_path / "bom.scn"
+    scn.write_bytes(codecs.BOM_UTF8 + _read_bundled("table6_demo.scn").encode())
+    assert main(["validate", str(scn)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_byte_order_mark_keeps_line_numbers(tmp_path, capsys):
+    scn = tmp_path / "bom.scn"
+    scn.write_bytes(codecs.BOM_UTF8 + b"ab\n\xff")
+    assert main(["validate", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith("dispatchsim: error: line 2: not UTF-8 text")
+
+
+def test_failed_output_rename_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "jobs.csv").mkdir(parents=True)
+    assert main(["run", "table6_demo.scn", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dispatchsim: error: ") and err.count("\n") == 1
+    # the files written before jobs.csv stay, and no temp file is left
+    assert sorted(os.listdir(out)) == [
+        "jobs.csv",
+        "rejections.csv",
+        "rejections_bar.csv",
+        "summary.csv",
+    ]
+
+
+def test_sweep_prints_requested_levels(tmp_path, capsys):
+    # the [jobs] rows run at every level on top of its generated jobs
+    text = _read_bundled("sweep_demo.scn") + "\n[jobs]\njob = 1 0 1\njob = 2 5 1\njob = 3 9 1\n"
+    scn = tmp_path / "jobs.scn"
+    scn.write_text(text)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(scn), "--sweep", "5,10", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["level 5", "level 10"]
+    rows = _read(out / "rejections.csv").splitlines()
+    assert [int(r.split(",")[0]) for r in rows[1:]] == [8, 13]

@@ -58,6 +58,8 @@ def test_summary_csv_shape(sweep_config, tmp_path):
 
 def test_deterministic_bytes(sweep_config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
+    out_a.mkdir()
+    out_b.mkdir()
     paths_a = write_metrics_csv(Simulation(sweep_config).run(), out_a)
     paths_b = write_metrics_csv(Simulation(sweep_config).run(), out_b)
     for key in paths_a:
