@@ -343,10 +343,10 @@ class Simulation:
             fire_at = max(now + self.cadence_ms, self.calendar.peek_time())
             self.calendar.schedule(fire_at, MIGRATION_CHECK)
 
-    def _migration_targets(self, dc: Datacenter, queued: int) -> list[VmInstance]:
+    def _migration_targets(self, dc: Datacenter) -> list[VmInstance]:
         """VMs whose queue is shorter than the mean and that have room
         for one more job, in VM order, with their prefix sums up to date."""
-        mean_qlen = queued / len(dc.vms)
+        mean_qlen = sum(len(v.queue) for v in dc.vms) / len(dc.vms)
         has_room = dc.has_room
         targets = [v for v in dc.vms if len(v.queue) < mean_qlen and has_room(v)]
         for v in targets:
@@ -357,12 +357,16 @@ class Simulation:
         """Move queued jobs off overloaded VMs when the wait-vs-hop rule
         says a below-mean-queue-length VM is strictly cheaper.
 
-        Waits come from each VM's service-order prefix sums. The queue of
-        a target VM never changes during a check (movers land later, via
-        `incoming`), so only the source VM's cache is rebuilt after a
-        move. Under sjf the sums add demands in service order rather than
-        queue order; for integer-valued demands (all bundled scenarios)
-        that is exact, other float demands may differ in the last ulp.
+        Each source VM offers its queued jobs, in queue order, to the
+        other targets as `(vm, wait)` pairs in VM order, listed again only
+        after a move; an empty list ends the VM's scan. A wait is
+        `(residual + service_prefix[slot]) + incoming_sum`, the slot being
+        the job's sjf-key position under sjf and the back of the queue
+        under rr. Movers land later, via `incoming`, so only the source's
+        prefix sums are rebuilt after a move. Under sjf the sums add
+        demands in service order rather than queue order; for
+        integer-valued demands (all bundled scenarios) that is exact,
+        other float demands may differ in the last ulp.
 
         The check returns at once while `dc.settled`: its last full pass
         moved no job and no queue or `incoming` list of the datacenter
@@ -389,8 +393,7 @@ class Simulation:
         vms = dc.vms
         if dc.settled or len(vms) < 2:
             return
-        queued = sum(len(v.queue) for v in vms)
-        targets = self._migration_targets(dc, queued)
+        targets = self._migration_targets(dc)
         if not targets:
             dc.settled = True  # exact: no VM can take a job, so none can move
             return
@@ -398,48 +401,38 @@ class Simulation:
         residual = [self._residual(v, now) for v in vms]
         sjf = self.scheduler == "sjf"
         for vm in vms:
+            others = [v for v in targets if v is not vm]
             prefix = None
             moved = 0
             for i, job in enumerate(list(vm.queue)):
+                if not others:
+                    break
                 if len(job.vm_history) > self.migration_cap:  # all its moves landed
                     continue
-                if sjf:
-                    key = job.sjf_key
-                    candidates = {
-                        v.id: (residual[v.id]
-                               + v.service_prefix[bisect_left(v.service, key, key=_SJF_KEY)])
-                        + v.incoming_sum
-                        for v in targets
-                        if v is not vm
-                    }
-                else:
-                    candidates = {
-                        v.id: (residual[v.id] + v.service_prefix[-1]) + v.incoming_sum
-                        for v in targets
-                        if v is not vm
-                    }
-                if not candidates:
-                    continue
+                key = job.sjf_key
+                candidates = [
+                    (v, (residual[v.id] + v.service_prefix[
+                        bisect_left(v.service, key, key=_SJF_KEY) if sjf else -1
+                    ]) + v.incoming_sum)
+                    for v in others
+                ]
                 if prefix is None:
                     prefix = self._service_prefix(vm)
                 ahead = bisect_left(vm.service, key, key=_SJF_KEY) if sjf else i - moved
                 current_wait = residual[vm.id] + prefix[ahead]
-                target_id = migration_decision(current_wait, candidates, self.hop_ms)
-                if target_id is None:
+                choice = migration_decision(current_wait, candidates, self.hop_ms)
+                if choice is None:
                     continue
-                target = vms[target_id]
+                target, cost = choice
                 self._queue_remove(vm, job)
                 prefix = None
                 moved += 1
-                queued -= 1
                 self._incoming_add(target, job)
-                targets = self._migration_targets(dc, queued)
                 job.vm = target
-                self.migration_log.append(
-                    (job.id, vm.id, target_id, now, current_wait,
-                     candidates[target_id] + self.hop_ms)
-                )
+                self.migration_log.append((job.id, vm.id, target.id, now, current_wait, cost))
                 self.calendar.schedule(now + self.hop_ms, JOB_ARRIVAL, job)
+                targets = self._migration_targets(dc)
+                others = [v for v in targets if v is not vm]
         dc.settled = len(self.migration_log) == logged
 
     # -- run loop ----------------------------------------------------------

@@ -1,7 +1,9 @@
 """Dispatch and balancing decision procedures: Round-Robin VM
-selection and the wait-vs-hop migration rule. Shortest-Job-First
-service order lives in the engine (`VmInstance.service`, kept by
-`Simulation._queue_add` and `_queue_remove`)."""
+selection and the wait-vs-hop migration rule. The engine works out the
+waits (`Simulation._migration_check`); the rule only picks among them.
+Shortest-Job-First service order lives in the engine
+(`VmInstance.service`, kept by `Simulation._queue_add` and
+`_queue_remove`)."""
 
 from __future__ import annotations
 
@@ -28,19 +30,19 @@ def rr_next_vm(dc: Datacenter) -> VmInstance:
 
 def migration_decision(
     current_wait: float,
-    candidate_waits: dict[int, float],
+    candidates: list[tuple[VmInstance, float]],
     hop_time: float,
-) -> int | None:
-    """Wait-vs-hop rule: migrate to the candidate VM minimizing
-    expected wait + hop time (ms, the same for every move), but only if
-    that strictly beats staying. Returns the target VM id, or None to
-    stay. Ties between candidates break toward the smaller VM id; a tie
-    with the current wait means stay."""
-    best_vm = None
+) -> tuple[VmInstance, float] | None:
+    """Wait-vs-hop rule: of the `(vm, wait)` candidates, in VM order,
+    pick the one minimizing wait + hop time (ms, the same for every
+    move), but only if that strictly beats staying. Returns (vm, wait +
+    hop_time), or None to stay. A tie between candidates goes to the
+    earlier pair, the lower VM id; a tie with the current wait means stay."""
+    best = None
     best_cost = current_wait
-    for vm_id in sorted(candidate_waits):
-        cost = candidate_waits[vm_id] + hop_time
+    for vm, wait in candidates:
+        cost = wait + hop_time
         if cost < best_cost:
-            best_vm = vm_id
+            best = vm, cost
             best_cost = cost
-    return best_vm
+    return best

@@ -154,7 +154,7 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 # `run` and `sweep` name their default output directory after it
-_PATH_SAFE = (lambda v: "\0" not in v, "must not hold a NUL character")
+_PATH_SAFE = (lambda v: not {"\0", "/"}.intersection(v), "must not hold a NUL character or '/'")
 
 _SCN, _DC, _UB, _POL = ("scenario",), ("datacenter",), ("userbase",), ("policy",)
 _ADV_UB, _JOB = ("advanced", "userbase"), ("job",)
@@ -379,6 +379,16 @@ def validate(config: ScenarioConfig) -> None:
             raise ValidationError(
                 f"user base {ub.id} targets unknown datacenter {ub.target_dc!r}"
             )
+        # no job holds more than a full batch (`model._batches`), so these
+        # bound the run and transfer times of every job of the user base
+        dc = config.datacenters[dc_ids.index(ub.target_dc)]
+        demand = ub.instruction_length * ub.request_grouping / dc.rate
+        transfer = ub.data_size_per_request * ub.request_grouping / dc.bandwidth_per_ms
+        for what, ms in (("demand", demand), ("transfer time", transfer)):
+            if not math.isfinite(ms):
+                raise ValidationError(
+                    f"user base {ub.id} full-batch {what} must be finite, got {ms!r} ms"
+                )
         requests = requests_over(ub, config.horizon_ms)
         if not math.isfinite(requests):
             raise ValidationError(
@@ -401,6 +411,13 @@ def validate(config: ScenarioConfig) -> None:
         job_ids = [j.id for j in config.jobs]
         if len(set(job_ids)) != len(job_ids):
             raise ValidationError(f"duplicate explicit job ids: {job_ids}")
+        bandwidth = config.datacenters[0].bandwidth_per_ms
+        for j in config.jobs:
+            ms = j.data_size / bandwidth
+            if not math.isfinite(ms):
+                raise ValidationError(
+                    f"[jobs] job {j.id} transfer time must be finite, got {ms!r} ms"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -323,13 +323,30 @@ deadline = {deadline}
 """
 
 
-# a duration in ms or the request count overflows to inf
+TINY_RATE = _user_bases("hours", "1", 1).replace("rate = 100", "rate = 1e-320")
+
+# a duration in ms, the request count, or a job's run or transfer time
+# overflows to inf
 OVERFLOWING = {
     "horizon": (_user_bases("hours", "1e305", 1), "horizon"),
     "deadline": (_user_bases("hours", "1", 1, deadline="1e305"), "deadline"),
     "requests": (_user_bases("ms", "1e308", "1e9"), "UB1"),
     "job_arrival": (_user_bases("hours", "1") + "\n[jobs]\njob = 1 1e305 1\n", "arrival"),
     "job_burst": (_user_bases("hours", "1") + "\n[jobs]\njob = 1 0 1e305\n", "burst"),
+    "demand": (TINY_RATE, "user base UB1 full-batch demand must be finite, got inf ms"),
+    "transfer": (
+        _user_bases("hours", "1", 1).replace("bandwidth = 1\n", "bandwidth = 1e-320\n"),
+        "user base UB1 full-batch transfer time must be finite, got inf ms",
+    ),
+    "demand_and_transfer": (
+        TINY_RATE.replace("bandwidth = 1\n", "bandwidth = 1e-320\n"),
+        "user base UB1 full-batch demand must be finite",
+    ),
+    "job_transfer": (
+        _user_bases("hours", "1", 1).replace("bandwidth = 1\n", "bandwidth = 1e-300\n")
+        + "\n[jobs]\njob = 1 0 1 1e300\n",
+        "[jobs] job 1 transfer time must be finite, got inf ms",
+    ),
 }
 
 
@@ -343,7 +360,7 @@ def test_overflowing_scenario_exits_2(command, case, tmp_path, capsys):
     argv = [command, str(scn)] + (["--out", str(out)] if command == "run" else [])
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
+    assert named in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -358,6 +375,23 @@ def test_nul_in_name_exits_2(command, monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "name must not hold a NUL character" in err and "Traceback" not in err
     assert os.listdir(tmp_path) == ["nul.scn"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_slash_in_name_exits_2(command, monkeypatch, tmp_path, capsys):
+    # without --out, `name = ../escaped` would put the output outside the
+    # working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    scn = work / "slash.scn"
+    scn.write_text(_user_bases("hours", "1", 1).replace("name = huge", "name = ../escaped"))
+    argv = [command, str(scn)] + (["--sweep", "5"] if command == "sweep" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "name must not hold a NUL character or '/'" in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == ["slash.scn"]
 
 
 # `run` names a file after each user base, hourly_response_<id>.csv

@@ -6,7 +6,9 @@ the engine and through a subclass that keeps the original code: the
 O(V^2 Q^2) rescan of every queue as `_migration_check` (which never
 skips a settled datacenter), the `all()` scan as admission and the
 skip-full-VM loop as round-robin dispatch. It requires identical
-migration logs and job traces.
+migration logs and job traces. The snapshot oracle runs one check of
+each on copies of a datacenter state built directly, which reaches
+many more states per second than whole runs.
 
 Demands are whole milliseconds. The engine sums sjf queues in service
 order while the rescan sums them in queue order; the two orders agree
@@ -24,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim import engine
 from dispatchsim.engine import JOB_ARRIVAL, Simulation
-from dispatchsim.model import AdmissionResult
+from dispatchsim.model import RUNNING, AdmissionResult, Job
 from dispatchsim.policies import migration_decision
 from dispatchsim.scenario import load_scenario
 
@@ -114,17 +116,21 @@ class RescanSimulation(Simulation):
                 if not candidates:
                     continue
                 current_wait = self._wait_ahead_of(vm, job, now)
-                target_id = migration_decision(current_wait, candidates, self.hop_ms)
-                if target_id is None:
+                choice = migration_decision(
+                    current_wait,
+                    [(dc.vms[i], candidates[i]) for i in sorted(candidates)],
+                    self.hop_ms,
+                )
+                if choice is None:
                     continue
-                target = dc.vms[target_id]
+                target = choice[0]
                 self._queue_remove(vm, job)
                 target.incoming.append(job)
                 job.vm = target
                 hop = self.hop_ms
                 self.migration_log.append(
-                    (job.id, vm.id, target_id, now, current_wait,
-                     candidates[target_id] + hop)
+                    (job.id, vm.id, target.id, now, current_wait,
+                     candidates[target.id] + hop)
                 )
                 self.calendar.schedule(now + hop, JOB_ARRIVAL, job)
 
@@ -195,6 +201,92 @@ def test_migration_check_matches_rescan(text):
 @given(overloaded_scenarios("queue_cap", migration="off"))
 def test_queue_cap_admission_matches_rescan_without_migration(text):
     assert_same_run(text)
+
+
+@st.composite
+def migration_snapshots(draw):
+    """(sim, now): a Simulation of one 2-5 VM datacenter, built with no
+    jobs and then filled mid-run through `_queue_add` and `_incoming_add`,
+    so its summaries hold: queues, running jobs, jobs in transit, each
+    queued job's `vm_history` and `vm`, and the capacity. Queued demands
+    of 1-2 ms and many idle VMs make equal candidate waits common;
+    hop_time 0, capped jobs and full targets are drawn often. Running
+    jobs of up to 8 ms make a VM shed several jobs in one pass, so the
+    targets change between its moves."""
+    n_vms = draw(st.integers(2, 5))
+    scheduler = draw(st.sampled_from(["rr", "sjf"]))
+    cap = draw(st.integers(0, 3))
+    capacity = draw(st.sampled_from([None, 1, 2, 4]))
+    admission = (
+        "admission = deadline\ndeadline = 1000"
+        if capacity is None
+        else f"admission = queue_cap\nqueue_capacity = {capacity}"
+    )
+    sim = Simulation(load_scenario(f"""
+[scenario]
+name = snapshot
+time_unit = ms
+horizon = 0
+seed = 1
+
+[datacenter.DC1]
+vms = {n_vms}
+rate = 100
+memory = 1
+bandwidth = 1000
+bandwidth_unit = units_per_ms
+
+[policy]
+scheduler = {scheduler}
+migration = on
+hop_time = {draw(st.sampled_from([0, 0, 1, 2, 5]))}
+migration_cap = {cap}
+{admission}
+"""))
+    dc = sim.datacenters["DC1"]
+    now = float(draw(st.integers(0, 10)))
+    ids = iter(range(1, 100))
+
+    def new_job(longest):
+        job = Job(id=next(ids), arrival=float(draw(st.integers(0, int(now)))),
+                  demand=float(draw(st.integers(1, longest))))
+        if scheduler == "sjf":
+            job.sjf_key = (job.demand, job.arrival, job.id)
+        return job
+
+    for vm in dc.vms:
+        if draw(st.booleans()):
+            job = new_job(8)
+            job.state, job.start = RUNNING, now - draw(st.integers(0, int(job.demand)))
+            vm.running = job
+        room = 8 if capacity is None else capacity
+        for _ in range(draw(st.sampled_from([0, room, room]) | st.integers(0, room))):
+            job = new_job(2)
+            moves = draw(st.integers(0, cap))  # == cap: the job may not move again
+            job.vm_history = tuple(draw(st.lists(
+                st.integers(0, n_vms - 1), min_size=moves, max_size=moves))) + (vm.id,)
+            job.vm = vm
+            if draw(st.integers(0, 3)):
+                sim._queue_add(vm, job)
+            else:  # in transit toward vm
+                sim._incoming_add(vm, job)
+    return sim, now
+
+
+@settings(max_examples=400, deadline=None)
+@given(migration_snapshots())
+def test_migration_check_matches_rescan_on_snapshots(snapshot):
+    """One check from one state, by the engine and by the rescan, on
+    copies: the same moves, queues and jobs in transit."""
+    sim, now = snapshot
+    ref = copy.deepcopy(sim)
+    ref.__class__ = RescanSimulation
+    sim._migration_check(sim.datacenters["DC1"], now)
+    ref._migration_check(ref.datacenters["DC1"], now)
+    assert sim.migration_log == ref.migration_log
+    for vm, twin in zip(sim.datacenters["DC1"].vms, ref.datacenters["DC1"].vms):
+        assert [j.id for j in vm.queue] == [j.id for j in twin.queue]
+        assert [j.id for j in vm.incoming] == [j.id for j in twin.incoming]
 
 
 def checked_simulation(check):

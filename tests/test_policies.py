@@ -117,26 +117,34 @@ def test_sjf_at_zero_matches_brute_force(bursts):
 
 
 def test_migration_decision_adds_hop_to_every_candidate():
+    _, vm1, vm2 = _dc(3).vms
     # 5 + 4 beats staying at 10; 5 + 5 only ties it
-    assert migration_decision(10.0, {1: 5.0, 2: 7.0}, 4.0) == 1
-    assert migration_decision(10.0, {1: 5.0, 2: 7.0}, 5.0) is None
+    assert migration_decision(10.0, [(vm1, 5.0), (vm2, 7.0)], 4.0) == (vm1, 9.0)
+    assert migration_decision(10.0, [(vm1, 5.0), (vm2, 7.0)], 5.0) is None
 
 
 def test_migration_decision_idle_candidate():
-    assert migration_decision(10.0, {2: 0.0}, 4.0) == 2
+    vm2 = _dc(3).vms[2]
+    assert migration_decision(10.0, [(vm2, 0.0)], 4.0) == (vm2, 4.0)
 
 
 def test_migration_decision_hop_too_expensive():
-    assert migration_decision(3.0, {1: 0.0}, 5.0) is None
+    vm1 = _dc(2).vms[1]
+    assert migration_decision(3.0, [(vm1, 0.0)], 5.0) is None
 
 
 def test_migration_decision_no_candidates():
-    assert migration_decision(10.0, {}, 0.0) is None
+    assert migration_decision(10.0, [], 0.0) is None
 
 
 def test_migration_decision_exact_tie_means_stay():
-    assert migration_decision(4.0, {1: 0.0}, 4.0) is None
+    vm1 = _dc(2).vms[1]
+    assert migration_decision(4.0, [(vm1, 0.0)], 4.0) is None
 
 
 def test_migration_decision_tie_breaks_to_smaller_vm():
-    assert migration_decision(10.0, {2: 3.0, 1: 3.0}, 1.0) == 1
+    # the engine passes targets in VM order, so the earlier pair is the
+    # smaller VM id; the rule itself sorts nothing
+    _, vm1, vm2 = _dc(3).vms
+    assert migration_decision(10.0, [(vm1, 3.0), (vm2, 3.0)], 1.0) == (vm1, 4.0)
+    assert migration_decision(10.0, [(vm2, 3.0), (vm1, 3.0)], 1.0) == (vm2, 4.0)
