@@ -8,11 +8,11 @@ function of (scenario, seed).
 from __future__ import annotations
 
 import gc
-import heapq
 import math
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
+from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
@@ -88,31 +88,72 @@ class Event(NamedTuple):
     subject: object
 
 
+_new_event = tuple.__new__  # skips NamedTuple's Python-level __new__
+
+
 class EventCalendar:
     """Priority queue of Events, which order as tuples on (fire_at,
     insertion seq); seq is unique, so subjects are never compared. The
     clock is the fire time of the last popped event and never
-    decreases."""
+    decreases.
+
+    Most events of a kind are scheduled in fire order (up-front
+    arrivals, expiries at arrival + deadline, starts at the clock), so
+    each kind has a FIFO lane next to one binary heap. An event joins
+    its kind's lane when it sorts after the last event of that kind in
+    the lane, or after the kind's gate while the lane is empty; any
+    other event goes on the heap. Invariant: while a lane holds events,
+    its kind's gate is on the heap and sorts before the lane head, and
+    the lane is in (fire_at, seq) order. Popping a gate moves the lane
+    head onto the heap as the new gate. So every pending event is on
+    the heap or sorts after one that is, the heap head is the global
+    minimum, and pops come out in exactly the order of one heap of all
+    events. The heap holds only the gates and the events scheduled out
+    of order, so it stays shallow however many events wait."""
 
     def __init__(self):
         self._heap: list = []
+        self._lanes: dict[str, deque] = {}
+        self._gates: dict[str, Event | None] = {}
         self._seq = 0
         self.clock = 0.0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + sum(map(len, self._lanes.values()))
 
     def schedule(self, fire_at: float, kind: str, subject: object = None) -> None:
         if fire_at < self.clock:
             raise PastEvent(
                 f"cannot schedule {kind} at t={fire_at} before clock {self.clock}"
             )
-        heapq.heappush(self._heap, Event(fire_at, self._seq, kind, subject))
+        ev = _new_event(Event, (fire_at, self._seq, kind, subject))
         self._seq += 1
+        lane = self._lanes.get(kind)
+        if lane is None:
+            lane = self._lanes[kind] = deque()
+        last = lane[-1] if lane else self._gates.get(kind)
+        if last is not None and fire_at >= last[0]:
+            lane.append(ev)  # its seq is the largest, so it sorts after `last`
+        else:
+            heappush(self._heap, ev)
+            if last is None:
+                self._gates[kind] = ev
 
     def pop(self) -> Event:
-        ev = heapq.heappop(self._heap)
-        self.clock = ev.fire_at
+        heap = self._heap
+        ev = heap[0]
+        kind = ev[2]
+        if ev is self._gates[kind]:
+            lane = self._lanes[kind]
+            if lane:
+                self._gates[kind] = gate = lane.popleft()
+                heapreplace(heap, gate)
+            else:
+                self._gates[kind] = None
+                heappop(heap)
+        else:
+            heappop(heap)
+        self.clock = ev[0]
         return ev
 
     def peek_time(self) -> float:
@@ -452,14 +493,15 @@ class Simulation:
                 cal.schedule(job.arrival, JOB_ARRIVAL, job)
             if self.migration_on and self.jobs:
                 cal.schedule(self.cadence_ms, MIGRATION_CHECK)
-            while len(cal):
-                ev = cal.pop()
+            # while any lane holds events, its gate is in the heap
+            heap, pop = cal._heap, cal.pop
+            handlers, cap = self._HANDLERS, self.event_cap
+            while heap:
+                ev = pop()
                 self.event_count += 1
-                if self.event_count > self.event_cap:
-                    raise HorizonExceeded(
-                        f"event count exceeded safety cap {self.event_cap}"
-                    )
-                self._HANDLERS[ev.kind](self, ev.subject, cal.clock)
+                if self.event_count > cap:
+                    raise HorizonExceeded(f"event count exceeded safety cap {cap}")
+                handlers[ev[2]](self, ev[3], ev[0])
         return self._collect()
 
     def _collect(self) -> RunMetrics:

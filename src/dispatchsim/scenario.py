@@ -359,6 +359,12 @@ def validate(config: ScenarioConfig) -> None:
                 raise ValidationError(
                     f"{where} {k.key} must be finite in ms, got {v!r} {config.time_unit}"
                 )
+    for dc in config.datacenters:
+        if not math.isfinite(dc.bandwidth_per_ms):  # mbps overflows on conversion
+            raise ValidationError(
+                f"[datacenter.{dc.id}] bandwidth must be finite in units/ms, "
+                f"got {dc.bandwidth!r} {dc.bandwidth_unit}"
+            )
     dc_ids = [dc.id for dc in config.datacenters]
     if len(set(dc_ids)) != len(dc_ids):
         raise ValidationError(f"duplicate datacenter ids: {dc_ids}")

@@ -347,6 +347,13 @@ OVERFLOWING = {
         + "\n[jobs]\njob = 1 0 1 1e300\n",
         "[jobs] job 1 transfer time must be finite, got inf ms",
     ),
+    # 1e307 Mbit/s is 1.25e309 units/ms: inf, and every transfer time 0
+    "bandwidth": (
+        _user_bases("hours", "1", 1)
+        .replace("bandwidth = 1\n", "bandwidth = 1e307\n")
+        .replace("units_per_ms", "mbps"),
+        "[datacenter.DC1] bandwidth must be finite in units/ms, got 1e+307 mbps",
+    ),
 }
 
 

@@ -1,10 +1,11 @@
 import dataclasses
 import gc
+import heapq
 import os
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dispatchsim import engine
 from dispatchsim.cli import _read_scenario_text
@@ -57,6 +58,51 @@ def test_calendar_pop_order_monotone(times):
         cal.schedule(t, "JobArrival")
     popped = [cal.pop().fire_at for _ in range(len(times))]
     assert popped == sorted(popped)
+
+
+# A step schedules (kind, fire time - clock), or pops when None. Offsets
+# from a small set make ties, events at the clock, and in-order and
+# out-of-order events of one kind all common; -1 is before the clock.
+CALENDAR_STEPS = st.lists(
+    st.none() | st.tuples(st.sampled_from("abc"), st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0))),
+    max_size=120,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CALENDAR_STEPS)
+def test_calendar_matches_a_plain_heap(steps):
+    """The lanes pop exactly what one heap of (fire_at, seq) pops."""
+    cal = EventCalendar()
+    ref: list = []
+    seq = 0
+    in_order = set()  # seqs that sorted after every pending event of their kind
+    for step in steps + [None] * len(steps):  # then drain what is left
+        if step is None:
+            if not ref:
+                continue
+            expected = heapq.heappop(ref)
+            assert tuple(cal.pop()) == expected and cal.clock == expected[0]
+        else:
+            kind, offset = step
+            fire_at = cal.clock + offset
+            if offset < 0:
+                with pytest.raises(PastEvent):
+                    cal.schedule(fire_at, kind)
+            else:
+                subject = object()
+                cal.schedule(fire_at, kind, subject)
+                if all(ev[2] != kind or ev[0] <= fire_at for ev in ref):
+                    in_order.add(seq)
+                heapq.heappush(ref, (fire_at, seq, kind, subject))
+                seq += 1
+        assert len(cal) == len(ref)
+        if ref:
+            assert cal.peek_time() == ref[0][0]
+        # the heap stays shallow: events scheduled in order wait in their
+        # kind's lane, and only the gate of each kind is on the heap
+        gates = Counter(ev.kind for ev in cal._heap if ev.seq in in_order)
+        assert max(gates.values(), default=0) <= 1
 
 
 def _empty_config():
@@ -166,12 +212,33 @@ def test_clock_monotone_over_run(migration_config):
 
     def tracking_pop():
         ev = original_pop()
-        seen.append(ev.fire_at)
+        seen.append((ev.fire_at, ev.seq))
         return ev
 
     cal.pop = tracking_pop
     sim.run()
-    assert seen == sorted(seen)
+    # the exact order of one heap of (fire_at, seq), not only a monotone clock
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+
+
+def test_event_heap_stays_shallow(paper_config):
+    """Each VM has at most one finish and one start pending, and each
+    kind one gate, and a run one tick: the pending arrivals and expiries
+    wait in their lanes, not on the heap."""
+    sim = Simulation(paper_config)
+    cal = sim.calendar
+    depths = []
+    original_pop = cal.pop
+
+    def tracking_pop():
+        depths.append(len(cal._heap))
+        return original_pop()
+
+    cal.pop = tracking_pop
+    sim.run()
+    vms = sum(dc.vm_count for dc in paper_config.datacenters)
+    assert (vms, len(depths)) == (145, 57_600)
+    assert max(depths) <= 2 * vms + 6
 
 
 def test_migration_cap_and_rule(migration_config):
