@@ -258,47 +258,49 @@ class Simulation:
 
     # Every change to a queue or an incoming list goes through one of the
     # four helpers below, so the VM's service order, its prefix sums and the
-    # datacenter's `settled` flag and `open_vms` count never go stale.
-    # `open_vms` moves by one when the change fills or frees up the VM
-    # (`Datacenter.has_room`).
+    # datacenter's `settled` flag and `open_ids` index never go stale. A VM
+    # takes a job only while it has room (`Datacenter.has_room`), so it never
+    # holds more than `capacity`: an add that brings it to capacity drops
+    # its id from `open_ids`, and a removal that brings it one below puts
+    # the id back.
 
     def _queue_add(self, vm: VmInstance, job: Job):
         dc = vm.dc
-        was_open = dc.has_room(vm)
         vm.queue.append(job)
         if vm.service is not vm.queue:
             insort(vm.service, job, key=_SJF_KEY)
         vm.service_prefix = None
         dc.settled = False
-        dc.open_vms += dc.has_room(vm) - was_open
+        if len(vm.queue) + len(vm.incoming) == dc.capacity:
+            dc.open_ids.remove(vm.id)
 
     def _queue_remove(self, vm: VmInstance, job: Job):
         dc = vm.dc
-        was_open = dc.has_room(vm)
         vm.queue.remove(job)
         if vm.service is not vm.queue:
             vm.service.remove(job)
         vm.service_prefix = None
         dc.settled = False
-        dc.open_vms += dc.has_room(vm) - was_open
+        if len(vm.queue) + len(vm.incoming) == dc.capacity - 1:
+            insort(dc.open_ids, vm.id)
 
     def _incoming_add(self, vm: VmInstance, job: Job):
         dc = vm.dc
-        was_open = dc.has_room(vm)
         vm.incoming.append(job)
         vm.incoming_sum += job.demand
         dc.settled = False
-        dc.open_vms += dc.has_room(vm) - was_open
+        if len(vm.queue) + len(vm.incoming) == dc.capacity:
+            dc.open_ids.remove(vm.id)
 
     def _incoming_remove(self, vm: VmInstance, job: Job):
         dc = vm.dc
-        was_open = dc.has_room(vm)
         vm.incoming.remove(job)
         # re-summed rather than subtracted, so it stays the exact
         # left-to-right float sum over the list
         vm.incoming_sum = sum(j.demand for j in vm.incoming)
         dc.settled = False
-        dc.open_vms += dc.has_room(vm) - was_open
+        if len(vm.queue) + len(vm.incoming) == dc.capacity - 1:
+            insort(dc.open_ids, vm.id)
 
     def _enqueue(self, vm: VmInstance, job: Job, now: float):
         self._queue_add(vm, job)
@@ -386,10 +388,11 @@ class Simulation:
 
     def _migration_targets(self, dc: Datacenter) -> list[VmInstance]:
         """VMs whose queue is shorter than the mean and that have room
-        for one more job, in VM order, with their prefix sums up to date."""
-        mean_qlen = sum(len(v.queue) for v in dc.vms) / len(dc.vms)
-        has_room = dc.has_room
-        targets = [v for v in dc.vms if len(v.queue) < mean_qlen and has_room(v)]
+        for one more job (`dc.open_ids`), in VM order, with their prefix
+        sums up to date."""
+        vms = dc.vms
+        mean_qlen = sum(len(v.queue) for v in vms) / len(vms)
+        targets = [vms[i] for i in dc.open_ids if len(vms[i].queue) < mean_qlen]
         for v in targets:
             self._service_prefix(v)
         return targets

@@ -88,7 +88,12 @@ class Datacenter:
 
     `capacity` is the number of queued plus in-transit jobs each VM may
     hold: the queue capacity under queue_cap admission, `math.inf`
-    under deadline admission."""
+    under deadline admission.
+
+    `open_ids` indexes room: the ascending ids of the VMs for which
+    `has_room` holds, built here from the VMs as given (a VM's id is its
+    index in `vms`). Admission, round-robin dispatch and the migration
+    check read it instead of testing every VM."""
 
     id: str
     vms: list[VmInstance]
@@ -96,12 +101,12 @@ class Datacenter:
     rr_pointer: int = 0
     # Summaries the engine keeps up to date at every queue change.
     settled: bool = False  # the last migration check moved no job; nothing changed since
-    open_vms: int = field(init=False)  # VMs for which has_room holds
+    open_ids: list[int] = field(init=False)  # ascending ids of the VMs with room
 
     def __post_init__(self):
         for vm in self.vms:
             vm.dc = self
-        self.open_vms = sum(map(self.has_room, self.vms))
+        self.open_ids = [vm.id for vm in self.vms if self.has_room(vm)]
 
     def has_room(self, vm: VmInstance) -> bool:
         """Whether `vm` may take one more job: its queued jobs plus the
@@ -225,9 +230,9 @@ def generate_sweep_arrivals(
 def admit(job: Job, dc: Datacenter, now: float) -> AdmissionResult:
     """Admission check at arrival: reject when no VM of `dc` has room
     (`Datacenter.has_room`, which counts jobs migrating toward a VM
-    since they join its queue on landing), that is when `dc.open_vms`
-    is 0. Under deadline admission every VM has room; the engine
+    since they join its queue on landing), that is when `dc.open_ids`
+    is empty. Under deadline admission every VM has room; the engine
     schedules the expiry that may later reject the job."""
-    if dc.open_vms == 0:
+    if not dc.open_ids:
         return AdmissionResult(False, "QueueFull")
     return AdmissionResult(True)

@@ -7,6 +7,8 @@ Shortest-Job-First service order lives in the engine
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .model import Datacenter, VmInstance
 
 
@@ -15,17 +17,21 @@ class PolicyError(Exception):
 
 
 def rr_next_vm(dc: Datacenter) -> VmInstance:
-    """Return the first VM at or after the round-robin pointer that has
-    room for one more job (`Datacenter.has_room`; under deadline
-    admission every VM has room), and move the pointer one past it.
-    Ignores load otherwise."""
-    vms = dc.vms
-    for _ in range(len(vms)):
-        vm = vms[dc.rr_pointer]
-        dc.rr_pointer = (dc.rr_pointer + 1) % len(vms)
-        if dc.has_room(vm):
-            return vm
-    raise PolicyError(f"no VM of datacenter {dc.id} has room")
+    """Return the first VM at or after the round-robin pointer, in wheel
+    order, that has room for one more job (`Datacenter.has_room`; under
+    deadline admission every VM has room), and move the pointer one past
+    it. Ignores load otherwise.
+
+    The VM is found in `dc.open_ids` by bisection, wrapping to the
+    lowest open id, so full VMs cost nothing to skip. With no VM open
+    it raises PolicyError and leaves the pointer where it was."""
+    ids = dc.open_ids
+    if not ids:
+        raise PolicyError(f"no VM of datacenter {dc.id} has room")
+    k = bisect_left(ids, dc.rr_pointer)
+    vm_id = ids[k] if k < len(ids) else ids[0]
+    dc.rr_pointer = (vm_id + 1) % len(dc.vms)
+    return dc.vms[vm_id]
 
 
 def migration_decision(

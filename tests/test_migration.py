@@ -59,7 +59,8 @@ class RescanSimulation(Simulation):
         )
 
     def _all_full_admit(self, job, dc, now):
-        """`model.admit` as it was before `Datacenter.open_vms`."""
+        """`model.admit` without `Datacenter.open_ids`: rejects when a
+        scan of every VM finds each one full."""
         if all(map(self._is_full, dc.vms)):
             return AdmissionResult(False, "QueueFull")
         return AdmissionResult(True)
@@ -348,9 +349,9 @@ SECOND_PASS_MOVES = "\n".join(
 @given(ADMISSION_MODES.flatmap(overloaded_scenarios))
 @example(SECOND_PASS_MOVES)
 def test_datacenter_summaries_hold_after_every_event(text):
-    """After every event each `open_vms` equals a recount, each VM's
-    service order is its queue (rr) or its queue sorted by sjf key
-    (sjf), and a rescan of a settled datacenter, run on a copy, moves no
+    """After every event each `open_ids` equals the ascending ids of the
+    VMs a scan finds with room (`has_room`), each VM's service order is
+    its queue (rr) or its queue sorted by sjf key (sjf), and a rescan of a settled datacenter, run on a copy, moves no
     job. Each job's `vm` is the VM whose queue or incoming list holds
     it, and None once it has started or been rejected. Once an instant's
     events are done, no VM is idle with a non-empty queue."""
@@ -365,7 +366,7 @@ def test_datacenter_summaries_hold_after_every_event(text):
             if job.start is not None or job.state == "rejected":
                 assert job.vm is None, (kind, now, job.id)
         for dc in sim.datacenters.values():
-            assert dc.open_vms == sum(map(dc.has_room, dc.vms)), (kind, now)
+            assert dc.open_ids == [v.id for v in dc.vms if dc.has_room(v)], (kind, now)
             for vm in dc.vms:
                 for job in vm.queue + vm.incoming:
                     assert job.vm is vm, (kind, now, vm.id, job.id)

@@ -289,9 +289,9 @@ def test_admit_queue_cap_with_free_slot():
 
 def test_open_vms_counts_jobs_in_transit():
     dc = _dc_with_queues([1, 0, 0], capacity=1)
-    assert dc.open_vms == 2
+    assert dc.open_ids == [1, 2]
     dc.vms[1].incoming.append(Job(id=8, arrival=0.0, demand=1.0))
-    assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).open_vms == 1
+    assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).open_ids == [2]
 
 
 def test_datacenter_sets_each_vm_dc():

@@ -37,18 +37,19 @@ def test_rr_pigeonhole_40_vms():
 
 
 def test_rr_empty_datacenter():
-    dc = _dc(1)
-    dc.vms = []
+    dc = _dc(0)
     with pytest.raises(PolicyError):
         rr_next_vm(dc)
 
 
-def _queue_cap_dc(queue_lens, capacity=1):
-    dc = _dc(len(queue_lens))
-    dc.capacity = capacity
-    for vm, n in zip(dc.vms, queue_lens):
+def _queue_cap_dc(queue_lens, capacity=1, incoming_lens=None):
+    """A datacenter built from VMs whose queues (and incoming lists) are
+    already filled, so `Datacenter.open_ids` indexes them."""
+    vms = [VmInstance(id=i, bandwidth=1) for i in range(len(queue_lens))]
+    for vm, n, m in zip(vms, queue_lens, incoming_lens or [0] * len(vms)):
         vm.queue = [Job(id=100 * vm.id + k, arrival=0.0, demand=1.0) for k in range(n)]
-    return dc
+        vm.incoming = [Job(id=100 * vm.id + 50 + k, arrival=0.0, demand=1.0) for k in range(m)]
+    return Datacenter(id="DC", vms=vms, capacity=capacity)
 
 
 def test_rr_skips_vms_without_room():
@@ -61,8 +62,7 @@ def test_rr_skips_vms_without_room():
 
 
 def test_rr_queue_cap_counts_queued_and_incoming_jobs():
-    dc = _queue_cap_dc([1, 0, 0])
-    dc.vms[1].incoming.append(Job(id=2, arrival=0.0, demand=1.0))
+    dc = _queue_cap_dc([1, 0, 0], incoming_lens=[0, 1, 0])
     assert rr_next_vm(dc).id == 2
     assert dc.rr_pointer == 0
 
@@ -73,6 +73,36 @@ def test_rr_no_vm_with_room():
     with pytest.raises(PolicyError):
         rr_next_vm(dc)
     assert dc.rr_pointer == 2
+
+
+def _wheel_scan(dc):
+    """Round-robin by stepping the wheel one VM at a time past full VMs:
+    the VM found and the pointer after it, or None and the pointer as
+    it was when no VM has room."""
+    n = len(dc.vms)
+    for step in range(n):
+        vm = dc.vms[(dc.rr_pointer + step) % n]
+        if dc.has_room(vm):
+            return vm, (vm.id + 1) % n
+    return None, dc.rr_pointer
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=12),
+    st.sampled_from([1, 2, 3, 5, math.inf]),
+    st.data(),
+)
+def test_rr_index_matches_the_wheel_scan(lens, capacity, data):
+    dc = _queue_cap_dc([q for q, _ in lens], capacity, [m for _, m in lens])
+    dc.rr_pointer = data.draw(st.integers(0, len(lens) - 1))
+    want_vm, want_pointer = _wheel_scan(dc)
+    if want_vm is None:
+        with pytest.raises(PolicyError):
+            rr_next_vm(dc)
+    else:
+        assert rr_next_vm(dc) is want_vm
+    assert dc.rr_pointer == want_pointer
 
 
 @given(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=6))
