@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gc
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
 from contextlib import contextmanager
 from heapq import heappop, heappush, heapreplace
@@ -45,6 +45,7 @@ DEFAULT_EVENT_CAP = 10_000_000
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
 _SJF_KEY = attrgetter("sjf_key")
+_DEMAND = attrgetter("demand")
 
 
 @contextmanager
@@ -253,16 +254,16 @@ class Simulation:
         """Prefix sums of the demands in `vm.service`, rebuilt only after
         the queue changed."""
         if vm.service_prefix is None:
-            vm.service_prefix = list(accumulate((j.demand for j in vm.service), initial=0.0))
+            vm.service_prefix = list(accumulate(map(_DEMAND, vm.service), initial=0.0))
         return vm.service_prefix
 
     # Every change to a queue or an incoming list goes through one of the
     # four helpers below, so the VM's service order, its prefix sums and the
-    # datacenter's `settled` flag and `open_ids` index never go stale. A VM
-    # takes a job only while it has room (`Datacenter.has_room`), so it never
-    # holds more than `capacity`: an add that brings it to capacity drops
-    # its id from `open_ids`, and a removal that brings it one below puts
-    # the id back.
+    # datacenter's `settled` flag, `queued` count and `open_ids` index never
+    # go stale. A VM takes a job only while it has room
+    # (`Datacenter.has_room`), so it never holds more than `capacity`: an
+    # add that brings it to capacity drops its id from `open_ids`, and a
+    # removal that brings it one below puts the id back.
 
     def _queue_add(self, vm: VmInstance, job: Job):
         dc = vm.dc
@@ -270,6 +271,7 @@ class Simulation:
         if vm.service is not vm.queue:
             insort(vm.service, job, key=_SJF_KEY)
         vm.service_prefix = None
+        dc.queued += 1
         dc.settled = False
         if len(vm.queue) + len(vm.incoming) == dc.capacity:
             dc.open_ids.remove(vm.id)
@@ -280,6 +282,7 @@ class Simulation:
         if vm.service is not vm.queue:
             vm.service.remove(job)
         vm.service_prefix = None
+        dc.queued -= 1
         dc.settled = False
         if len(vm.queue) + len(vm.incoming) == dc.capacity - 1:
             insort(dc.open_ids, vm.id)
@@ -391,7 +394,7 @@ class Simulation:
         for one more job (`dc.open_ids`), in VM order, with their prefix
         sums up to date."""
         vms = dc.vms
-        mean_qlen = sum(len(v.queue) for v in vms) / len(vms)
+        mean_qlen = dc.queued / len(vms)
         targets = [vms[i] for i in dc.open_ids if len(vms[i].queue) < mean_qlen]
         for v in targets:
             self._service_prefix(v)
@@ -411,6 +414,26 @@ class Simulation:
         demands in service order rather than queue order; for
         integer-valued demands (all bundled scenarios) that is exact,
         other float demands may differ in the last ulp.
+
+        `migration_decision` is called only for a job that moves, so the
+        check costs in proportion to moves, not to queued jobs. Each test
+        below compares the rule's own cost, `wait + hop`, with the job's
+        own wait, so the rule sees exactly the jobs that move under it and
+        picks the same target and cost:
+
+        - rr (`_shed_rr`): until a move, the pairs do not depend on the
+          job, and neither does `best = min(waits) + hop`, the least cost
+          (adding `hop` keeps the order of the waits). A job's own wait,
+          `residual + prefix[k]` at queue index k, does not fall along the
+          queue: the prefix sums do not fall and float addition is
+          monotone. So the jobs whose wait exceeds `best` form a suffix of
+          the queue, which bisection finds; its first uncapped job is the
+          mover. After a move the pairs, `best` and the prefix are
+          recomputed, and the search resumes at the mover's index, since
+          the jobs before it have been offered already.
+        - sjf (`_shed_sjf`): for each uncapped job, the targets are walked
+          in VM order until one's `wait + hop` beats the job's own wait;
+          only then are the pairs built and the rule called.
 
         The check returns at once while `dc.settled`: its last full pass
         moved no job and no queue or `incoming` list of the datacenter
@@ -443,41 +466,67 @@ class Simulation:
             return
         logged = len(self.migration_log)
         residual = [self._residual(v, now) for v in vms]
-        sjf = self.scheduler == "sjf"
+        shed = self._shed_sjf if self.scheduler == "sjf" else self._shed_rr
         for vm in vms:
-            others = [v for v in targets if v is not vm]
-            prefix = None
-            moved = 0
-            for i, job in enumerate(list(vm.queue)):
-                if not others:
-                    break
-                if len(job.vm_history) > self.migration_cap:  # all its moves landed
-                    continue
-                key = job.sjf_key
-                candidates = [
-                    (v, (residual[v.id] + v.service_prefix[
-                        bisect_left(v.service, key, key=_SJF_KEY) if sjf else -1
-                    ]) + v.incoming_sum)
-                    for v in others
-                ]
-                if prefix is None:
-                    prefix = self._service_prefix(vm)
-                ahead = bisect_left(vm.service, key, key=_SJF_KEY) if sjf else i - moved
-                current_wait = residual[vm.id] + prefix[ahead]
-                choice = migration_decision(current_wait, candidates, self.hop_ms)
-                if choice is None:
-                    continue
-                target, cost = choice
-                self._queue_remove(vm, job)
-                prefix = None
-                moved += 1
-                self._incoming_add(target, job)
-                job.vm = target
-                self.migration_log.append((job.id, vm.id, target.id, now, current_wait, cost))
-                self.calendar.schedule(now + self.hop_ms, JOB_ARRIVAL, job)
-                targets = self._migration_targets(dc)
-                others = [v for v in targets if v is not vm]
+            if vm.queue:
+                targets = shed(vm, targets, residual, now)
         dc.settled = len(self.migration_log) == logged
+
+    def _shed_rr(self, vm: VmInstance, targets: list, residual: list, now: float) -> list:
+        """Move `vm`'s movers under rr; returns the targets left."""
+        queue, r, hop, cap = vm.queue, residual[vm.id], self.hop_ms, self.migration_cap
+        k = 0
+        while True:
+            others = [v for v in targets if v is not vm]
+            if not others:
+                return targets
+            waits = [(residual[v.id] + v.service_prefix[-1]) + v.incoming_sum for v in others]
+            prefix = self._service_prefix(vm)
+            k = bisect_right(prefix, min(waits) + hop, k, len(queue), key=lambda p: r + p)
+            while k < len(queue) and len(queue[k].vm_history) > cap:  # all its moves landed
+                k += 1
+            if k == len(queue):
+                return targets
+            targets = self._move(vm, queue[k], r + prefix[k], list(zip(others, waits)), now)
+
+    def _shed_sjf(self, vm: VmInstance, targets: list, residual: list, now: float) -> list:
+        """Move `vm`'s movers under sjf; returns the targets left."""
+        r, hop, cap = residual[vm.id], self.hop_ms, self.migration_cap
+        others = [v for v in targets if v is not vm]
+        prefix = self._service_prefix(vm)
+        for job in list(vm.queue):
+            if not others:
+                break
+            if len(job.vm_history) > cap:  # all its moves landed
+                continue
+            key = job.sjf_key
+            current_wait = r + prefix[bisect_left(vm.service, key, key=_SJF_KEY)]
+            for v in others:
+                slot = bisect_left(v.service, key, key=_SJF_KEY)
+                if (residual[v.id] + v.service_prefix[slot]) + v.incoming_sum + hop < current_wait:
+                    break
+            else:
+                continue  # no target beats staying
+            pairs = [
+                (v, (residual[v.id] + v.service_prefix[bisect_left(v.service, key, key=_SJF_KEY)])
+                 + v.incoming_sum)
+                for v in others
+            ]
+            targets = self._move(vm, job, current_wait, pairs, now)
+            others = [v for v in targets if v is not vm]
+            prefix = self._service_prefix(vm)
+        return targets
+
+    def _move(self, vm: VmInstance, job: Job, current_wait: float, pairs: list, now: float) -> list:
+        """Send `job` from `vm` to the target the rule picks among
+        `pairs`, which must beat staying; returns the new targets."""
+        target, cost = migration_decision(current_wait, pairs, self.hop_ms)
+        self._queue_remove(vm, job)
+        self._incoming_add(target, job)
+        job.vm = target
+        self.migration_log.append((job.id, vm.id, target.id, now, current_wait, cost))
+        self.calendar.schedule(now + self.hop_ms, JOB_ARRIVAL, job)
+        return self._migration_targets(vm.dc)
 
     # -- run loop ----------------------------------------------------------
 

@@ -93,7 +93,9 @@ class Datacenter:
     `open_ids` indexes room: the ascending ids of the VMs for which
     `has_room` holds, built here from the VMs as given (a VM's id is its
     index in `vms`). Admission, round-robin dispatch and the migration
-    check read it instead of testing every VM."""
+    check read it instead of testing every VM. `queued` counts the jobs
+    in all the VMs' queues, so the migration check reads the mean queue
+    length without summing them."""
 
     id: str
     vms: list[VmInstance]
@@ -102,11 +104,13 @@ class Datacenter:
     # Summaries the engine keeps up to date at every queue change.
     settled: bool = False  # the last migration check moved no job; nothing changed since
     open_ids: list[int] = field(init=False)  # ascending ids of the VMs with room
+    queued: int = field(init=False)  # jobs in all the VMs' queues
 
     def __post_init__(self):
         for vm in self.vms:
             vm.dc = self
         self.open_ids = [vm.id for vm in self.vms if self.has_room(vm)]
+        self.queued = sum(len(vm.queue) for vm in self.vms)
 
     def has_room(self, vm: VmInstance) -> bool:
         """Whether `vm` may take one more job: its queued jobs plus the

@@ -8,7 +8,9 @@ skips a settled datacenter), the `all()` scan as admission and the
 skip-full-VM loop as round-robin dispatch. It requires identical
 migration logs and job traces. The snapshot oracle runs one check of
 each on copies of a datacenter state built directly, which reaches
-many more states per second than whole runs.
+many more states per second than whole runs. The snapshot oracle and
+a whole-run test also count the engine's calls of the decision rule:
+exactly one per move.
 
 Demands are whole milliseconds. The engine sums sjf queues in service
 order while the rescan sums them in queue order; the two orders agree
@@ -22,9 +24,11 @@ from collections import defaultdict
 from operator import attrgetter
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim import engine
+from dispatchsim.cli import _read_scenario_text
 from dispatchsim.engine import JOB_ARRIVAL, Simulation
 from dispatchsim.model import RUNNING, AdmissionResult, Job
 from dispatchsim.policies import migration_decision
@@ -204,20 +208,13 @@ def test_queue_cap_admission_matches_rescan_without_migration(text):
     assert_same_run(text)
 
 
-@st.composite
-def migration_snapshots(draw):
-    """(sim, now): a Simulation of one 2-5 VM datacenter, built with no
-    jobs and then filled mid-run through `_queue_add` and `_incoming_add`,
-    so its summaries hold: queues, running jobs, jobs in transit, each
-    queued job's `vm_history` and `vm`, and the capacity. Queued demands
-    of 1-2 ms and many idle VMs make equal candidate waits common;
-    hop_time 0, capped jobs and full targets are drawn often. Running
-    jobs of up to 8 ms make a VM shed several jobs in one pass, so the
-    targets change between its moves."""
-    n_vms = draw(st.integers(2, 5))
-    scheduler = draw(st.sampled_from(["rr", "sjf"]))
-    cap = draw(st.integers(0, 3))
-    capacity = draw(st.sampled_from([None, 1, 2, 4]))
+def build_snapshot(scheduler, hop_time, cap, capacity, now, vms):
+    """(sim, now): a Simulation of one datacenter, built with no jobs and
+    then filled mid-run through `_queue_add` and `_incoming_add`, so its
+    summaries hold. `vms` gives each VM as (running, queued, incoming):
+    running is None or (demand, started), and each queued or incoming
+    job is (demand, arrival, earlier VM ids). `capacity` None means
+    deadline admission."""
     admission = (
         "admission = deadline\ndeadline = 1000"
         if capacity is None
@@ -231,7 +228,7 @@ horizon = 0
 seed = 1
 
 [datacenter.DC1]
-vms = {n_vms}
+vms = {len(vms)}
 rate = 100
 memory = 1
 bandwidth = 1000
@@ -240,54 +237,179 @@ bandwidth_unit = units_per_ms
 [policy]
 scheduler = {scheduler}
 migration = on
-hop_time = {draw(st.sampled_from([0, 0, 1, 2, 5]))}
+hop_time = {hop_time}
 migration_cap = {cap}
 {admission}
 """))
-    dc = sim.datacenters["DC1"]
-    now = float(draw(st.integers(0, 10)))
-    ids = iter(range(1, 100))
+    ids = iter(range(1, 1000))
 
-    def new_job(longest):
-        job = Job(id=next(ids), arrival=float(draw(st.integers(0, int(now)))),
-                  demand=float(draw(st.integers(1, longest))))
+    def new_job(demand, arrival):
+        job = Job(id=next(ids), arrival=float(arrival), demand=float(demand))
         if scheduler == "sjf":
             job.sjf_key = (job.demand, job.arrival, job.id)
         return job
 
-    for vm in dc.vms:
-        if draw(st.booleans()):
-            job = new_job(8)
-            job.state, job.start = RUNNING, now - draw(st.integers(0, int(job.demand)))
+    for vm, (running, queued, incoming) in zip(sim.datacenters["DC1"].vms, vms):
+        if running is not None:
+            job = new_job(running[0], running[1])
+            job.state, job.start = RUNNING, float(running[1])
             vm.running = job
+        for jobs, add in ((queued, sim._queue_add), (incoming, sim._incoming_add)):
+            for demand, arrival, earlier in jobs:
+                job = new_job(demand, arrival)
+                job.vm_history = tuple(earlier) + (vm.id,)
+                job.vm = vm
+                add(vm, job)
+    return sim, float(now)
+
+
+@st.composite
+def migration_snapshots(draw):
+    """A `build_snapshot` of 2-5 VMs. Queued demands of 1-2 ms and many
+    idle VMs make equal candidate waits common; hop_time 0, capped jobs
+    and full targets are drawn often. Running jobs of up to 8 ms make a
+    VM shed several jobs in one pass, so the targets change between its
+    moves. Some snapshots draw queued demands of up to 40 ms, which puts
+    the rr threshold mid-queue with capped jobs after it."""
+    n_vms = draw(st.integers(2, 5))
+    cap = draw(st.integers(0, 3))
+    capacity = draw(st.sampled_from([None, 1, 2, 4]))
+    now = draw(st.integers(0, 10))
+    longest = draw(st.sampled_from([2, 2, 40]))
+
+    def job_spec():
+        moves = draw(st.integers(0, cap))  # == cap: the job may not move again
+        earlier = draw(st.lists(st.integers(0, n_vms - 1), min_size=moves, max_size=moves))
+        return draw(st.integers(1, longest)), draw(st.integers(0, now)), earlier
+
+    vms = []
+    for _ in range(n_vms):
+        running = None
+        if draw(st.booleans()):
+            demand = draw(st.integers(1, 8))
+            running = demand, now - draw(st.integers(0, demand))
+        queued, incoming = [], []
         room = 8 if capacity is None else capacity
         for _ in range(draw(st.sampled_from([0, room, room]) | st.integers(0, room))):
-            job = new_job(2)
-            moves = draw(st.integers(0, cap))  # == cap: the job may not move again
-            job.vm_history = tuple(draw(st.lists(
-                st.integers(0, n_vms - 1), min_size=moves, max_size=moves))) + (vm.id,)
-            job.vm = vm
-            if draw(st.integers(0, 3)):
-                sim._queue_add(vm, job)
-            else:  # in transit toward vm
-                sim._incoming_add(vm, job)
-    return sim, now
+            (queued if draw(st.integers(0, 3)) else incoming).append(job_spec())
+        vms.append((running, queued, incoming))
+    return build_snapshot(
+        draw(st.sampled_from(["rr", "sjf"])),
+        draw(st.sampled_from([0, 0, 1, 2, 5])),
+        cap, capacity, now, vms,
+    )
+
+
+# rr, hop_time 5, migration_cap 1, at t = 10: VM 0 has 2 ms of its
+# running job left and queued jobs of 3 ms, so their own waits are 2, 5,
+# 8 and so on; idle, empty VM 1 gives best = 0 + 5. The job waiting
+# exactly 5 stays and the one waiting 8 moves, unless it has moved once
+# already; then the next one moves.
+_WAIT_EQUALS_BEST = [((4, 8), [(3, 0, ())] * 3, []), (None, [], [])]
+_CAPPED_AT_THRESHOLD = [
+    ((4, 8), [(3, 0, ()), (3, 0, ()), (3, 0, (1,)), (3, 0, ())], []),
+    (None, [], []),
+]
 
 
 @settings(max_examples=400, deadline=None)
 @given(migration_snapshots())
+@example(build_snapshot("rr", 5, 1, None, 10, _WAIT_EQUALS_BEST))
+@example(build_snapshot("rr", 5, 1, None, 10, _CAPPED_AT_THRESHOLD))
+@example(build_snapshot("sjf", 0, 2, 4, 3, [  # hop_time 0, equal waits
+    (None, [(1, 0, ()), (1, 1, ()), (2, 2, ()), (1, 3, ())], []),
+    (None, [], []),
+    ((2, 1), [], []),
+]))
+@example(build_snapshot("rr", 0, 2, 2, 3, [
+    ((3, 1), [(1, 0, ()), (2, 1, ())], []),
+    (None, [], [(1, 2, (0,))]),
+    (None, [], []),
+]))
 def test_migration_check_matches_rescan_on_snapshots(snapshot):
     """One check from one state, by the engine and by the rescan, on
-    copies: the same moves, queues and jobs in transit."""
-    sim, now = snapshot
+    copies: the same moves, queues and jobs in transit. The engine calls
+    the decision rule once per move, never for a job that stays (the
+    rescan imports its own copy of the rule, so the wrap does not count
+    its calls)."""
+    sim, now = copy.deepcopy(snapshot)
     ref = copy.deepcopy(sim)
     ref.__class__ = RescanSimulation
-    sim._migration_check(sim.datacenters["DC1"], now)
+    with mock.patch.object(engine, "migration_decision", wraps=migration_decision) as rule:
+        sim._migration_check(sim.datacenters["DC1"], now)
     ref._migration_check(ref.datacenters["DC1"], now)
     assert sim.migration_log == ref.migration_log
+    assert rule.call_count == len(sim.migration_log)
     for vm, twin in zip(sim.datacenters["DC1"].vms, ref.datacenters["DC1"].vms):
         assert [j.id for j in vm.queue] == [j.id for j in twin.queue]
         assert [j.id for j in vm.incoming] == [j.id for j in twin.incoming]
+
+
+def test_snapshot_examples_reach_their_edges():
+    """The rr examples above move the jobs their comment says: job 1 is
+    VM 0's running job, so its queued jobs are 2, 3, ..."""
+    for vms, moved, wait in ((_WAIT_EQUALS_BEST, 4, 8.0), (_CAPPED_AT_THRESHOLD, 5, 11.0)):
+        sim, now = build_snapshot("rr", 5, 1, None, 10, vms)
+        sim._migration_check(sim.datacenters["DC1"], now)
+        assert sim.migration_log == [(moved, 0, 1, now, wait, 5.0)]
+
+
+def _two_vm_mix(scheduler):
+    """2 VMs at rho 1.2 fed 500 batches of 50 ms jobs and 500 of 450 ms
+    jobs over 104,167 ms, migration on and a deadline no job reaches."""
+    horizon = 104_167
+    rph = (500 * 100 + 0.5) / (1000 * horizon / 3_600_000)  # exactly 500 batches each
+    userbases = "\n".join(
+        f"[userbase.{ub}]\nrequests_per_user_per_hour = {rph!r}\ndata_size_per_request = 100\n"
+        f"datacenter = DC1\ninstruction_length = {length}\n"
+        for ub, length in (("UBS", 50), ("UBL", 450))
+    )
+    return f"""
+[scenario]
+name = two_vm_mix
+time_unit = ms
+horizon = {horizon}
+seed = 1
+
+[advanced]
+user_grouping = 1000
+request_grouping = 100
+
+[datacenter.DC1]
+vms = 2
+rate = 100
+memory = 512
+bandwidth = 1000
+bandwidth_unit = units_per_ms
+
+{userbases}
+[policy]
+scheduler = {scheduler}
+migration = on
+hop_time = 5
+migration_cadence = 10
+admission = deadline
+deadline = {100 * horizon}
+"""
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "sjf"])
+@pytest.mark.parametrize("scenario", ["migration_demo.scn", "two_vm_mix"])
+def test_whole_run_calls_the_rule_once_per_move(scenario, scheduler):
+    """Over whole runs the engine calls the decision rule only for the
+    jobs that move: as often as `migration_log` has entries."""
+    if scenario == "two_vm_mix":
+        text = _two_vm_mix(scheduler)
+    else:
+        text = _read_scenario_text(scenario).replace("scheduler = rr", f"scheduler = {scheduler}")
+    config = load_scenario(text)
+    assert config.policy.scheduler == scheduler
+    with mock.patch.object(engine, "migration_decision", wraps=migration_decision) as rule:
+        metrics = Simulation(config).run()
+    assert metrics.migration_log
+    assert rule.call_count == len(metrics.migration_log)
+    if scenario == "two_vm_mix":
+        assert metrics.submitted == 1000
 
 
 def checked_simulation(check):
@@ -350,7 +472,8 @@ SECOND_PASS_MOVES = "\n".join(
 @example(SECOND_PASS_MOVES)
 def test_datacenter_summaries_hold_after_every_event(text):
     """After every event each `open_ids` equals the ascending ids of the
-    VMs a scan finds with room (`has_room`), each VM's service order is
+    VMs a scan finds with room (`has_room`), each `queued` equals the
+    jobs in the datacenter's queues, each VM's service order is
     its queue (rr) or its queue sorted by sjf key (sjf), and a rescan of a settled datacenter, run on a copy, moves no
     job. Each job's `vm` is the VM whose queue or incoming list holds
     it, and None once it has started or been rejected. Once an instant's
@@ -367,6 +490,7 @@ def test_datacenter_summaries_hold_after_every_event(text):
                 assert job.vm is None, (kind, now, job.id)
         for dc in sim.datacenters.values():
             assert dc.open_ids == [v.id for v in dc.vms if dc.has_room(v)], (kind, now)
+            assert dc.queued == sum(len(v.queue) for v in dc.vms), (kind, now)
             for vm in dc.vms:
                 for job in vm.queue + vm.incoming:
                     assert job.vm is vm, (kind, now, vm.id, job.id)

@@ -294,6 +294,13 @@ def test_open_vms_counts_jobs_in_transit():
     assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).open_ids == [2]
 
 
+def test_datacenter_counts_queued_jobs_not_jobs_in_transit():
+    dc = _dc_with_queues([3, 0, 2], capacity=4)
+    assert dc.queued == 5
+    dc.vms[1].incoming.append(Job(id=8, arrival=0.0, demand=1.0))
+    assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).queued == 5
+
+
 def test_datacenter_sets_each_vm_dc():
     dc = _dc_with_queues([1, 0], capacity=1)
     assert all(vm.dc is dc for vm in dc.vms)
