@@ -5,7 +5,10 @@ and one hourly_response_<series>.csv per series; `sweep` writes only
 rejections.csv and rejections_bar.csv, with one row per level.
 
 All files are UTF-8 with \\n line endings and a '.' decimal separator.
-Durations are written in the time unit the scenario declared. Each
+Times and averages are written as `%.12g`, to 12 significant digits,
+in the time unit the scenario declared. A time a job never reached is an
+empty field: a rejected job has no start, finish or wait. jobs.csv
+lists the jobs in id order, each `vm_history` joined with ';'. Each
 writer's `out_dir` must exist. Files are written to `<name>.tmp` and
 renamed, and a failed write or rename removes the temp file, so
 failures leave no partial output behind.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import chain
 
 from .metrics import (
     RunMetrics,
@@ -24,7 +28,10 @@ from .metrics import (
     rejection_percentage,
     summarize,
 )
-from .model import MS_PER_HOUR
+from .model import COMPLETED, MS_PER_HOUR
+
+_RAN_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%s,%s"
+_UNSTARTED_ROW = "%s,%.12g,,,,%s,%s"
 
 
 def _fmt(value) -> str:
@@ -46,6 +53,32 @@ def _write_atomic(path, lines) -> str:
         os.remove(tmp)
         raise
     return path
+
+
+def _job_rows(metrics: RunMetrics):
+    """Yield the jobs.csv row of each trace: one format call for each of
+    the two shapes a run leaves (a job that ran, a job rejected before it
+    started), field by field for any other."""
+    u = metrics.unit_ms
+    for t in metrics.traces:
+        h = t.vm_history
+        history = h[0] if len(h) == 1 else ";".join(map(str, h))
+        arrival, start, finish = t.arrival, t.start, t.finish
+        if start is not None and finish is not None:
+            yield _RAN_ROW % (
+                t.id, arrival / u, start / u, finish / u, (start - arrival) / u,
+                history, t.state,
+            )
+        elif start is None and finish is None:
+            yield _UNSTARTED_ROW % (t.id, arrival / u, history, t.state)
+        else:  # a hand-built trace with only one of start and finish
+            fields = [
+                arrival / u,
+                None if start is None else start / u,
+                None if finish is None else finish / u,
+                None if start is None else (start - arrival) / u,
+            ]
+            yield ",".join([str(t.id), *map(_fmt, fields), str(history), t.state])
 
 
 def write_sweep_rejections_csv(rows, out_dir) -> dict[str, str]:
@@ -85,23 +118,8 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
             s = summarize(samples)
             summary_lines.append(f"{name},{_fmt(s.avg)},{_fmt(s.min)},{_fmt(s.max)}")
 
-    job_lines = ["id,arrival,start,finish,wait,vm_history,state"]
-    for t in metrics.traces:
-        wait = None if t.start is None else (t.start - t.arrival) / u
-        job_lines.append(
-            ",".join(
-                [
-                    str(t.id),
-                    _fmt(t.arrival / u),
-                    _fmt(None if t.start is None else t.start / u),
-                    _fmt(None if t.finish is None else t.finish / u),
-                    _fmt(wait),
-                    ";".join(str(v) for v in t.vm_history),
-                    t.state,
-                ]
-            )
-        )
-
+    header = "id,arrival,start,finish,wait,vm_history,state"
+    job_lines = chain([header], _job_rows(metrics))
     return {
         "summary": _write_atomic(os.path.join(out_dir, "summary.csv"), summary_lines),
         **write_sweep_rejections_csv([(metrics.submitted, metrics.rejected)], out_dir),
@@ -117,12 +135,18 @@ def emit_plot_series(metrics: RunMetrics, out_dir) -> list[str]:
     paths in series order."""
     u = metrics.unit_ms
     by_ub: dict[str, dict[int, list[float]]] = {}
-    for t in completed_traces(metrics):
+    for t in metrics.traces:
+        if t.state != COMPLETED:
+            continue
         series = t.origin_ub if t.origin_ub is not None else "jobs"
+        hours = by_ub.get(series)
+        if hours is None:
+            hours = by_ub[series] = {}
         hour = int(math.floor(t.arrival / MS_PER_HOUR))
-        by_ub.setdefault(series, {}).setdefault(hour, []).append(
-            network_response(t) / u
-        )
+        samples = hours.get(hour)
+        if samples is None:
+            samples = hours[hour] = []
+        samples.append(network_response(t) / u)
     paths = []
     for series in sorted(by_ub):
         lines = ["hour,avg_response"]

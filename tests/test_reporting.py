@@ -1,7 +1,19 @@
+import math
 import os
+import tempfile
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
-from dispatchsim.metrics import RunMetrics
+from dispatchsim.metrics import (
+    NeverStarted,
+    RunMetrics,
+    network_response,
+    queue_wait,
+    summarize,
+)
+from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, RUNNING, Job
 from dispatchsim.reporting import (
     emit_plot_series,
     write_metrics_csv,
@@ -112,3 +124,142 @@ def test_empty_metrics_empty_series(tmp_path):
 def test_no_partial_files_left_behind(table6_config, tmp_path):
     write_metrics_csv(Simulation(table6_config).run(), tmp_path)
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def _ref_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def reference_files(metrics):
+    """The text of summary.csv, jobs.csv and each hourly_response_*.csv,
+    written field by field with one `format(x, ".12g")` per number."""
+    u = metrics.unit_ms
+    done = [t for t in metrics.traces if t.state == COMPLETED]
+    summary = ["metric,avg,min,max"]
+    if done:
+        for name, samples in [
+            ("response_time", [network_response(t) / u for t in done]),
+            ("processing_time", [t.demand / t.batch_size / u for t in done]),
+            ("queue_wait", [queue_wait(t) / u for t in done]),
+        ]:
+            s = summarize(samples)
+            summary.append(f"{name},{_ref_fmt(s.avg)},{_ref_fmt(s.min)},{_ref_fmt(s.max)}")
+    jobs = ["id,arrival,start,finish,wait,vm_history,state"]
+    for t in metrics.traces:
+        wait = None if t.start is None else (t.start - t.arrival) / u
+        jobs.append(",".join([
+            str(t.id),
+            _ref_fmt(t.arrival / u),
+            _ref_fmt(None if t.start is None else t.start / u),
+            _ref_fmt(None if t.finish is None else t.finish / u),
+            _ref_fmt(wait),
+            ";".join(str(v) for v in t.vm_history),
+            t.state,
+        ]))
+    files = {"summary.csv": summary, "jobs.csv": jobs}
+    by_ub = {}
+    for t in done:
+        series = t.origin_ub if t.origin_ub is not None else "jobs"
+        hour = int(math.floor(t.arrival / MS_PER_HOUR))
+        by_ub.setdefault(series, {}).setdefault(hour, []).append(network_response(t) / u)
+    for series, hours in by_ub.items():
+        files[f"hourly_response_{series}.csv"] = ["hour,avg_response"] + [
+            f"{hour},{_ref_fmt(sum(v) / len(v))}" for hour, v in sorted(hours.items())
+        ]
+    return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
+
+
+# -5e-324 / H is -0.0, so floor gives hour 0 where // gives -1; the last
+# is just below a whole hour, where arrival / H rounds up to it.
+SPECIAL_TIMES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 1.0, 7.0, MS_PER_HOUR,
+    3.2982725956280398e19,
+]
+times = st.one_of(
+    st.sampled_from(SPECIAL_TIMES),
+    st.integers(-(10**9), 10**9).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def hand_traces(draw, job_id):
+    """A trace of one of the shapes a writer may meet: completed, rejected
+    before it started, started but not finished, or finished with no
+    start."""
+    shape = draw(st.sampled_from(["completed", "rejected", "started", "finished"]))
+    start = draw(times) if shape in ("completed", "started") else None
+    finish = draw(times) if shape in ("completed", "finished") else None
+    state = {"completed": COMPLETED, "rejected": REJECTED}.get(shape, RUNNING)
+    return Job(
+        id=job_id,
+        arrival=draw(times),
+        demand=draw(times),
+        origin_ub=draw(st.sampled_from([None, "UB1", "UB2"])),
+        batch_size=draw(st.integers(1, 5)),
+        state=state,
+        start=start,
+        finish=finish,
+        vm_history=tuple(draw(st.lists(st.integers(0, 150), max_size=4))),
+    )
+
+
+@st.composite
+def hand_metrics(draw):
+    ids = draw(st.lists(st.integers(0, 10**12), unique=True, max_size=12))
+    traces = [draw(hand_traces(i)) for i in ids]
+    states = [t.state for t in traces]
+    return RunMetrics(
+        unit_ms=draw(st.sampled_from([1.0, 1000.0, 3_600_000.0])),
+        submitted=len(traces),
+        completed=states.count(COMPLETED),
+        rejected=states.count(REJECTED),
+        traces=traces,
+    )
+
+
+def _one(trace, unit_ms=1.0):
+    return RunMetrics(unit_ms, 1, 0, 0, traces=[trace])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_metrics())
+@example(_one(Job(1, -5e-324, 1.0, state=COMPLETED, start=0.0, finish=1.0, vm_history=(0,))))
+@example(_one(Job(2, 3.2982725956280398e19, 1.0, state=COMPLETED, start=4e19, finish=5e19)))
+@example(_one(Job(3, 0.1 + 0.2, 1.0, state=REJECTED, vm_history=(0, 1)), 1000.0))
+def test_writers_match_the_per_field_reference(metrics):
+    """Every byte of summary.csv, jobs.csv and the hourly series equals
+    the field-by-field reference writer's, on traces of every shape."""
+    with tempfile.TemporaryDirectory() as out:
+        paths = list(write_metrics_csv(metrics, out).values())
+        paths += emit_plot_series(metrics, out)
+        written = {os.path.basename(p): _read(p) for p in paths}
+    expected = reference_files(metrics)
+    assert {k: v for k, v in written.items() if k in expected} == expected
+
+
+def test_failed_row_leaves_no_jobs_file(tmp_path):
+    """A row that raises part-way through jobs.csv leaves neither the
+    file nor its temp file."""
+    good = Job(1, 0.0, 1.0, state=COMPLETED, start=0.0, finish=1.0, vm_history=(0,))
+    bad = Job(2, None, 1.0, state=REJECTED, reject_reason="QueueFull")
+    metrics = RunMetrics(1.0, 2, 1, 1, traces=[good, bad])
+    with pytest.raises(TypeError):
+        write_metrics_csv(metrics, tmp_path)
+    names = os.listdir(tmp_path)
+    assert "jobs.csv" not in names
+    assert not [n for n in names if n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("start", [None, 0.0])
+def test_completed_trace_without_finish_raises_never_started(tmp_path, start):
+    trace = Job(1, 0.0, 1.0, state=COMPLETED, start=start)
+    metrics = RunMetrics(1.0, 1, 1, 0, traces=[trace])
+    with pytest.raises(NeverStarted):
+        write_metrics_csv(metrics, tmp_path)
+    with pytest.raises(NeverStarted):
+        emit_plot_series(metrics, tmp_path)
