@@ -30,6 +30,7 @@ from .model import (
     arrival_count,
     generate_arrivals,
     generate_sweep_arrivals,
+    sum_in_order,
     transfer_time,
 )
 from .policies import migration_decision, rr_next_vm
@@ -44,7 +45,6 @@ DEADLINE_EXPIRY = "DeadlineExpiry"
 DEFAULT_EVENT_CAP = 10_000_000
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
-_SJF_KEY = attrgetter("sjf_key")
 _DEMAND = attrgetter("demand")
 
 
@@ -195,9 +195,13 @@ class Simulation:
         for spec in config.datacenters:
             vms = [VmInstance(id=i, bandwidth=spec.bandwidth_per_ms) for i in range(spec.vm_count)]
             self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
-            if self.scheduler == "rr":
-                for vm in vms:
+            for vm in vms:
+                if self.scheduler == "rr":
                     vm.service = vm.queue
+                else:
+                    vm.service_keys = []
+                if self.migration_on:
+                    vm.movable = []
 
         # the datacenter each job arrives at, by its origin user base;
         # explicit [jobs] entries (origin None) run on the first one
@@ -251,26 +255,40 @@ class Simulation:
         return 0.0 if job is None else job.start + job.demand - now
 
     def _service_prefix(self, vm: VmInstance) -> list[float]:
-        """Prefix sums of the demands in `vm.service`, rebuilt only after
-        the queue changed."""
+        """Prefix sums of the demands in `vm.service`. `_queue_add`
+        extends them for a job added at the back of the service order;
+        any other change to the queue leaves them to be rebuilt here."""
         if vm.service_prefix is None:
             vm.service_prefix = list(accumulate(map(_DEMAND, vm.service), initial=0.0))
         return vm.service_prefix
 
     # Every change to a queue or an incoming list goes through one of the
-    # four helpers below, so the VM's service order, its prefix sums and the
-    # datacenter's `settled` flag, `queued` count and `open_ids` index never
-    # go stale. A VM takes a job only while it has room
-    # (`Datacenter.has_room`), so it never holds more than `capacity`: an
-    # add that brings it to capacity drops its id from `open_ids`, and a
-    # removal that brings it one below puts the id back.
+    # four helpers below, so the VM's service order and sjf keys, its prefix
+    # sums, its `movable` list and the datacenter's `settled` flag, `queued`
+    # count and `open_ids` index never go stale. A VM takes a job only while
+    # it has room (`Datacenter.has_room`), so it never holds more than
+    # `capacity`: an add that brings it to capacity drops its id from
+    # `open_ids`, and a removal that brings it one below puts the id back.
+    # A job's vm_history is set before it joins a queue and does not change
+    # while it is there, so it says whether the job is in `movable`: with
+    # migration on, while it holds at most `migration_cap` VMs.
 
     def _queue_add(self, vm: VmInstance, job: Job):
         dc = vm.dc
         vm.queue.append(job)
-        if vm.service is not vm.queue:
-            insort(vm.service, job, key=_SJF_KEY)
-        vm.service_prefix = None
+        prefix = vm.service_prefix
+        keys = vm.service_keys
+        if keys is not None:
+            key = job.sjf_key
+            i = bisect_left(keys, key)
+            if i < len(keys):  # not at the back, so the sums after it shift
+                prefix = vm.service_prefix = None
+            keys.insert(i, key)
+            vm.service.insert(i, job)
+        if prefix is not None:  # the same float as rebuilding by `accumulate`
+            prefix.append(prefix[-1] + job.demand)
+        if self.migration_on and len(job.vm_history) <= self.migration_cap:
+            vm.movable.append(job)
         dc.queued += 1
         dc.settled = False
         if len(vm.queue) + len(vm.incoming) == dc.capacity:
@@ -279,9 +297,14 @@ class Simulation:
     def _queue_remove(self, vm: VmInstance, job: Job):
         dc = vm.dc
         vm.queue.remove(job)
-        if vm.service is not vm.queue:
-            vm.service.remove(job)
+        keys = vm.service_keys
+        if keys is not None:
+            i = bisect_left(keys, job.sjf_key)
+            del keys[i]
+            del vm.service[i]
         vm.service_prefix = None
+        if self.migration_on and len(job.vm_history) <= self.migration_cap:
+            vm.movable.remove(job)
         dc.queued -= 1
         dc.settled = False
         if len(vm.queue) + len(vm.incoming) == dc.capacity - 1:
@@ -298,16 +321,16 @@ class Simulation:
     def _incoming_remove(self, vm: VmInstance, job: Job):
         dc = vm.dc
         vm.incoming.remove(job)
-        # re-summed rather than subtracted, so it stays the exact
-        # left-to-right float sum over the list
-        vm.incoming_sum = sum(j.demand for j in vm.incoming)
+        # re-summed rather than subtracted, so it stays the left-to-right
+        # float sum over the list that `_incoming_add` builds
+        vm.incoming_sum = sum_in_order(map(_DEMAND, vm.incoming))
         dc.settled = False
         if len(vm.queue) + len(vm.incoming) == dc.capacity - 1:
             insort(dc.open_ids, vm.id)
 
     def _enqueue(self, vm: VmInstance, job: Job, now: float):
-        self._queue_add(vm, job)
         job.vm_history += (vm.id,)
+        self._queue_add(vm, job)
         job.vm = vm
         self._maybe_start(vm, now)
 
@@ -397,16 +420,19 @@ class Simulation:
         mean_qlen = dc.queued / len(vms)
         targets = [vms[i] for i in dc.open_ids if len(vms[i].queue) < mean_qlen]
         for v in targets:
-            self._service_prefix(v)
+            if v.service_prefix is None:
+                self._service_prefix(v)
         return targets
 
     def _migration_check(self, dc: Datacenter, now: float):
         """Move queued jobs off overloaded VMs when the wait-vs-hop rule
         says a below-mean-queue-length VM is strictly cheaper.
 
-        Each source VM offers its queued jobs, in queue order, to the
-        other targets as `(vm, wait)` pairs in VM order, listed again only
-        after a move; an empty list ends the VM's scan. A wait is
+        Each source VM offers its uncapped queued jobs (fewer than
+        `migration_cap` moves so far), in queue order, to the other
+        targets as `(vm, wait)` pairs in VM order, listed again only after
+        a move; an empty list ends the VM's scan. A capped job is never
+        offered, and a VM whose `movable` list is empty is skipped. A wait is
         `(residual + service_prefix[slot]) + incoming_sum`, the slot being
         the job's sjf-key position under sjf and the back of the queue
         under rr. Movers land later, via `incoming`, so only the source's
@@ -415,9 +441,9 @@ class Simulation:
         integer-valued demands (all bundled scenarios) that is exact,
         other float demands may differ in the last ulp.
 
-        `migration_decision` is called only for a job that moves, so the
-        check costs in proportion to moves, not to queued jobs. Each test
-        below compares the rule's own cost, `wait + hop`, with the job's
+        `migration_decision` is called only for a job that moves; under
+        sjf the looks still cost in proportion to the uncapped queued
+        jobs. Each test below compares the rule's own cost, `wait + hop`, with the job's
         own wait, so the rule sees exactly the jobs that move under it and
         picks the same target and cost:
 
@@ -431,9 +457,10 @@ class Simulation:
           mover. After a move the pairs, `best` and the prefix are
           recomputed, and the search resumes at the mover's index, since
           the jobs before it have been offered already.
-        - sjf (`_shed_sjf`): for each uncapped job, the targets are walked
-          in VM order until one's `wait + hop` beats the job's own wait;
-          only then are the pairs built and the rule called.
+        - sjf (`_shed_sjf`): for each job of `movable`, the targets are
+          walked in VM order until one's `wait + hop` beats the job's own
+          wait; only then are the pairs built and the rule called. Slots
+          are found by bisecting `service_keys`, the plain sjf keys.
 
         The check returns at once while `dc.settled`: its last full pass
         moved no job and no queue or `incoming` list of the datacenter
@@ -468,7 +495,7 @@ class Simulation:
         residual = [self._residual(v, now) for v in vms]
         shed = self._shed_sjf if self.scheduler == "sjf" else self._shed_rr
         for vm in vms:
-            if vm.queue:
+            if vm.movable:  # exact: a VM with no uncapped job has no mover
                 targets = shed(vm, targets, residual, now)
         dc.settled = len(self.migration_log) == logged
 
@@ -491,24 +518,22 @@ class Simulation:
 
     def _shed_sjf(self, vm: VmInstance, targets: list, residual: list, now: float) -> list:
         """Move `vm`'s movers under sjf; returns the targets left."""
-        r, hop, cap = residual[vm.id], self.hop_ms, self.migration_cap
+        r, hop, keys = residual[vm.id], self.hop_ms, vm.service_keys
         others = [v for v in targets if v is not vm]
         prefix = self._service_prefix(vm)
-        for job in list(vm.queue):
+        for job in list(vm.movable):
             if not others:
                 break
-            if len(job.vm_history) > cap:  # all its moves landed
-                continue
             key = job.sjf_key
-            current_wait = r + prefix[bisect_left(vm.service, key, key=_SJF_KEY)]
+            current_wait = r + prefix[bisect_left(keys, key)]
             for v in others:
-                slot = bisect_left(v.service, key, key=_SJF_KEY)
+                slot = bisect_left(v.service_keys, key)
                 if (residual[v.id] + v.service_prefix[slot]) + v.incoming_sum + hop < current_wait:
                     break
             else:
                 continue  # no target beats staying
             pairs = [
-                (v, (residual[v.id] + v.service_prefix[bisect_left(v.service, key, key=_SJF_KEY)])
+                (v, (residual[v.id] + v.service_prefix[bisect_left(v.service_keys, key)])
                  + v.incoming_sum)
                 for v in others
             ]

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import COMPLETED, REJECTED, Job
+from .model import COMPLETED, REJECTED, Job, sum_in_order
 
 
 class MetricsError(Exception):
@@ -50,12 +50,13 @@ class RunMetrics:
 
 
 def summarize(samples) -> StatSummary:
-    """Exact arithmetic mean, min and max of a non-empty sample list."""
-    samples = list(samples)
+    """Mean, min and max of a non-empty sample list, read in place. The
+    mean divides the left-to-right float sum (`sum_in_order`) by the
+    count."""
     if not samples:
         raise EmptyInput("summarize requires at least one sample")
     return StatSummary(
-        avg=sum(samples) / len(samples),
+        avg=sum_in_order(samples) / len(samples),
         min=min(samples),
         max=max(samples),
         count=len(samples),

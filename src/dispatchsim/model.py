@@ -77,8 +77,14 @@ class VmInstance:
     # The queued jobs in service order, kept by the engine at every queue
     # change: `queue` itself under rr, ascending sjf_key under sjf.
     service: list[Job] = field(default_factory=list)
+    # service_keys[k] = service[k].sjf_key, so sjf bisects plain tuples;
+    # None under rr
+    service_keys: list[tuple] | None = None
     # service_prefix[k] = demand served before service[k]; None when stale
     service_prefix: list[float] | None = None
+    # The queued jobs that may still move (fewer than migration_cap moves
+    # so far), in queue order; an empty tuple with migration off
+    movable: list[Job] | tuple = ()
     start_pending: bool = False  # a JobStart for this VM is scheduled
 
 
@@ -136,6 +142,16 @@ class UserBase:
 class AdmissionResult:
     admitted: bool
     reason: str | None = None
+
+
+def sum_in_order(values) -> float:
+    """The float sum of `values` added left to right from 0.0. Unlike
+    `sum()`, which is compensated from CPython 3.12 on, it gives the
+    same result on every interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def processing_time(instruction_length: float, rate: float) -> float:
@@ -216,7 +232,7 @@ def generate_sweep_arrivals(
     if total_jobs <= 0 or not user_bases or horizon_ms <= 0:
         return []
     weights = [max(requests_over(ub, horizon_ms), 1.0) for ub in user_bases]
-    total_w = sum(weights)
+    total_w = sum_in_order(weights)
     exact = [total_jobs * w / total_w for w in weights]
     counts = [int(x) for x in exact]
     remainders = sorted(

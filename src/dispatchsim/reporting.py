@@ -28,7 +28,7 @@ from .metrics import (
     rejection_percentage,
     summarize,
 )
-from .model import COMPLETED, MS_PER_HOUR
+from .model import COMPLETED, MS_PER_HOUR, sum_in_order
 
 _RAN_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%s,%s"
 _UNSTARTED_ROW = "%s,%.12g,,,,%s,%s"
@@ -152,7 +152,7 @@ def emit_plot_series(metrics: RunMetrics, out_dir) -> list[str]:
         lines = ["hour,avg_response"]
         for hour in sorted(by_ub[series]):
             samples = by_ub[series][hour]
-            lines.append(f"{hour},{_fmt(sum(samples) / len(samples))}")
+            lines.append(f"{hour},{_fmt(sum_in_order(samples) / len(samples))}")
         paths.append(
             _write_atomic(
                 os.path.join(out_dir, f"hourly_response_{series}.csv"), lines

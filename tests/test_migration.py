@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 from dispatchsim import engine
 from dispatchsim.cli import _read_scenario_text
 from dispatchsim.engine import JOB_ARRIVAL, Simulation
-from dispatchsim.model import RUNNING, AdmissionResult, Job
+from dispatchsim.model import RUNNING, AdmissionResult, Job, sum_in_order
 from dispatchsim.policies import migration_decision
 from dispatchsim.scenario import load_scenario
 
@@ -141,14 +141,17 @@ class RescanSimulation(Simulation):
 
 
 @st.composite
-def overloaded_scenarios(draw, admission, migration="on"):
+def overloaded_scenarios(draw, admission, migration="on", tenths=False):
     """Scenario text: one 2-4 VM datacenter fed explicit jobs with
-    whole-ms bursts, at a load of up to 4x its capacity."""
+    whole-ms bursts (tenths of a ms with `tenths`), at a load of up to
+    4x its capacity."""
     vms = draw(st.integers(2, 4))
     n = draw(st.integers(10, 60))
-    bursts = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    bursts = draw(st.lists(st.integers(1, 400 if tenths else 40), min_size=n, max_size=n))
+    if tenths:
+        bursts = [b / 10 for b in bursts]
     rho = draw(st.sampled_from([0.5, 1.2, 2.0, 4.0]))
-    span = max(1, int(sum(bursts) / (vms * rho)))
+    span = max(1, int(sum_in_order(bursts) / (vms * rho)))
     arrivals = sorted(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
     policy = [
         f"scheduler = {draw(st.sampled_from(['rr', 'sjf']))}",
@@ -310,12 +313,20 @@ _CAPPED_AT_THRESHOLD = [
     ((4, 8), [(3, 0, ()), (3, 0, ()), (3, 0, (1,)), (3, 0, ())], []),
     (None, [], []),
 ]
+# sjf, hop_time 5, migration_cap 1, at t = 0: VM 0 has 8 ms of its
+# running job left and three queued 3 ms jobs, idle VM 1 none. With
+# every queued job capped nothing moves; with only the last one (job 4,
+# waiting 8 + 3 + 3 = 14) uncapped, it still moves, at cost 0 + 5.
+_ALL_CAPPED = [((8, 0), [(3, 0, (1,))] * 3, []), (None, [], [])]
+_UNCAPPED_BEHIND_CAPPED = [((8, 0), [(3, 0, (1,))] * 2 + [(3, 0, ())], []), (None, [], [])]
 
 
 @settings(max_examples=400, deadline=None)
 @given(migration_snapshots())
 @example(build_snapshot("rr", 5, 1, None, 10, _WAIT_EQUALS_BEST))
 @example(build_snapshot("rr", 5, 1, None, 10, _CAPPED_AT_THRESHOLD))
+@example(build_snapshot("sjf", 5, 1, None, 0, _ALL_CAPPED))
+@example(build_snapshot("sjf", 5, 1, None, 0, _UNCAPPED_BEHIND_CAPPED))
 @example(build_snapshot("sjf", 0, 2, 4, 3, [  # hop_time 0, equal waits
     (None, [(1, 0, ()), (1, 1, ()), (2, 2, ()), (1, 3, ())], []),
     (None, [], []),
@@ -346,12 +357,17 @@ def test_migration_check_matches_rescan_on_snapshots(snapshot):
 
 
 def test_snapshot_examples_reach_their_edges():
-    """The rr examples above move the jobs their comment says: job 1 is
+    """The examples above move the jobs their comments say: job 1 is
     VM 0's running job, so its queued jobs are 2, 3, ..."""
-    for vms, moved, wait in ((_WAIT_EQUALS_BEST, 4, 8.0), (_CAPPED_AT_THRESHOLD, 5, 11.0)):
-        sim, now = build_snapshot("rr", 5, 1, None, 10, vms)
+    for scheduler, now, vms, log in (
+        ("rr", 10, _WAIT_EQUALS_BEST, [(4, 0, 1, 10.0, 8.0, 5.0)]),
+        ("rr", 10, _CAPPED_AT_THRESHOLD, [(5, 0, 1, 10.0, 11.0, 5.0)]),
+        ("sjf", 0, _ALL_CAPPED, []),
+        ("sjf", 0, _UNCAPPED_BEHIND_CAPPED, [(4, 0, 1, 0.0, 14.0, 5.0)]),
+    ):
+        sim, now = build_snapshot(scheduler, 5, 1, None, now, vms)
         sim._migration_check(sim.datacenters["DC1"], now)
-        assert sim.migration_log == [(moved, 0, 1, now, wait, 5.0)]
+        assert sim.migration_log == log
 
 
 def _two_vm_mix(scheduler):
@@ -467,6 +483,42 @@ SECOND_PASS_MOVES = "\n".join(
 ) + "\n"
 
 
+# rr on two VMs, all at t = 0: a 40 ms job, then jobs of 0.1, 0.2 and
+# 0.3 ms in turn. VM 1 runs its short jobs and takes VM 0's one at a
+# time, so up to 12 are in transit at once, and each landing re-sums
+# the rest; CPython 3.12's compensated `sum()` differs on two of them.
+IN_TRANSIT_TENTHS = "\n".join(
+    [
+        "[scenario]", "name = random", "time_unit = ms", "horizon = 100", "seed = 1",
+        "[datacenter.DC1]", "vms = 2", "rate = 100", "memory = 1", "bandwidth = 1000",
+        "bandwidth_unit = units_per_ms",
+        "[policy]", "scheduler = rr", "migration = on", "hop_time = 5",
+        "migration_cadence = 1", "migration_cap = 1", "admission = deadline",
+        "deadline = 1000",
+        "[jobs]",
+        "job = 1 0 40",
+        *(f"job = {i} 0 {(0.1, 0.2, 0.3)[(i - 2) % 3]}" for i in range(2, 26)),
+    ]
+) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(ADMISSION_MODES.flatmap(lambda mode: overloaded_scenarios(mode, tenths=True)))
+@example(IN_TRANSIT_TENTHS)
+def test_incoming_sum_is_the_in_order_sum_after_every_event(text):
+    """After every event each VM's `incoming_sum` is `sum_in_order` of
+    its `incoming` demands, the sum `_incoming_add` builds one job at a
+    time. The demands are tenths of a ms, so where three or more jobs
+    are in transit a compensated `sum()` (CPython 3.12 on) can differ."""
+
+    def incoming_sums_hold(sim, kind, now):
+        for vm in sim.datacenters["DC1"].vms:
+            assert vm.incoming_sum == sum_in_order(j.demand for j in vm.incoming), (kind, now)
+
+    metrics = checked_simulation(incoming_sums_hold)(load_scenario(text)).run()
+    assert metrics.completed + metrics.rejected == metrics.submitted
+
+
 @settings(max_examples=80, deadline=None)
 @given(ADMISSION_MODES.flatmap(overloaded_scenarios))
 @example(SECOND_PASS_MOVES)
@@ -474,12 +526,16 @@ def test_datacenter_summaries_hold_after_every_event(text):
     """After every event each `open_ids` equals the ascending ids of the
     VMs a scan finds with room (`has_room`), each `queued` equals the
     jobs in the datacenter's queues, each VM's service order is
-    its queue (rr) or its queue sorted by sjf key (sjf), and a rescan of a settled datacenter, run on a copy, moves no
+    its queue (rr) or its queue sorted by sjf key (sjf), with
+    `service_keys` the keys of the service order (None under rr),
+    `movable` lists the queued jobs that may still move, in queue order,
+    and a rescan of a settled datacenter, run on a copy, moves no
     job. Each job's `vm` is the VM whose queue or incoming list holds
     it, and None once it has started or been rejected. Once an instant's
     events are done, no VM is idle with a non-empty queue."""
     config = load_scenario(text)
     sjf = config.policy.scheduler == "sjf"
+    cap = config.policy.migration_cap
     settled_checks = 0
 
     def summaries_hold(sim, kind, now):
@@ -499,6 +555,12 @@ def test_datacenter_summaries_hold_after_every_event(text):
                     if sjf
                     else vm.service is vm.queue
                 ), (kind, now, vm.id)
+                assert vm.service_keys == (
+                    [j.sjf_key for j in vm.service] if sjf else None
+                ), (kind, now, vm.id)
+                assert vm.movable == [
+                    j for j in vm.queue if len(j.vm_history) <= cap
+                ], (kind, now, vm.id)
                 if instant_done:
                     assert vm.running is not None or not vm.queue, (kind, now, vm.id)
             if dc.settled:

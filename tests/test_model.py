@@ -20,6 +20,7 @@ from dispatchsim.model import (
     generate_sweep_arrivals,
     processing_time,
     requests_over,
+    sum_in_order,
     transfer_time,
 )
 from dispatchsim.scenario import load_scenario
@@ -84,6 +85,14 @@ def _ub(rate=12, grouping=1000, batch=100, **kw):
 
 
 RATES = {"DC1": 100.0}
+
+
+def test_sum_in_order_is_not_compensated():
+    """Left to right, 1.0 is lost against 1e16 and the tenths round:
+    0.0 on every interpreter, where a compensated `sum()` (CPython 3.12
+    on) gives 2.0."""
+    assert sum_in_order([0.1] * 10 + [1e16, 1.0, -1e16]) == 0.0
+    assert sum_in_order([]) == 0.0
 
 
 def test_generate_arrivals_batch_count_one_hour():
