@@ -196,9 +196,7 @@ class Simulation:
             vms = [VmInstance(id=i, bandwidth=spec.bandwidth_per_ms) for i in range(spec.vm_count)]
             self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
             for vm in vms:
-                if self.scheduler == "rr":
-                    vm.service = vm.queue
-                else:
+                if self.scheduler == "sjf":
                     vm.service_keys = []
                 if self.migration_on:
                     vm.movable = []
@@ -255,36 +253,38 @@ class Simulation:
         return 0.0 if job is None else job.start + job.demand - now
 
     def _service_prefix(self, vm: VmInstance) -> list[float]:
-        """Prefix sums of the demands in `vm.service`. `_queue_add`
-        extends them for a job added at the back of the service order;
-        any other change to the queue leaves them to be rebuilt here."""
+        """Prefix sums of the demands in `vm.queue`. `_queue_add` extends
+        them for a job added at the back of the queue; any other change
+        to the queue leaves them to be rebuilt here."""
         if vm.service_prefix is None:
-            vm.service_prefix = list(accumulate(map(_DEMAND, vm.service), initial=0.0))
+            vm.service_prefix = list(accumulate(map(_DEMAND, vm.queue), initial=0.0))
         return vm.service_prefix
 
     # Every change to a queue or an incoming list goes through one of the
-    # four helpers below, so the VM's service order and sjf keys, its prefix
-    # sums, its `movable` list and the datacenter's `settled` flag, `queued`
-    # count and `open_ids` index never go stale. A VM takes a job only while
-    # it has room (`Datacenter.has_room`), so it never holds more than
-    # `capacity`: an add that brings it to capacity drops its id from
-    # `open_ids`, and a removal that brings it one below puts the id back.
-    # A job's vm_history is set before it joins a queue and does not change
-    # while it is there, so it says whether the job is in `movable`: with
+    # four helpers below, so the VM's queue stays in service order and its
+    # sjf keys, prefix sums, `movable` list (in join order) and the
+    # datacenter's `settled` flag, `queued` count and `open_ids` index never
+    # go stale. A VM takes a job only while it has room
+    # (`Datacenter.has_room`), so it never holds more than `capacity`: an
+    # add that brings it to capacity drops its id from `open_ids`, and a
+    # removal that brings it one below puts the id back. A job's
+    # vm_history is set before it joins a queue and does not change while
+    # it is there, so it says whether the job is in `movable`: with
     # migration on, while it holds at most `migration_cap` VMs.
 
     def _queue_add(self, vm: VmInstance, job: Job):
         dc = vm.dc
-        vm.queue.append(job)
         prefix = vm.service_prefix
         keys = vm.service_keys
-        if keys is not None:
-            key = job.sjf_key
+        if keys is None:
+            vm.queue.append(job)
+        else:
+            key = (job.demand, job.arrival, job.id)
             i = bisect_left(keys, key)
             if i < len(keys):  # not at the back, so the sums after it shift
                 prefix = vm.service_prefix = None
             keys.insert(i, key)
-            vm.service.insert(i, job)
+            vm.queue.insert(i, job)
         if prefix is not None:  # the same float as rebuilding by `accumulate`
             prefix.append(prefix[-1] + job.demand)
         if self.migration_on and len(job.vm_history) <= self.migration_cap:
@@ -296,12 +296,13 @@ class Simulation:
 
     def _queue_remove(self, vm: VmInstance, job: Job):
         dc = vm.dc
-        vm.queue.remove(job)
         keys = vm.service_keys
-        if keys is not None:
-            i = bisect_left(keys, job.sjf_key)
+        if keys is None:
+            vm.queue.remove(job)
+        else:
+            i = bisect_left(keys, (job.demand, job.arrival, job.id))
             del keys[i]
-            del vm.service[i]
+            del vm.queue[i]
         vm.service_prefix = None
         if self.migration_on and len(job.vm_history) <= self.migration_cap:
             vm.movable.remove(job)
@@ -365,15 +366,13 @@ class Simulation:
             self.calendar.schedule(now + self.deadline_ms, DEADLINE_EXPIRY, job)
         # admission guaranteed that some VM has room; rr skips full ones
         vm = rr_next_vm(dc)
-        if self.scheduler == "sjf":
-            job.sjf_key = (job.demand, job.arrival, job.id)
         self._enqueue(vm, job, now)
 
     def _on_start(self, vm: VmInstance, now: float):
         vm.start_pending = False
         if vm.running is not None or not vm.queue:
             return
-        job = vm.service[0]
+        job = vm.queue[0]
         self._queue_remove(vm, job)
         job.vm = None
         job.state = RUNNING
@@ -429,7 +428,7 @@ class Simulation:
         says a below-mean-queue-length VM is strictly cheaper.
 
         Each source VM offers its uncapped queued jobs (fewer than
-        `migration_cap` moves so far), in queue order, to the other
+        `migration_cap` moves so far), in join order (`movable`), to the other
         targets as `(vm, wait)` pairs in VM order, listed again only after
         a move; an empty list ends the VM's scan. A capped job is never
         offered, and a VM whose `movable` list is empty is skipped. A wait is
@@ -437,9 +436,10 @@ class Simulation:
         the job's sjf-key position under sjf and the back of the queue
         under rr. Movers land later, via `incoming`, so only the source's
         prefix sums are rebuilt after a move. Under sjf the sums add
-        demands in service order rather than queue order; for
-        integer-valued demands (all bundled scenarios) that is exact,
-        other float demands may differ in the last ulp.
+        demands in service order, the order of `vm.queue`; a rescan that
+        sums them in join order agrees exactly for integer-valued demands
+        (all bundled scenarios), other float demands may differ in the
+        last ulp.
 
         `migration_decision` is called only for a job that moves; under
         sjf the looks still cost in proportion to the uncapped queued
@@ -524,7 +524,7 @@ class Simulation:
         for job in list(vm.movable):
             if not others:
                 break
-            key = job.sjf_key
+            key = (job.demand, job.arrival, job.id)
             current_wait = r + prefix[bisect_left(keys, key)]
             for v in others:
                 slot = bisect_left(v.service_keys, key)

@@ -94,10 +94,9 @@ def starvation_report(traces, threshold: float) -> list[tuple[int, float]]:
     out = []
     for tr in traces:
         if tr.state == REJECTED and tr.reject_reason == "DeadlineExpired":
-            waited = (tr.rejected_at or tr.arrival) - tr.arrival
+            out.append((tr.id, tr.rejected_at - tr.arrival))
+        elif tr.start is not None and (waited := queue_wait(tr)) >= threshold:
             out.append((tr.id, waited))
-        elif tr.start is not None and queue_wait(tr) >= threshold:
-            out.append((tr.id, queue_wait(tr)))
     out.sort(key=lambda e: (-e[1], e[0]))
     return out
 

@@ -58,7 +58,6 @@ class Job:
     vm: VmInstance | None = None  # whose queue or incoming list holds it, else None
     reject_reason: str | None = None
     rejected_at: float | None = None
-    sjf_key: tuple | None = None  # (demand, arrival, id); set at dispatch, sjf only
 
 
 @dataclass
@@ -70,20 +69,20 @@ class VmInstance:
     id: int
     bandwidth: float  # capacity units per ms
     dc: Datacenter | None = field(default=None, repr=False, compare=False)
-    queue: list[Job] = field(default_factory=list)  # in arrival and landing order
+    # The queued jobs in service order, kept by the engine at every queue
+    # change: arrival and landing order under rr, ascending (demand,
+    # arrival, id) under sjf.
+    queue: list[Job] = field(default_factory=list)
     running: Job | None = None
     incoming: list[Job] = field(default_factory=list)  # migrations in transit
     incoming_sum: float = 0.0  # demands in `incoming`, summed in list order
-    # The queued jobs in service order, kept by the engine at every queue
-    # change: `queue` itself under rr, ascending sjf_key under sjf.
-    service: list[Job] = field(default_factory=list)
-    # service_keys[k] = service[k].sjf_key, so sjf bisects plain tuples;
-    # None under rr
+    # service_keys[k] = (demand, arrival, id) of queue[k], so sjf bisects
+    # plain tuples; None under rr
     service_keys: list[tuple] | None = None
-    # service_prefix[k] = demand served before service[k]; None when stale
+    # service_prefix[k] = demand served before queue[k]; None when stale
     service_prefix: list[float] | None = None
     # The queued jobs that may still move (fewer than migration_cap moves
-    # so far), in queue order; an empty tuple with migration off
+    # so far), in arrival and landing order; an empty tuple with migration off
     movable: list[Job] | tuple = ()
     start_pending: bool = False  # a JobStart for this VM is scheduled
 

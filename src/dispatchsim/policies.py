@@ -1,9 +1,9 @@
 """Dispatch and balancing decision procedures: Round-Robin VM
 selection and the wait-vs-hop migration rule. The engine works out the
 waits (`Simulation._migration_check`); the rule only picks among them.
-Shortest-Job-First service order lives in the engine
-(`VmInstance.service`, kept by `Simulation._queue_add` and
-`_queue_remove`)."""
+Shortest-Job-First service order lives in the engine: each
+`VmInstance.queue` is kept in service order by `Simulation._queue_add`
+and `_queue_remove`."""
 
 from __future__ import annotations
 

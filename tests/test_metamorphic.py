@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from dispatchsim.engine import Simulation
 from dispatchsim.scenario import load_scenario
 
-# Job fields that hold a time; `sjf_key` is (demand, arrival, id).
+# Job fields that hold a time.
 TIME_FIELDS = ("arrival", "demand", "start", "finish", "rejected_at")
 TIME_LOG_FIELDS = (3, 4, 5)  # now, current wait and cost of a migration_log entry
 
@@ -90,9 +90,6 @@ def doubled(trace):
     for name in TIME_FIELDS:
         if fields[name] is not None:
             fields[name] *= 2
-    if fields["sjf_key"] is not None:
-        demand, arrival, job_id = fields["sjf_key"]
-        fields["sjf_key"] = (2 * demand, 2 * arrival, job_id)
     return fields
 
 

@@ -12,10 +12,13 @@ many more states per second than whole runs. The snapshot oracle and
 a whole-run test also count the engine's calls of the decision rule:
 exactly one per move.
 
-Demands are whole milliseconds. The engine sums sjf queues in service
-order while the rescan sums them in queue order; the two orders agree
-exactly for integer-valued demands, but other float demands can differ
-in the last ulp.
+Each VM's queue is in service order. The oracles keep their own record
+of join order (`JoinOrderSimulation.joined`) and never read the engine's
+`movable` list, the engine's only record of it. Demands are whole
+milliseconds: the engine sums sjf queues in service order while the
+rescan sums them in join order, and the two orders agree exactly for
+integer-valued demands, but other float demands can differ in the last
+ulp.
 """
 
 import copy
@@ -42,7 +45,26 @@ def _step_wheel(dc):
     return vm
 
 
-class RescanSimulation(Simulation):
+class JoinOrderSimulation(Simulation):
+    """Records the order in which jobs join queues: `joined[job]` grows
+    with each `_queue_add`, a landing migration included."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.joined = {}
+        self.joins = 0
+
+    def _queue_add(self, vm, job):
+        self.joined[job] = self.joins
+        self.joins += 1
+        super()._queue_add(vm, job)
+
+    def join_order(self, vm):
+        """`vm`'s queued jobs in the order they joined it."""
+        return sorted(vm.queue, key=self.joined.__getitem__)
+
+
+class RescanSimulation(JoinOrderSimulation):
     """Reference: recomputes every wait from the queues on each decision,
     admits by scanning every VM and dispatches by stepping the plain
     round-robin wheel past full VMs. It reads the admission mode and
@@ -83,25 +105,22 @@ class RescanSimulation(Simulation):
 
     def _wait_ahead_of(self, vm, job, now):
         w = self._residual(vm, now)
+        queue = self.join_order(vm)
         if self.scheduler == "sjf":
             key = self._sjf_key(job)
-            ahead = [j for j in vm.queue if j is not job and self._sjf_key(j) < key]
+            ahead = [j for j in queue if j is not job and self._sjf_key(j) < key]
         else:
-            idx = vm.queue.index(job)
-            ahead = vm.queue[:idx]
+            ahead = queue[:queue.index(job)]
         return w + sum(j.demand for j in ahead)
 
     def _wait_if_added(self, vm, job, now):
         w = self._residual(vm, now)
+        queue = self.join_order(vm)
         if self.scheduler == "sjf":
             key = self._sjf_key(job)
-            w += sum(
-                j.demand
-                for j in vm.queue
-                if self._sjf_key(j) < key
-            )
+            w += sum(j.demand for j in queue if self._sjf_key(j) < key)
         else:
-            w += sum(j.demand for j in vm.queue)
+            w += sum(j.demand for j in queue)
         w += sum(j.demand for j in vm.incoming)
         return w
 
@@ -109,7 +128,7 @@ class RescanSimulation(Simulation):
         if len(dc.vms) < 2:
             return
         for vm in dc.vms:
-            for job in list(vm.queue):
+            for job in self.join_order(vm):
                 if len(job.vm_history) - 1 >= self.migration_cap:
                     continue
                 mean_qlen = sum(len(v.queue) for v in dc.vms) / len(dc.vms)
@@ -212,9 +231,9 @@ def test_queue_cap_admission_matches_rescan_without_migration(text):
 
 
 def build_snapshot(scheduler, hop_time, cap, capacity, now, vms):
-    """(sim, now): a Simulation of one datacenter, built with no jobs and
-    then filled mid-run through `_queue_add` and `_incoming_add`, so its
-    summaries hold. `vms` gives each VM as (running, queued, incoming):
+    """(sim, now): a JoinOrderSimulation of one datacenter, built with no
+    jobs and then filled mid-run through `_queue_add` and `_incoming_add`,
+    so its summaries hold. `vms` gives each VM as (running, queued, incoming):
     running is None or (demand, started), and each queued or incoming
     job is (demand, arrival, earlier VM ids). `capacity` None means
     deadline admission."""
@@ -223,7 +242,7 @@ def build_snapshot(scheduler, hop_time, cap, capacity, now, vms):
         if capacity is None
         else f"admission = queue_cap\nqueue_capacity = {capacity}"
     )
-    sim = Simulation(load_scenario(f"""
+    sim = JoinOrderSimulation(load_scenario(f"""
 [scenario]
 name = snapshot
 time_unit = ms
@@ -247,10 +266,7 @@ migration_cap = {cap}
     ids = iter(range(1, 1000))
 
     def new_job(demand, arrival):
-        job = Job(id=next(ids), arrival=float(arrival), demand=float(demand))
-        if scheduler == "sjf":
-            job.sjf_key = (job.demand, job.arrival, job.id)
-        return job
+        return Job(id=next(ids), arrival=float(arrival), demand=float(demand))
 
     for vm, (running, queued, incoming) in zip(sim.datacenters["DC1"].vms, vms):
         if running is not None:
@@ -429,8 +445,8 @@ def test_whole_run_calls_the_rule_once_per_move(scenario, scheduler):
 
 
 def checked_simulation(check):
-    """Simulation subclass that calls check(sim, kind, now) after every
-    event, where kind is the event's kind."""
+    """JoinOrderSimulation subclass that calls check(sim, kind, now) after
+    every event, where kind is the event's kind."""
 
     def checked(kind, handler):
         def run_and_check(sim, subject, now):
@@ -439,7 +455,7 @@ def checked_simulation(check):
 
         return run_and_check
 
-    class CheckedSimulation(Simulation):
+    class CheckedSimulation(JoinOrderSimulation):
         _HANDLERS = {kind: checked(kind, h) for kind, h in Simulation._HANDLERS.items()}
 
     return CheckedSimulation
@@ -525,16 +541,17 @@ def test_incoming_sum_is_the_in_order_sum_after_every_event(text):
 def test_datacenter_summaries_hold_after_every_event(text):
     """After every event each `open_ids` equals the ascending ids of the
     VMs a scan finds with room (`has_room`), each `queued` equals the
-    jobs in the datacenter's queues, each VM's service order is
-    its queue (rr) or its queue sorted by sjf key (sjf), with
-    `service_keys` the keys of the service order (None under rr),
-    `movable` lists the queued jobs that may still move, in queue order,
+    jobs in the datacenter's queues, each VM's queue is its jobs in join
+    order (rr) or that order sorted by (demand, arrival, id) (sjf), with
+    `service_keys` the key of each queued job (None under rr),
+    `movable` lists the queued jobs that may still move, in join order,
     and a rescan of a settled datacenter, run on a copy, moves no
     job. Each job's `vm` is the VM whose queue or incoming list holds
     it, and None once it has started or been rejected. Once an instant's
     events are done, no VM is idle with a non-empty queue."""
     config = load_scenario(text)
     sjf = config.policy.scheduler == "sjf"
+    sjf_key = attrgetter("demand", "arrival", "id")
     cap = config.policy.migration_cap
     settled_checks = 0
 
@@ -550,16 +567,15 @@ def test_datacenter_summaries_hold_after_every_event(text):
             for vm in dc.vms:
                 for job in vm.queue + vm.incoming:
                     assert job.vm is vm, (kind, now, vm.id, job.id)
-                assert (
-                    vm.service == sorted(vm.queue, key=attrgetter("sjf_key"))
-                    if sjf
-                    else vm.service is vm.queue
-                ), (kind, now, vm.id)
+                joined = sim.join_order(vm)
+                assert vm.queue == (sorted(joined, key=sjf_key) if sjf else joined), (
+                    kind, now, vm.id,
+                )
                 assert vm.service_keys == (
-                    [j.sjf_key for j in vm.service] if sjf else None
+                    [sjf_key(j) for j in vm.queue] if sjf else None
                 ), (kind, now, vm.id)
                 assert vm.movable == [
-                    j for j in vm.queue if len(j.vm_history) <= cap
+                    j for j in joined if len(j.vm_history) <= cap
                 ], (kind, now, vm.id)
                 if instant_done:
                     assert vm.running is not None or not vm.queue, (kind, now, vm.id)
