@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .model import COMPLETED, REJECTED, Job, sum_in_order
+from .model import COMPLETED, MS_PER_HOUR, REJECTED, Job, sum_in_order
 
 
 class MetricsError(Exception):
@@ -48,6 +49,12 @@ class RunMetrics:
     event_count: int = 0
     migration_log: list[tuple] = field(default_factory=list)
 
+    @cached_property
+    def aggregates(self) -> tuple[dict[str, StatSummary], dict[str, dict[int, list]]]:
+        """`aggregate(self)`, computed on first use and then shared by
+        the writers."""
+        return aggregate(self)
+
 
 def summarize(samples) -> StatSummary:
     """Mean, min and max of a non-empty sample list, read in place. The
@@ -61,6 +68,79 @@ def summarize(samples) -> StatSummary:
         max=max(samples),
         count=len(samples),
     )
+
+
+def aggregate(metrics: RunMetrics):
+    """What summary.csv and the hourly series report, from one pass over
+    the completed traces in id order: a dict of the StatSummary of
+    response_time, processing_time and queue_wait (empty with no
+    completed job), and a dict from each series, then each arrival hour,
+    to its `[response sum, count]`.
+
+    Response is finish minus arrival, processing is demand per request
+    and queue wait is start minus arrival, each divided by `unit_ms`.
+    Every sum adds left to right from 0.0, as `sum_in_order` does, and
+    every min and max keeps the first of equal values, as `min()` and
+    `max()` do. A trace's series is its user base id, or `jobs` for a
+    `[jobs]` row, and its hour is the floor of its arrival in hours. A
+    completed trace with no finish or no start raises NeverStarted."""
+    u = metrics.unit_ms
+    hourly: dict[str, dict[int, list]] = {}
+    n = 0
+    r_sum = p_sum = w_sum = 0.0
+    for t in metrics.traces:
+        if t.state != COMPLETED:
+            continue
+        arrival, start, finish = t.arrival, t.start, t.finish
+        if finish is None:
+            raise NeverStarted(f"job {t.id} never finished")
+        if start is None:
+            raise NeverStarted(f"job {t.id} never started")
+        r = (finish - arrival) / u
+        p = t.demand / t.batch_size / u
+        w = (start - arrival) / u
+        if n:
+            # min <= max unless both are NaN, so a new min is never a new max
+            if r < r_min:
+                r_min = r
+            elif r > r_max:
+                r_max = r
+            if p < p_min:
+                p_min = p
+            elif p > p_max:
+                p_max = p
+            if w < w_min:
+                w_min = w
+            elif w > w_max:
+                w_max = w
+        else:
+            r_min = r_max = r
+            p_min = p_max = p
+            w_min = w_max = w
+        n += 1
+        r_sum += r
+        p_sum += p
+        w_sum += w
+        series = t.origin_ub
+        if series is None:
+            series = "jobs"
+        hours = hourly.get(series)
+        if hours is None:
+            hours = hourly[series] = {}
+        hour = math.floor(arrival / MS_PER_HOUR)
+        acc = hours.get(hour)
+        if acc is None:
+            acc = hours[hour] = [0.0, 0]
+        acc[0] += r
+        acc[1] += 1
+    summary = {}
+    if n:
+        summary = {
+            "response_time": StatSummary(r_sum / n, r_min, r_max, n),
+            "processing_time": StatSummary(p_sum / n, p_min, p_max, n),
+            "queue_wait": StatSummary(w_sum / n, w_min, w_max, n),
+        }
+    return summary, hourly
 
 
 def queue_wait(trace: Job) -> float:

@@ -137,10 +137,15 @@ class UserBase:
     instruction_length: float  # instructions per request
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissionResult:
     admitted: bool
     reason: str | None = None
+
+
+# `admit` returns one of these two instead of building one per arrival.
+_ADMITTED = AdmissionResult(True)
+_QUEUE_FULL = AdmissionResult(False, "QueueFull")
 
 
 def sum_in_order(values) -> float:
@@ -253,5 +258,5 @@ def admit(job: Job, dc: Datacenter, now: float) -> AdmissionResult:
     is empty. Under deadline admission every VM has room; the engine
     schedules the expiry that may later reject the job."""
     if not dc.open_ids:
-        return AdmissionResult(False, "QueueFull")
-    return AdmissionResult(True)
+        return _QUEUE_FULL
+    return _ADMITTED

@@ -8,27 +8,21 @@ All files are UTF-8 with \\n line endings and a '.' decimal separator.
 Times and averages are written as `%.12g`, to 12 significant digits,
 in the time unit the scenario declared. A time a job never reached is an
 empty field: a rejected job has no start, finish or wait. jobs.csv
-lists the jobs in id order, each `vm_history` joined with ';'. Each
-writer's `out_dir` must exist. Files are written to `<name>.tmp` and
-renamed, and a failed write or rename removes the temp file, so
-failures leave no partial output behind.
+lists the jobs in id order, each `vm_history` joined with ';'.
+summary.csv and the hourly series only format `RunMetrics.aggregates`,
+one pass over the completed traces in id order that both writers share;
+each average there is a left-to-right float sum from 0.0 divided by its
+count. Each writer's `out_dir` must exist. Files are written to
+`<name>.tmp` and renamed, and a failed write or rename removes the temp
+file, so failures leave no partial output behind.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from itertools import chain
 
-from .metrics import (
-    RunMetrics,
-    completed_traces,
-    network_response,
-    queue_wait,
-    rejection_percentage,
-    summarize,
-)
-from .model import COMPLETED, MS_PER_HOUR, sum_in_order
+from .metrics import RunMetrics, rejection_percentage
 
 _RAN_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%s,%s"
 _UNSTARTED_ROW = "%s,%.12g,,,,%s,%s"
@@ -104,20 +98,10 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
     `write_sweep_rejections_csv` with the run's one row, rejections.csv
     and rejections_bar.csv into the existing `out_dir`. jobs.csv lists
     the traces in id order. Returns the paths keyed by file stem."""
-    u = metrics.unit_ms
-    done = completed_traces(metrics)
-
-    summary_lines = ["metric,avg,min,max"]
-    if done:
-        rows = [
-            ("response_time", [network_response(t) / u for t in done]),
-            ("processing_time", [t.demand / t.batch_size / u for t in done]),
-            ("queue_wait", [queue_wait(t) / u for t in done]),
-        ]
-        for name, samples in rows:
-            s = summarize(samples)
-            summary_lines.append(f"{name},{_fmt(s.avg)},{_fmt(s.min)},{_fmt(s.max)}")
-
+    summary, _ = metrics.aggregates
+    summary_lines = ["metric,avg,min,max"] + [
+        f"{name},{_fmt(s.avg)},{_fmt(s.min)},{_fmt(s.max)}" for name, s in summary.items()
+    ]
     header = "id,arrival,start,finish,wait,vm_history,state"
     job_lines = chain([header], _job_rows(metrics))
     return {
@@ -133,26 +117,12 @@ def emit_plot_series(metrics: RunMetrics, out_dir) -> list[str]:
     completed jobs bucketed by arrival hour. A series is a user base id,
     or `jobs` for the `[jobs]` rows; `out_dir` must exist. Returns the
     paths in series order."""
-    u = metrics.unit_ms
-    by_ub: dict[str, dict[int, list[float]]] = {}
-    for t in metrics.traces:
-        if t.state != COMPLETED:
-            continue
-        series = t.origin_ub if t.origin_ub is not None else "jobs"
-        hours = by_ub.get(series)
-        if hours is None:
-            hours = by_ub[series] = {}
-        hour = int(math.floor(t.arrival / MS_PER_HOUR))
-        samples = hours.get(hour)
-        if samples is None:
-            samples = hours[hour] = []
-        samples.append(network_response(t) / u)
+    _, hourly = metrics.aggregates
     paths = []
-    for series in sorted(by_ub):
-        lines = ["hour,avg_response"]
-        for hour in sorted(by_ub[series]):
-            samples = by_ub[series][hour]
-            lines.append(f"{hour},{_fmt(sum_in_order(samples) / len(samples))}")
+    for series, hours in sorted(hourly.items()):
+        lines = ["hour,avg_response"] + [
+            f"{hour},{_fmt(total / count)}" for hour, (total, count) in sorted(hours.items())
+        ]
         paths.append(
             _write_atomic(
                 os.path.join(out_dir, f"hourly_response_{series}.csv"), lines

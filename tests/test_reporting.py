@@ -13,7 +13,7 @@ from dispatchsim.metrics import (
     queue_wait,
     summarize,
 )
-from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, RUNNING, Job
+from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, RUNNING, Job, sum_in_order
 from dispatchsim.reporting import (
     emit_plot_series,
     write_metrics_csv,
@@ -168,7 +168,7 @@ def reference_files(metrics):
         by_ub.setdefault(series, {}).setdefault(hour, []).append(network_response(t) / u)
     for series, hours in by_ub.items():
         files[f"hourly_response_{series}.csv"] = ["hour,avg_response"] + [
-            f"{hour},{_ref_fmt(sum(v) / len(v))}" for hour, v in sorted(hours.items())
+            f"{hour},{_ref_fmt(sum_in_order(v) / len(v))}" for hour, v in sorted(hours.items())
         ]
     return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
 
@@ -226,11 +226,36 @@ def _one(trace, unit_ms=1.0):
     return RunMetrics(unit_ms, 1, 0, 0, traces=[trace])
 
 
+def _done(*samples):
+    """A run of completed traces, one per `(arrival, t, ub)`, in id
+    order: each arrives from user base `ub`, starts and finishes at `t`
+    and has demand `t`. At arrival 0.0 its response, queue wait and
+    processing time are all `t`, with the sign of a zero `t` kept."""
+    traces = [
+        Job(i, arrival, t, ub, state=COMPLETED, start=t, finish=t)
+        for i, (arrival, t, ub) in enumerate(samples, 1)
+    ]
+    return RunMetrics(1.0, len(traces), len(traces), 0, traces=traces)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hand_metrics())
 @example(_one(Job(1, -5e-324, 1.0, state=COMPLETED, start=0.0, finish=1.0, vm_history=(0,))))
 @example(_one(Job(2, 3.2982725956280398e19, 1.0, state=COMPLETED, start=4e19, finish=5e19)))
 @example(_one(Job(3, 0.1 + 0.2, 1.0, state=REJECTED, vm_history=(0, 1)), 1000.0))
+# a lone -0.0 sample, whose sum from 0.0 is 0.0
+@example(_done((0.0, -0.0, "UB1")))
+# -0.0 then 0.0 as the first samples, and the reverse: min and max keep the first
+@example(_done((0.0, -0.0, "UB1"), (0.0, 0.0, "UB1")))
+@example(_done((0.0, 0.0, "UB1"), (0.0, -0.0, "UB1"), (0.0, 2.0, "UB1")))
+# equal extremes, each reached twice, with a signed zero among them
+@example(_done(*[(0.0, x, None) for x in (1.0, 0.0, 1.0, -0.0, 0.0, 1.0)]))
+# two series whose hours interleave in id order
+@example(_done((0.0, 1.0, "UB1"), (MS_PER_HOUR, MS_PER_HOUR + 2, "UB2"),
+               (MS_PER_HOUR, MS_PER_HOUR + 3, "UB1"), (1.0, 4.0, "UB2"),
+               (2.0, 5.0, "UB1"), (2 * MS_PER_HOUR, 2 * MS_PER_HOUR + 6, "UB2")))
+# a response sum that overflows to inf and stays there
+@example(_done((0.0, 1e308, "UB1"), (0.0, 1e308, "UB1"), (0.0, -1e308, "UB1")))
 def test_writers_match_the_per_field_reference(metrics):
     """Every byte of summary.csv, jobs.csv and the hourly series equals
     the field-by-field reference writer's, on traces of every shape."""
@@ -263,3 +288,32 @@ def test_completed_trace_without_finish_raises_never_started(tmp_path, start):
         write_metrics_csv(metrics, tmp_path)
     with pytest.raises(NeverStarted):
         emit_plot_series(metrics, tmp_path)
+
+
+def test_completed_trace_without_start_raises_never_started(tmp_path):
+    trace = Job(1, 0.0, 1.0, state=COMPLETED, finish=1.0)
+    metrics = RunMetrics(1.0, 1, 1, 0, traces=[trace])
+    with pytest.raises(NeverStarted):
+        write_metrics_csv(metrics, tmp_path)
+    with pytest.raises(NeverStarted):
+        emit_plot_series(metrics, tmp_path)
+
+
+class _CountingList(list):
+    """A list that counts the iterations started over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_writers_share_one_pass_over_the_traces(paper_config, tmp_path):
+    """summary.csv and the hourly series come from one shared pass over
+    the traces; jobs.csv streams the other."""
+    metrics = Simulation(paper_config).run()
+    metrics.traces = _CountingList(metrics.traces)
+    write_metrics_csv(metrics, tmp_path)
+    emit_plot_series(metrics, tmp_path)
+    assert metrics.traces.iterations == 2

@@ -258,7 +258,9 @@ def scenario_texts(draw):
 def test_parser_fuzz_round_trip():
     loaded = []
 
-    @settings(max_examples=400, deadline=None, database=None,
+    # derandomize: a fixed draw, so the vacuity floor below cannot fail
+    # on an unlucky one
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(scenario_texts())
     # job rows with a zero and a non-zero data_size column
@@ -272,7 +274,8 @@ def test_parser_fuzz_round_trip():
         assert load_scenario(serialize(config)) == config
 
     check()
-    # the round trip is not checked vacuously; over 60 runs 33-95 texts
-    # loaded, 6-45 of them with [jobs]
+    # the round trip is not checked vacuously: the fixed draw loads 73
+    # texts, 28 of them with [jobs] (hypothesis 6.155); over 60 random
+    # draws 33-95 texts loaded, 6-45 of them with [jobs]
     assert len(loaded) >= 20
     assert sum(1 for config in loaded if config.jobs) >= 2
