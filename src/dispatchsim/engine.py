@@ -98,37 +98,50 @@ class EventCalendar:
     clock is the fire time of the last popped event and never
     decreases.
 
-    Most events of a kind are scheduled in fire order (up-front
-    arrivals, expiries at arrival + deadline, starts at the clock), so
-    each kind has a FIFO lane next to one binary heap. An event joins
-    its kind's lane when it sorts after the last event of that kind in
-    the lane, or after the kind's gate while the lane is empty; any
-    other event goes on the heap. Invariant: while a lane holds events,
-    its kind's gate is on the heap and sorts before the lane head, and
-    the lane is in (fire_at, seq) order. Popping a gate moves the lane
-    head onto the heap as the new gate. So every pending event is on
-    the heap or sorts after one that is, the heap head is the global
-    minimum, and pops come out in exactly the order of one heap of all
-    events. The heap holds only the gates and the events scheduled out
-    of order, so it stays shallow however many events wait."""
+    Pending events sit in three places. An event scheduled at the clock
+    (every start, and for example an arrival at time 0 before the run)
+    joins `_now`, the current-instant FIFO. Most other events of a kind are scheduled in fire order
+    (up-front arrivals, expiries at arrival + deadline), so each kind
+    has a FIFO lane next to one binary heap: an event joins its kind's
+    lane when it sorts after the last event of that kind in the lane,
+    or after the kind's gate while the lane is empty; any other event
+    goes on the heap. While a lane holds events, its kind's gate is on
+    the heap and sorts before the lane head, and the lane is in
+    (fire_at, seq) order; popping a gate moves the lane head onto the
+    heap as the new gate. So every lane event sorts after one on the
+    heap, and the heap head is the least of the heap and the lanes.
+
+    `pop` takes the heap head if it fires at the clock, else the head
+    of `_now`, else the heap head, and this is exactly the order of one
+    heap of all events. Every event in `_now` fires at the clock: the
+    clock moves only when the heap head fires after it, which is popped
+    only once `_now` is empty. An event on the heap that fires at the
+    clock was scheduled while the clock was earlier (at the clock it
+    would have joined `_now`), so before every event in `_now`, and its
+    seq is smaller. The heap holds only the gates and the events
+    scheduled out of order, so it stays shallow however many events
+    wait."""
 
     def __init__(self):
         self._heap: list = []
+        self._now: deque = deque()
         self._lanes: dict[str, deque] = {}
         self._gates: dict[str, Event | None] = {}
         self._seq = 0
         self.clock = 0.0
 
     def __len__(self) -> int:
-        return len(self._heap) + sum(map(len, self._lanes.values()))
+        return len(self._heap) + len(self._now) + sum(map(len, self._lanes.values()))
 
     def schedule(self, fire_at: float, kind: str, subject: object = None) -> None:
-        if fire_at < self.clock:
-            raise PastEvent(
-                f"cannot schedule {kind} at t={fire_at} before clock {self.clock}"
-            )
+        clock = self.clock
+        if fire_at < clock:
+            raise PastEvent(f"cannot schedule {kind} at t={fire_at} before clock {clock}")
         ev = _new_event(Event, (fire_at, self._seq, kind, subject))
         self._seq += 1
+        if fire_at == clock:
+            self._now.append(ev)
+            return
         lane = self._lanes.get(kind)
         if lane is None:
             lane = self._lanes[kind] = deque()
@@ -141,7 +154,9 @@ class EventCalendar:
                 self._gates[kind] = ev
 
     def pop(self) -> Event:
-        heap = self._heap
+        heap, now = self._heap, self._now
+        if now and not (heap and heap[0][0] == self.clock):
+            return now.popleft()  # fires at the clock, so the clock stays
         ev = heap[0]
         kind = ev[2]
         if ev is self._gates[kind]:
@@ -158,7 +173,7 @@ class EventCalendar:
         return ev
 
     def peek_time(self) -> float:
-        return self._heap[0].fire_at
+        return self._now[0].fire_at if self._now else self._heap[0].fire_at
 
 
 class Simulation:
@@ -294,15 +309,20 @@ class Simulation:
         if len(vm.queue) + len(vm.incoming) == dc.capacity:
             dc.open_ids.remove(vm.id)
 
-    def _queue_remove(self, vm: VmInstance, job: Job):
+    def _queue_remove(self, vm: VmInstance, job: Job, i: int | None = None):
+        """Take `job` out of `vm.queue`. A caller that knows its index
+        passes it as `i` (a start takes the head, a move the index it
+        priced); otherwise it is found by bisecting the sjf keys, or
+        under rr by a scan."""
         dc = vm.dc
         keys = vm.service_keys
-        if keys is None:
-            vm.queue.remove(job)
-        else:
-            i = bisect_left(keys, (job.demand, job.arrival, job.id))
+        if i is None:
+            i = vm.queue.index(job) if keys is None else bisect_left(
+                keys, (job.demand, job.arrival, job.id)
+            )
+        del vm.queue[i]
+        if keys is not None:
             del keys[i]
-            del vm.queue[i]
         vm.service_prefix = None
         if self.migration_on and len(job.vm_history) <= self.migration_cap:
             vm.movable.remove(job)
@@ -336,6 +356,8 @@ class Simulation:
         self._maybe_start(vm, now)
 
     def _maybe_start(self, vm: VmInstance, now: float):
+        # The start is scheduled at the clock, so it joins the calendar's
+        # current-instant FIFO and pops after every event already due now.
         if vm.running is None and vm.queue and not vm.start_pending:
             vm.start_pending = True
             self.calendar.schedule(now, JOB_START, vm)
@@ -372,8 +394,8 @@ class Simulation:
         vm.start_pending = False
         if vm.running is not None or not vm.queue:
             return
-        job = vm.queue[0]
-        self._queue_remove(vm, job)
+        job = vm.queue[0]  # the queue is in service order under both schedulers
+        self._queue_remove(vm, job, 0)
         job.vm = None
         job.state = RUNNING
         job.start = now
@@ -514,7 +536,7 @@ class Simulation:
                 k += 1
             if k == len(queue):
                 return targets
-            targets = self._move(vm, queue[k], r + prefix[k], list(zip(others, waits)), now)
+            targets = self._move(vm, queue[k], k, r + prefix[k], list(zip(others, waits)), now)
 
     def _shed_sjf(self, vm: VmInstance, targets: list, residual: list, now: float) -> list:
         """Move `vm`'s movers under sjf; returns the targets left."""
@@ -525,7 +547,8 @@ class Simulation:
             if not others:
                 break
             key = (job.demand, job.arrival, job.id)
-            current_wait = r + prefix[bisect_left(keys, key)]
+            i = bisect_left(keys, key)
+            current_wait = r + prefix[i]
             for v in others:
                 slot = bisect_left(v.service_keys, key)
                 if (residual[v.id] + v.service_prefix[slot]) + v.incoming_sum + hop < current_wait:
@@ -537,16 +560,19 @@ class Simulation:
                  + v.incoming_sum)
                 for v in others
             ]
-            targets = self._move(vm, job, current_wait, pairs, now)
+            targets = self._move(vm, job, i, current_wait, pairs, now)
             others = [v for v in targets if v is not vm]
             prefix = self._service_prefix(vm)
         return targets
 
-    def _move(self, vm: VmInstance, job: Job, current_wait: float, pairs: list, now: float) -> list:
-        """Send `job` from `vm` to the target the rule picks among
-        `pairs`, which must beat staying; returns the new targets."""
+    def _move(
+        self, vm: VmInstance, job: Job, i: int, current_wait: float, pairs: list, now: float
+    ) -> list:
+        """Send `job`, at index `i` of `vm.queue`, to the target the rule
+        picks among `pairs`, which must beat staying; returns the new
+        targets."""
         target, cost = migration_decision(current_wait, pairs, self.hop_ms)
-        self._queue_remove(vm, job)
+        self._queue_remove(vm, job, i)
         self._incoming_add(target, job)
         job.vm = target
         self.migration_log.append((job.id, vm.id, target.id, now, current_wait, cost))
@@ -570,10 +596,10 @@ class Simulation:
                 cal.schedule(job.arrival, JOB_ARRIVAL, job)
             if self.migration_on and self.jobs:
                 cal.schedule(self.cadence_ms, MIGRATION_CHECK)
-            # while any lane holds events, its gate is in the heap
-            heap, pop = cal._heap, cal.pop
+            # while any lane holds events, its gate is on the heap
+            heap, now, pop = cal._heap, cal._now, cal.pop
             handlers, cap = self._HANDLERS, self.event_cap
-            while heap:
+            while heap or now:
                 ev = pop()
                 self.event_count += 1
                 if self.event_count > cap:

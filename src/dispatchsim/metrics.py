@@ -8,14 +8,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .model import COMPLETED, MS_PER_HOUR, REJECTED, Job, sum_in_order
+from .model import COMPLETED, MS_PER_HOUR, REJECTED, Job
 
 
 class MetricsError(Exception):
-    pass
-
-
-class EmptyInput(MetricsError):
     pass
 
 
@@ -54,20 +50,6 @@ class RunMetrics:
         """`aggregate(self)`, computed on first use and then shared by
         the writers."""
         return aggregate(self)
-
-
-def summarize(samples) -> StatSummary:
-    """Mean, min and max of a non-empty sample list, read in place. The
-    mean divides the left-to-right float sum (`sum_in_order`) by the
-    count."""
-    if not samples:
-        raise EmptyInput("summarize requires at least one sample")
-    return StatSummary(
-        avg=sum_in_order(samples) / len(samples),
-        min=min(samples),
-        max=max(samples),
-        count=len(samples),
-    )
 
 
 def aggregate(metrics: RunMetrics):
@@ -150,13 +132,6 @@ def queue_wait(trace: Job) -> float:
     return trace.start - trace.arrival
 
 
-def network_response(trace: Job) -> float:
-    """Finish minus arrival, transfer delay included."""
-    if trace.finish is None:
-        raise NeverStarted(f"job {trace.id} never finished")
-    return trace.finish - trace.arrival
-
-
 def rejection_percentage(submitted: int, rejected: int) -> int:
     """100 x rejected / submitted, rounded half-up to an integer."""
     if submitted <= 0:
@@ -179,7 +154,3 @@ def starvation_report(traces, threshold: float) -> list[tuple[int, float]]:
             out.append((tr.id, waited))
     out.sort(key=lambda e: (-e[1], e[0]))
     return out
-
-
-def completed_traces(metrics: RunMetrics) -> list[Job]:
-    return [t for t in metrics.traces if t.state == COMPLETED]

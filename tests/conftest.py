@@ -1,6 +1,8 @@
 import pytest
 
 from dispatchsim.cli import _read_scenario_text
+from dispatchsim.metrics import MetricsError, NeverStarted, RunMetrics, StatSummary
+from dispatchsim.model import COMPLETED, Job, sum_in_order
 from dispatchsim.scenario import load_scenario
 
 
@@ -61,3 +63,37 @@ deadline = {sum(bursts) + 1}
 {jobs}
 """
     )
+
+
+# Per-sample reference helpers: the writers report these statistics
+# from one pass over the traces (`metrics.aggregate`), and the tests
+# recompute them from per-sample lists.
+
+
+class EmptyInput(MetricsError):
+    pass
+
+
+def summarize(samples) -> StatSummary:
+    """Mean, min and max of a non-empty sample list, read in place. The
+    mean divides the left-to-right float sum (`sum_in_order`) by the
+    count."""
+    if not samples:
+        raise EmptyInput("summarize requires at least one sample")
+    return StatSummary(
+        avg=sum_in_order(samples) / len(samples),
+        min=min(samples),
+        max=max(samples),
+        count=len(samples),
+    )
+
+
+def network_response(trace: Job) -> float:
+    """Finish minus arrival, transfer delay included."""
+    if trace.finish is None:
+        raise NeverStarted(f"job {trace.id} never finished")
+    return trace.finish - trace.arrival
+
+
+def completed_traces(metrics: RunMetrics) -> list[Job]:
+    return [t for t in metrics.traces if t.state == COMPLETED]

@@ -8,18 +8,11 @@ import time
 
 from dispatchsim.cli import main
 from dispatchsim.engine import Simulation
-from dispatchsim.metrics import (
-    completed_traces,
-    network_response,
-    queue_wait,
-    rejection_percentage,
-    starvation_report,
-    summarize,
-)
+from dispatchsim.metrics import queue_wait, rejection_percentage, starvation_report
 from dispatchsim.model import Datacenter, VmInstance
 from dispatchsim.policies import rr_next_vm
 
-from conftest import bundled, sjf_at_zero
+from conftest import bundled, completed_traces, network_response, sjf_at_zero, summarize
 
 SWEEP_LEVELS = [5, 10, 15, 20, 25, 30]
 

@@ -77,6 +77,7 @@ def test_calendar_matches_a_plain_heap(steps):
     ref: list = []
     seq = 0
     in_order = set()  # seqs that sorted after every pending event of their kind
+    at_clock = set()  # seqs scheduled at offset 0.0
     for step in steps + [None] * len(steps):  # then drain what is left
         if step is None:
             if not ref:
@@ -94,6 +95,8 @@ def test_calendar_matches_a_plain_heap(steps):
                 cal.schedule(fire_at, kind, subject)
                 if all(ev[2] != kind or ev[0] <= fire_at for ev in ref):
                     in_order.add(seq)
+                if offset == 0.0:
+                    at_clock.add(seq)
                 heapq.heappush(ref, (fire_at, seq, kind, subject))
                 seq += 1
         assert len(cal) == len(ref)
@@ -103,6 +106,31 @@ def test_calendar_matches_a_plain_heap(steps):
         # kind's lane, and only the gate of each kind is on the heap
         gates = Counter(ev.kind for ev in cal._heap if ev.seq in in_order)
         assert max(gates.values(), default=0) <= 1
+        # and an event scheduled at the clock never goes on the heap
+        assert not any(ev.seq in at_clock for ev in cal._heap)
+
+
+def test_calendar_event_at_the_clock_pops_after_pending_ones():
+    """An event scheduled at the clock t pops after every event already
+    pending at t and before any later one."""
+    cal = EventCalendar()
+    cal.schedule(2.0, "JobArrival", "x")
+    cal.schedule(2.0, "JobFinish", "a")  # pending before the clock reaches t
+    cal.schedule(3.0, "JobArrival", "b")
+    assert cal.pop().subject == "x" and cal.clock == 2.0
+    cal.schedule(2.0, "JobStart", "c")
+    assert (len(cal), cal.peek_time()) == (3, 2.0)
+    assert [cal.pop().subject for _ in range(3)] == ["a", "c", "b"]
+    assert cal.clock == 3.0
+    # only the current-instant FIFO holds an event
+    cal.schedule(3.0, "JobStart", "d")
+    assert not cal._heap and not any(cal._lanes.values())
+    assert (len(cal), cal.peek_time()) == (1, 3.0)
+    with pytest.raises(PastEvent):
+        cal.schedule(2.5, "JobStart", "e")
+    assert len(cal) == 1
+    ev = cal.pop()
+    assert (ev.fire_at, ev.kind, ev.subject, cal.clock, len(cal)) == (3.0, "JobStart", "d", 3.0, 0)
 
 
 def _empty_config():
@@ -222,9 +250,10 @@ def test_clock_monotone_over_run(migration_config):
 
 
 def test_event_heap_stays_shallow(paper_config):
-    """Each VM has at most one finish and one start pending, and each
-    kind one gate, and a run one tick: the pending arrivals and expiries
-    wait in their lanes, not on the heap."""
+    """Each VM has at most one finish pending, each kind one gate, and a
+    run one tick: starts fire at the clock and wait in the current-
+    instant FIFO, and the pending arrivals and expiries wait in their
+    lanes, not on the heap."""
     sim = Simulation(paper_config)
     cal = sim.calendar
     depths = []
@@ -232,13 +261,14 @@ def test_event_heap_stays_shallow(paper_config):
 
     def tracking_pop():
         depths.append(len(cal._heap))
+        assert all(ev.kind != engine.JOB_START for ev in cal._heap)
         return original_pop()
 
     cal.pop = tracking_pop
     sim.run()
     vms = sum(dc.vm_count for dc in paper_config.datacenters)
     assert (vms, len(depths)) == (145, 57_600)
-    assert max(depths) <= 2 * vms + 6
+    assert max(depths) <= vms + 6
 
 
 def test_migration_cap_and_rule(migration_config):

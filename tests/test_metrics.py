@@ -2,17 +2,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispatchsim.metrics import (
-    EmptyInput,
     NeverStarted,
     NoSubmissions,
     queue_wait,
     rejection_percentage,
     starvation_report,
-    summarize,
 )
 from dispatchsim.model import Job
 
-from conftest import TABLE6_JOBS, TABLE6_WAITS
+from conftest import TABLE6_JOBS, TABLE6_WAITS, EmptyInput, summarize
 
 
 def test_summarize_basic():

@@ -6,19 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
-from dispatchsim.metrics import (
-    NeverStarted,
-    RunMetrics,
-    network_response,
-    queue_wait,
-    summarize,
-)
+from dispatchsim.metrics import NeverStarted, RunMetrics, queue_wait
 from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, RUNNING, Job, sum_in_order
 from dispatchsim.reporting import (
     emit_plot_series,
     write_metrics_csv,
     write_sweep_rejections_csv,
 )
+
+from conftest import network_response, summarize
 
 
 def _read(path):
