@@ -317,9 +317,10 @@ class Simulation:
         dc = vm.dc
         keys = vm.service_keys
         if i is None:
-            i = vm.queue.index(job) if keys is None else bisect_left(
-                keys, (job.demand, job.arrival, job.id)
-            )
+            if keys is None:
+                i = vm.queue.index(job)
+            else:
+                i = bisect_left(keys, (job.demand, job.arrival, job.id))
         del vm.queue[i]
         if keys is not None:
             del keys[i]
