@@ -7,10 +7,16 @@ and deadline) and halving every request rate and bandwidth must double
 every time in every trace and in `migration_log`, and leave everything
 else equal. A factor of 2 commutes with float rounding, so the relation
 is exact.
+
+Datacenter independence: jobs never leave their datacenter, so a
+scenario of several datacenters must give each job the outcome it gets
+when its datacenter runs alone with its own user bases. Job ids differ
+between the runs, so jobs are matched on `(origin_ub, arrival)`.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
@@ -106,3 +112,67 @@ def test_doubling_every_duration_doubles_every_time(text):
         tuple(2 * x if i in TIME_LOG_FIELDS else x for i, x in enumerate(entry))
         for entry in base.migration_log
     ]
+
+
+# Job fields that make up a job's outcome.
+OUTCOME_FIELDS = ("state", "start", "finish", "vm_history", "reject_reason", "rejected_at")
+MIX_MS = (("UBS", 50), ("UBL", 450))  # a short and a long class
+
+
+def datacenters_text(dcs, scheduler, migration, seed, jobs=150, vms=4, rho=1.2):
+    """Datacenters `DC<r>` of `vms` VMs for each r in `dcs`, each fed by
+    its own short/long user-base pair of `jobs` jobs per class at load
+    `rho`, under deadline admission with migration `migration`."""
+    horizon = jobs * sum(ms for _, ms in MIX_MS) / (rho * vms)
+    lines = [
+        "[scenario]", "name = independence", "time_unit = ms", f"horizon = {horizon!r}",
+        f"seed = {seed}", "[advanced]", "user_grouping = 1", "request_grouping = 1",
+    ]
+    for r in dcs:
+        lines += [
+            f"[datacenter.DC{r}]", f"vms = {vms}", "rate = 100", "memory = 1",
+            "bandwidth = 1000", "bandwidth_unit = units_per_ms",
+        ]
+        for ub_id, ms in MIX_MS:
+            lines += [
+                f"[userbase.{ub_id}{r}]",
+                # the half request keeps the hourly total from rounding down
+                f"requests_per_user_per_hour = {(jobs + 0.5) * 3_600_000 / horizon!r}",
+                "data_size_per_request = 100", f"datacenter = DC{r}",
+                f"instruction_length = {ms * 100}",
+            ]
+    lines += [
+        "[policy]", f"scheduler = {scheduler}", f"migration = {migration}",
+        "admission = deadline", "deadline = 3000", "hop_time = 5",
+        "migration_cadence = 10", "migration_cap = 3",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def outcomes(text):
+    traces = Simulation(load_scenario(text)).run().traces
+    return {
+        (t.origin_ub, t.arrival): tuple(getattr(t, name) for name in OUTCOME_FIELDS)
+        for t in traces
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("scheduler", ["rr", "sjf"])
+@pytest.mark.parametrize("migration", [
+    "off",
+    pytest.param("on", marks=pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a migration tick skips to the next event of the whole calendar, so one "
+        "datacenter's events move another's ticks (ROADMAP item 2)",
+    )),
+])
+def test_each_datacenter_runs_as_if_alone(migration, scheduler, seed):
+    whole = outcomes(datacenters_text((1, 2), scheduler, migration, seed))
+    alone = {}
+    for r in (1, 2):
+        alone.update(outcomes(datacenters_text((r,), scheduler, migration, seed)))
+    assert len(whole) == 600
+    assert whole.keys() == alone.keys()
+    assert [key for key in whole if whole[key] != alone[key]] == []

@@ -18,8 +18,8 @@ Arrivals at one instant are left out: the engine counts a job whose
 zero-delay start is still pending as queued, so the second of two jobs
 arriving together at an idle VM with K = 1 is rejected where the loss
 queue admits it. Generated arrival times do not coincide.
-`test_arrivals_at_one_instant_fill_the_loss_queue` holds that case as
-a known failure.
+`test_arrivals_at_one_instant_fill_the_loss_queue` holds two and three
+such arrivals as known failures.
 """
 
 import math
@@ -135,13 +135,14 @@ def test_arrival_at_a_finish_finds_the_finishing_job_in_the_system():
     raises=AssertionError,
     reason="a job whose zero-delay JobStart is pending counts as queued (ROADMAP item 5)",
 )
-def test_arrivals_at_one_instant_fill_the_loss_queue():
-    # an idle VM with K = 1 runs job 1 and holds job 2; the engine
-    # rejects job 2 while job 1's start is still pending
-    sim = Simulation(one_vm(1.0, 1, jobs=0, capacity=1, arrivals=[0, 0]))
+@pytest.mark.parametrize("arrivals, rejected", [([0, 0], set()), ([0, 0, 0], {3})])
+def test_arrivals_at_one_instant_fill_the_loss_queue(arrivals, rejected):
+    # an idle VM with K = 1 runs job 1 and holds job 2, and rejects a
+    # third; the engine rejects job 2 while job 1's start is still pending
+    sim = Simulation(one_vm(1.0, 1, jobs=0, capacity=1, arrivals=arrivals))
     metrics = sim.run()
-    assert loss_queue_rejections(sim.jobs, 2) == set()
-    assert [t.reject_reason for t in metrics.traces] == [None, None]
+    assert loss_queue_rejections(sim.jobs, 2) == rejected
+    assert {t.id for t in metrics.traces if t.reject_reason == "QueueFull"} == rejected
 
 
 def md1k_loss(rho, places):
