@@ -4,7 +4,7 @@ balancing, wait-vs-hop migration, and rejection/starvation metrics."""
 
 from .engine import EventCalendar, Event, HorizonExceeded, PastEvent, Simulation
 from .metrics import RunMetrics, StatSummary
-from .scenario import ScenarioConfig, load_scenario, load_scenario_file, serialize
+from .scenario import ScenarioConfig, load_scenario, serialize
 
 __all__ = [
     "Event",
@@ -16,7 +16,6 @@ __all__ = [
     "Simulation",
     "StatSummary",
     "load_scenario",
-    "load_scenario_file",
     "serialize",
 ]
 

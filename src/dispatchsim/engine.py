@@ -10,19 +10,15 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, countOf
 from typing import NamedTuple
 
 from .metrics import RunMetrics
 from .model import (
-    COMPLETED,
-    QUEUED,
-    REJECTED,
-    RUNNING,
     Datacenter,
     Job,
     VmInstance,
@@ -46,6 +42,8 @@ DEFAULT_EVENT_CAP = 10_000_000
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
 _DEMAND = attrgetter("demand")
+_FINISH = attrgetter("finish")
+_REJECT_REASON = attrgetter("reject_reason")
 
 
 @contextmanager
@@ -364,7 +362,6 @@ class Simulation:
             self.calendar.schedule(now, JOB_START, vm)
 
     def _reject(self, job: Job, reason: str, now: float):
-        job.state = REJECTED
         job.reject_reason = reason
         job.rejected_at = now
         self._active -= 1
@@ -373,7 +370,7 @@ class Simulation:
 
     def _on_arrival(self, job: Job, now: float):
         if job.vm_history:  # queued before, so a migration landing
-            if job.state != QUEUED:
+            if job.reject_reason is not None:
                 return  # expired in transit
             vm = job.vm
             self._incoming_remove(vm, job)
@@ -393,12 +390,11 @@ class Simulation:
 
     def _on_start(self, vm: VmInstance, now: float):
         vm.start_pending = False
-        if vm.running is not None or not vm.queue:
+        if not vm.queue:  # an expiry or a move since it was scheduled emptied it
             return
         job = vm.queue[0]  # the queue is in service order under both schedulers
         self._queue_remove(vm, job, 0)
         job.vm = None
-        job.state = RUNNING
         job.start = now
         vm.running = job
         self.calendar.schedule(now + job.demand, JOB_FINISH, vm)
@@ -406,7 +402,6 @@ class Simulation:
     def _on_finish(self, vm: VmInstance, now: float):
         job = vm.running
         vm.running = None
-        job.state = COMPLETED
         transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
         job.finish = now + transfer
         self._active -= 1
@@ -415,8 +410,8 @@ class Simulation:
             self._migration_check(vm.dc, now)
 
     def _on_deadline(self, job: Job, now: float):
-        if job.state != QUEUED:
-            return
+        if job.start is not None:
+            return  # it started in time
         vm, job.vm = job.vm, None
         if job in vm.incoming:  # in transit toward vm
             self._incoming_remove(vm, job)
@@ -429,10 +424,10 @@ class Simulation:
             return
         for dc in self.datacenters.values():
             self._migration_check(dc, now)
-        if len(self.calendar):
-            # skip idle gaps so ticks never dominate the event budget
-            fire_at = max(now + self.cadence_ms, self.calendar.peek_time())
-            self.calendar.schedule(fire_at, MIGRATION_CHECK)
+        # an active job always has an event pending, so the calendar is not
+        # empty; skip idle gaps so ticks never dominate the event budget
+        fire_at = max(now + self.cadence_ms, self.calendar.peek_time())
+        self.calendar.schedule(fire_at, MIGRATION_CHECK)
 
     def _migration_targets(self, dc: Datacenter) -> list[VmInstance]:
         """VMs whose queue is shorter than the mean and that have room
@@ -609,13 +604,15 @@ class Simulation:
         return self._collect()
 
     def _collect(self) -> RunMetrics:
+        # completed jobs have a finish and rejected ones a reason; reading
+        # those fields costs less per job than the `Job.state` property
         traces = sorted(self.jobs, key=attrgetter("id"))
-        states = Counter(map(attrgetter("state"), traces))
+        n = len(traces)
         return RunMetrics(
             unit_ms=self.config.unit_ms,
-            submitted=len(self.jobs),
-            completed=states[COMPLETED],
-            rejected=states[REJECTED],
+            submitted=n,
+            completed=n - countOf(map(_FINISH, traces), None),
+            rejected=n - countOf(map(_REJECT_REASON, traces), None),
             traces=traces,
             event_count=self.event_count,
             migration_log=self.migration_log,

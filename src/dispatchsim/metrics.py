@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .model import COMPLETED, MS_PER_HOUR, REJECTED, Job
+from .model import MS_PER_HOUR, Job
 
 
 class MetricsError(Exception):
@@ -54,7 +54,7 @@ class RunMetrics:
 
 def aggregate(metrics: RunMetrics):
     """What summary.csv and the hourly series report, from one pass over
-    the completed traces in id order: a dict of the StatSummary of
+    the traces that finished, in id order: a dict of the StatSummary of
     response_time, processing_time and queue_wait (empty with no
     completed job), and a dict from each series, then each arrival hour,
     to its `[response sum, count]`.
@@ -65,19 +65,16 @@ def aggregate(metrics: RunMetrics):
     every min and max keeps the first of equal values, as `min()` and
     `max()` do. A trace's series is its user base id, or `jobs` for a
     `[jobs]` row, and its hour is the floor of its arrival in hours. A
-    completed trace with no finish or no start raises NeverStarted."""
+    trace with a finish and no start raises TypeError."""
     u = metrics.unit_ms
     hourly: dict[str, dict[int, list]] = {}
     n = 0
     r_sum = p_sum = w_sum = 0.0
     for t in metrics.traces:
-        if t.state != COMPLETED:
-            continue
-        arrival, start, finish = t.arrival, t.start, t.finish
+        finish = t.finish
         if finish is None:
-            raise NeverStarted(f"job {t.id} never finished")
-        if start is None:
-            raise NeverStarted(f"job {t.id} never started")
+            continue
+        arrival, start = t.arrival, t.start
         r = (finish - arrival) / u
         p = t.demand / t.batch_size / u
         w = (start - arrival) / u
@@ -148,7 +145,7 @@ def starvation_report(traces, threshold: float) -> list[tuple[int, float]]:
         raise MetricsError(f"threshold must be positive, got {threshold}")
     out = []
     for tr in traces:
-        if tr.state == REJECTED and tr.reject_reason == "DeadlineExpired":
+        if tr.reject_reason == "DeadlineExpired":
             out.append((tr.id, tr.rejected_at - tr.arrival))
         elif tr.start is not None and (waited := queue_wait(tr)) >= threshold:
             out.append((tr.id, waited))

@@ -41,7 +41,9 @@ class Job:
 
     A run's jobs are also its per-job traces: the engine fills in the
     lifecycle fields, and `RunMetrics.traces` lists the jobs themselves
-    in id order. Times are in ms.
+    in id order. Times are in ms. A finished run leaves two shapes: a
+    job that ran has a start and a finish, and a rejected job has
+    neither.
 
     Ids are unique, so jobs compare by identity."""
 
@@ -51,13 +53,21 @@ class Job:
     origin_ub: str | None = None
     data_size: float = 0.0  # bytes
     batch_size: int = 1
-    state: str = QUEUED
     start: float | None = None
     finish: float | None = None  # transfer delay included
     vm_history: tuple[int, ...] = ()  # every VM whose queue it joined
     vm: VmInstance | None = None  # whose queue or incoming list holds it, else None
     reject_reason: str | None = None
     rejected_at: float | None = None
+
+    @property
+    def state(self) -> str:
+        """The lifecycle state, read from the times that decide it."""
+        if self.finish is not None:
+            return COMPLETED
+        if self.reject_reason is not None:
+            return REJECTED
+        return QUEUED if self.start is None else RUNNING
 
 
 @dataclass

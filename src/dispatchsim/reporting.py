@@ -24,16 +24,8 @@ from itertools import chain
 
 from .metrics import RunMetrics, rejection_percentage
 
-_RAN_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%s,%s"
+_RAN_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%s,completed"
 _UNSTARTED_ROW = "%s,%.12g,,,,%s,%s"
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
 
 
 def _write_atomic(path, lines) -> str:
@@ -51,28 +43,19 @@ def _write_atomic(path, lines) -> str:
 
 def _job_rows(metrics: RunMetrics):
     """Yield the jobs.csv row of each trace: one format call for each of
-    the two shapes a run leaves (a job that ran, a job rejected before it
-    started), field by field for any other."""
+    the two shapes a run leaves, a job that ran and a job rejected before
+    it started. A trace with a start and no finish raises TypeError."""
     u = metrics.unit_ms
     for t in metrics.traces:
         h = t.vm_history
         history = h[0] if len(h) == 1 else ";".join(map(str, h))
-        arrival, start, finish = t.arrival, t.start, t.finish
-        if start is not None and finish is not None:
-            yield _RAN_ROW % (
-                t.id, arrival / u, start / u, finish / u, (start - arrival) / u,
-                history, t.state,
-            )
-        elif start is None and finish is None:
+        arrival, start = t.arrival, t.start
+        if start is None:
             yield _UNSTARTED_ROW % (t.id, arrival / u, history, t.state)
-        else:  # a hand-built trace with only one of start and finish
-            fields = [
-                arrival / u,
-                None if start is None else start / u,
-                None if finish is None else finish / u,
-                None if start is None else (start - arrival) / u,
-            ]
-            yield ",".join([str(t.id), *map(_fmt, fields), str(history), t.state])
+        else:
+            yield _RAN_ROW % (
+                t.id, arrival / u, start / u, t.finish / u, (start - arrival) / u, history,
+            )
 
 
 def write_sweep_rejections_csv(rows, out_dir) -> dict[str, str]:
@@ -100,7 +83,7 @@ def write_metrics_csv(metrics: RunMetrics, out_dir) -> dict[str, str]:
     the traces in id order. Returns the paths keyed by file stem."""
     summary, _ = metrics.aggregates
     summary_lines = ["metric,avg,min,max"] + [
-        f"{name},{_fmt(s.avg)},{_fmt(s.min)},{_fmt(s.max)}" for name, s in summary.items()
+        "%s,%.12g,%.12g,%.12g" % (name, s.avg, s.min, s.max) for name, s in summary.items()
     ]
     header = "id,arrival,start,finish,wait,vm_history,state"
     job_lines = chain([header], _job_rows(metrics))
@@ -121,7 +104,7 @@ def emit_plot_series(metrics: RunMetrics, out_dir) -> list[str]:
     paths = []
     for series, hours in sorted(hourly.items()):
         lines = ["hour,avg_response"] + [
-            f"{hour},{_fmt(total / count)}" for hour, (total, count) in sorted(hours.items())
+            "%s,%.12g" % (hour, total / count) for hour, (total, count) in sorted(hours.items())
         ]
         paths.append(
             _write_atomic(

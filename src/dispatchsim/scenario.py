@@ -336,11 +336,6 @@ def decode_scenario(data: bytes) -> str:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line) from None
 
 
-def load_scenario_file(path) -> ScenarioConfig:
-    with open(path, "rb") as fh:
-        return load_scenario(decode_scenario(fh.read()))
-
-
 def validate(config: ScenarioConfig) -> None:
     """Per-key and cross-field checks; raises ValidationError on the
     first problem."""

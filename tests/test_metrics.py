@@ -36,7 +36,7 @@ def test_summarize_ordering_invariant(samples):
     assert s.min - tol <= s.avg <= s.max + tol
 
 
-def _trace(job_id, arrival, start, state="completed", **kw):
+def _trace(job_id, arrival, start, **kw):
     finish = kw.pop("finish", None if start is None else start + 1.0)
     return Job(
         id=job_id,
@@ -44,7 +44,6 @@ def _trace(job_id, arrival, start, state="completed", **kw):
         demand=1.0,
         start=start,
         finish=finish,
-        state=state,
         vm_history=(0,) if start is not None else (),
         **kw,
     )
@@ -70,7 +69,7 @@ def test_queue_wait_immediate_start():
 
 def test_queue_wait_never_started():
     with pytest.raises(NeverStarted):
-        queue_wait(_trace(1, 0.0, None, state="rejected"))
+        queue_wait(_trace(1, 0.0, None, reject_reason="QueueFull"))
 
 
 def test_queue_wait_matches_table7():
@@ -125,7 +124,6 @@ def test_starvation_report_includes_deadline_rejections():
             6,
             0.0,
             None,
-            state="rejected",
             reject_reason="DeadlineExpired",
             rejected_at=30.0,
         )

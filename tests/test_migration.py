@@ -33,7 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 from dispatchsim import engine
 from dispatchsim.cli import _read_scenario_text
 from dispatchsim.engine import JOB_ARRIVAL, Simulation
-from dispatchsim.model import RUNNING, AdmissionResult, Job, sum_in_order
+from dispatchsim.model import AdmissionResult, Job, sum_in_order
 from dispatchsim.policies import migration_decision
 from dispatchsim.scenario import load_scenario
 
@@ -271,7 +271,7 @@ migration_cap = {cap}
     for vm, (running, queued, incoming) in zip(sim.datacenters["DC1"].vms, vms):
         if running is not None:
             job = new_job(running[0], running[1])
-            job.state, job.start = RUNNING, float(running[1])
+            job.start = float(running[1])
             vm.running = job
         for jobs, add in ((queued, sim._queue_add), (incoming, sim._incoming_add)):
             for demand, arrival, earlier in jobs:

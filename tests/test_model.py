@@ -321,6 +321,24 @@ def test_admit_deadline_mode_always_admits():
     assert admit(Job(id=9, arrival=0.0, demand=1.0), dc, 0.0).admitted
 
 
+def test_job_state_follows_its_times():
+    """`state` is read from start, finish and reject_reason, is no
+    field, and cannot be assigned."""
+    assert "state" not in [f.name for f in dataclasses.fields(Job)]
+    job = Job(id=1, arrival=0.0, demand=1.0)
+    assert job.state == "queued"
+    job.start = 2.0
+    assert job.state == "running"
+    job.finish = 3.0
+    assert job.state == "completed"
+    rejected = Job(id=2, arrival=0.0, demand=1.0, reject_reason="QueueFull")
+    assert rejected.state == "rejected"
+    with pytest.raises(AttributeError):
+        job.state = "queued"
+    with pytest.raises(TypeError):
+        Job(id=3, arrival=0.0, demand=1.0, state="queued")
+
+
 DEADLINE_SCN = """
 [scenario]
 name = deadline_trace

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
-from dispatchsim.metrics import NeverStarted, RunMetrics, queue_wait
-from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, RUNNING, Job, sum_in_order
+from dispatchsim.metrics import RunMetrics, queue_wait
+from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, Job, sum_in_order
 from dispatchsim.reporting import (
     emit_plot_series,
     write_metrics_csv,
@@ -182,24 +182,23 @@ times = st.one_of(
 )
 
 
+REASONS = ["QueueFull", "DeadlineExpired"]
+
+
 @st.composite
 def hand_traces(draw, job_id):
-    """A trace of one of the shapes a writer may meet: completed, rejected
-    before it started, started but not finished, or finished with no
-    start."""
-    shape = draw(st.sampled_from(["completed", "rejected", "started", "finished"]))
-    start = draw(times) if shape in ("completed", "started") else None
-    finish = draw(times) if shape in ("completed", "finished") else None
-    state = {"completed": COMPLETED, "rejected": REJECTED}.get(shape, RUNNING)
+    """A trace of one of the two shapes a run leaves: completed, or
+    rejected before it started."""
+    completed = draw(st.booleans())
     return Job(
         id=job_id,
         arrival=draw(times),
         demand=draw(times),
         origin_ub=draw(st.sampled_from([None, "UB1", "UB2"])),
         batch_size=draw(st.integers(1, 5)),
-        state=state,
-        start=start,
-        finish=finish,
+        start=draw(times) if completed else None,
+        finish=draw(times) if completed else None,
+        reject_reason=None if completed else draw(st.sampled_from(REASONS)),
         vm_history=tuple(draw(st.lists(st.integers(0, 150), max_size=4))),
     )
 
@@ -228,7 +227,7 @@ def _done(*samples):
     and has demand `t`. At arrival 0.0 its response, queue wait and
     processing time are all `t`, with the sign of a zero `t` kept."""
     traces = [
-        Job(i, arrival, t, ub, state=COMPLETED, start=t, finish=t)
+        Job(i, arrival, t, ub, start=t, finish=t)
         for i, (arrival, t, ub) in enumerate(samples, 1)
     ]
     return RunMetrics(1.0, len(traces), len(traces), 0, traces=traces)
@@ -236,9 +235,9 @@ def _done(*samples):
 
 @settings(max_examples=200, deadline=None)
 @given(hand_metrics())
-@example(_one(Job(1, -5e-324, 1.0, state=COMPLETED, start=0.0, finish=1.0, vm_history=(0,))))
-@example(_one(Job(2, 3.2982725956280398e19, 1.0, state=COMPLETED, start=4e19, finish=5e19)))
-@example(_one(Job(3, 0.1 + 0.2, 1.0, state=REJECTED, vm_history=(0, 1)), 1000.0))
+@example(_one(Job(1, -5e-324, 1.0, start=0.0, finish=1.0, vm_history=(0,))))
+@example(_one(Job(2, 3.2982725956280398e19, 1.0, start=4e19, finish=5e19)))
+@example(_one(Job(3, 0.1 + 0.2, 1.0, vm_history=(0, 1), reject_reason="QueueFull"), 1000.0))
 # a lone -0.0 sample, whose sum from 0.0 is 0.0
 @example(_done((0.0, -0.0, "UB1")))
 # -0.0 then 0.0 as the first samples, and the reverse: min and max keep the first
@@ -254,7 +253,7 @@ def _done(*samples):
 @example(_done((0.0, 1e308, "UB1"), (0.0, 1e308, "UB1"), (0.0, -1e308, "UB1")))
 def test_writers_match_the_per_field_reference(metrics):
     """Every byte of summary.csv, jobs.csv and the hourly series equals
-    the field-by-field reference writer's, on traces of every shape."""
+    the field-by-field reference writer's, on traces of both shapes."""
     with tempfile.TemporaryDirectory() as out:
         paths = list(write_metrics_csv(metrics, out).values())
         paths += emit_plot_series(metrics, out)
@@ -266,8 +265,8 @@ def test_writers_match_the_per_field_reference(metrics):
 def test_failed_row_leaves_no_jobs_file(tmp_path):
     """A row that raises part-way through jobs.csv leaves neither the
     file nor its temp file."""
-    good = Job(1, 0.0, 1.0, state=COMPLETED, start=0.0, finish=1.0, vm_history=(0,))
-    bad = Job(2, None, 1.0, state=REJECTED, reject_reason="QueueFull")
+    good = Job(1, 0.0, 1.0, start=0.0, finish=1.0, vm_history=(0,))
+    bad = Job(2, None, 1.0, reject_reason="QueueFull")
     metrics = RunMetrics(1.0, 2, 1, 1, traces=[good, bad])
     with pytest.raises(TypeError):
         write_metrics_csv(metrics, tmp_path)
@@ -276,23 +275,17 @@ def test_failed_row_leaves_no_jobs_file(tmp_path):
     assert not [n for n in names if n.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("start", [None, 0.0])
-def test_completed_trace_without_finish_raises_never_started(tmp_path, start):
-    trace = Job(1, 0.0, 1.0, state=COMPLETED, start=start)
+@pytest.mark.parametrize("time", ["start", "finish"])
+def test_trace_with_one_of_start_and_finish_raises(tmp_path, time):
+    """A trace of neither shape a run leaves fails the write with
+    TypeError and leaves neither jobs.csv nor a temp file."""
+    trace = Job(1, 0.0, 1.0, vm_history=(0,), **{time: 1.0})
     metrics = RunMetrics(1.0, 1, 1, 0, traces=[trace])
-    with pytest.raises(NeverStarted):
+    with pytest.raises(TypeError):
         write_metrics_csv(metrics, tmp_path)
-    with pytest.raises(NeverStarted):
-        emit_plot_series(metrics, tmp_path)
-
-
-def test_completed_trace_without_start_raises_never_started(tmp_path):
-    trace = Job(1, 0.0, 1.0, state=COMPLETED, finish=1.0)
-    metrics = RunMetrics(1.0, 1, 1, 0, traces=[trace])
-    with pytest.raises(NeverStarted):
-        write_metrics_csv(metrics, tmp_path)
-    with pytest.raises(NeverStarted):
-        emit_plot_series(metrics, tmp_path)
+    names = os.listdir(tmp_path)
+    assert "jobs.csv" not in names
+    assert not [n for n in names if n.endswith(".tmp")]
 
 
 class _CountingList(list):

@@ -8,8 +8,8 @@ from dispatchsim.scenario import (
     ScenarioError,
     UnknownKey,
     ValidationError,
+    decode_scenario,
     load_scenario,
-    load_scenario_file,
     normalized_dict,
     serialize,
     validate,
@@ -94,10 +94,10 @@ def test_malformed_line():
 def test_scenario_file_must_be_utf8(tmp_path):
     path = tmp_path / "mini.scn"
     path.write_bytes(MINIMAL.replace("\n", "\r\n").encode("utf-8"))
-    assert load_scenario_file(path) == load_scenario(MINIMAL)
+    assert load_scenario(decode_scenario(path.read_bytes())) == load_scenario(MINIMAL)
     path.write_bytes(MINIMAL.replace("name = mini", "name = m\xe9").encode("latin-1"))
     with pytest.raises(ParseError, match="^line 3: not UTF-8 text"):
-        load_scenario_file(path)
+        decode_scenario(path.read_bytes())
 
 
 def test_malformed_number_reports_line():
