@@ -27,7 +27,6 @@ from .model import (
     generate_arrivals,
     generate_sweep_arrivals,
     sum_in_order,
-    transfer_time,
 )
 from .policies import migration_decision, rr_next_vm
 from .scenario import ScenarioConfig
@@ -48,13 +47,13 @@ _REJECT_REASON = attrgetter("reject_reason")
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic collector; a caller that had it off keeps it off.
-    Building the jobs and running them make no cyclic garbage, and each
-    full collection would walk every live Job."""
+    """Pause the cyclic collector and yield whether it was on; a caller
+    that had it off keeps it off. Building the jobs and running them make
+    no cyclic garbage, and each full collection would walk every live Job."""
     was_on = gc.isenabled()
     gc.disable()
     try:
-        yield
+        yield was_on
     finally:
         if was_on:
             gc.enable()
@@ -206,7 +205,7 @@ class Simulation:
 
         self.datacenters: dict[str, Datacenter] = {}
         for spec in config.datacenters:
-            vms = [VmInstance(id=i, bandwidth=spec.bandwidth_per_ms) for i in range(spec.vm_count)]
+            vms = [VmInstance(id=i) for i in range(spec.vm_count)]
             self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
             for vm in vms:
                 if self.scheduler == "sjf":
@@ -232,12 +231,13 @@ class Simulation:
             raise TooManyJobs(
                 f"scenario makes {count} jobs, more than the event cap {event_cap}"
             )
-        explicit = [
-            Job(id=j.id, arrival=j.arrival * u, demand=j.burst * u, data_size=j.data_size)
+        explicit = [  # [jobs] rows run on the first datacenter, which `validate` requires
+            Job(j.id, j.arrival * u, j.burst * u,
+                transfer=j.data_size / config.datacenters[0].bandwidth_per_ms)
             for j in config.jobs
         ]
-        rates = {spec.id: spec.rate for spec in config.datacenters}
-        with _collector_paused():
+        rates = {spec.id: (spec.rate, spec.bandwidth_per_ms) for spec in config.datacenters}
+        with _collector_paused() as collector_was_on:
             if total_jobs is not None:
                 generated = generate_sweep_arrivals(
                     config.user_bases, config.horizon_ms, config.seed, total_jobs, rates
@@ -246,6 +246,9 @@ class Simulation:
                 generated = []
                 for ub in config.user_bases:
                     generated += generate_arrivals(ub, config.horizon_ms, config.seed, rates)
+            # collect the new jobs' generation alone: set-up never pays for an older one
+            if collector_was_on:
+                gc.collect(0)
         # stable, so equal arrivals keep user base then generation order
         generated.sort(key=attrgetter("arrival"))
         next_id = max((j.id for j in explicit), default=0) + 1
@@ -402,8 +405,7 @@ class Simulation:
     def _on_finish(self, vm: VmInstance, now: float):
         job = vm.running
         vm.running = None
-        transfer = transfer_time(job.data_size, vm.bandwidth) if job.data_size else 0.0
-        job.finish = now + transfer
+        job.finish = now + job.transfer
         self._active -= 1
         self._maybe_start(vm, now)
         if self.migration_on:

@@ -35,9 +35,9 @@ class ZeroBandwidth(ModelError):
 @dataclass(eq=False, slots=True)
 class Job:
     """A unit of work: one `[jobs]` row, or one request batch of
-    generated traffic. Set-up builds it with its `demand`, its run time
-    on the VMs of its datacenter: every VM of a datacenter has the same
-    rate and a job never leaves its datacenter.
+    generated traffic. Set-up builds it with its `demand` and `transfer`,
+    its run time and data send time at its datacenter: every VM of a
+    datacenter has the same rate and bandwidth, and a job never leaves it.
 
     A run's jobs are also its per-job traces: the engine fills in the
     lifecycle fields, and `RunMetrics.traces` lists the jobs themselves
@@ -51,10 +51,10 @@ class Job:
     arrival: float  # ms
     demand: float  # ms, run time on a VM of its datacenter
     origin_ub: str | None = None
-    data_size: float = 0.0  # bytes
+    transfer: float = 0.0  # ms, time to send its data from its datacenter
     batch_size: int = 1
     start: float | None = None
-    finish: float | None = None  # transfer delay included
+    finish: float | None = None  # start + demand + transfer
     vm_history: tuple[int, ...] = ()  # every VM whose queue it joined
     vm: VmInstance | None = None  # whose queue or incoming list holds it, else None
     reject_reason: str | None = None
@@ -73,11 +73,10 @@ class Job:
 @dataclass
 class VmInstance:
     """A server of datacenter `dc` with a run queue and at most one
-    running job, which finishes at its `start + demand`. Its
-    datacenter's rate is already in each job's `demand`."""
+    running job, which finishes at `start + demand + transfer`. Its
+    datacenter's rate and bandwidth are already in each job's `demand` and `transfer`."""
 
     id: int
-    bandwidth: float  # capacity units per ms
     dc: Datacenter | None = field(default=None, repr=False, compare=False)
     # The queued jobs in service order, kept by the engine at every queue
     # change: arrival and landing order under rr, ascending (demand,
@@ -201,47 +200,46 @@ def arrival_count(ub: UserBase, horizon_ms: float) -> int:
     return max(0, -(-int(requests_over(ub, horizon_ms)) // ub.request_grouping))
 
 
-def _batches(ub: UserBase, n: int, batch: int, rate: float, horizon_ms, draw) -> list[Job]:
+def _batches(ub: UserBase, n: int, batch: int, rates, horizon_ms, draw) -> list[Job]:
     """`n` jobs of `batch` requests from `ub` arriving at `horizon_ms x draw()`,
-    sharing one demand and one data size; ids are set after merging."""
+    sharing one demand and one transfer time; ids are set after merging."""
     if n <= 0:
         return []
+    rate, bandwidth = rates[ub.target_dc]
     demand = processing_time(ub.instruction_length * batch, rate)
-    data_size = ub.data_size_per_request * batch
-    return [Job(0, horizon_ms * draw(), demand, ub.id, data_size, batch) for _ in range(n)]
+    transfer = transfer_time(ub.data_size_per_request * batch, bandwidth)
+    return [Job(0, horizon_ms * draw(), demand, ub.id, transfer, batch) for _ in range(n)]
 
 
 def generate_arrivals(
-    ub: UserBase, horizon_ms: float, rng_seed, rates: dict[str, float]
+    ub: UserBase, horizon_ms: float, rng_seed, rates: dict[str, tuple[float, float]]
 ) -> list[Job]:
     """Batched request traffic for one user base over the horizon.
 
-    Total requests = users x rate x hours, grouped into
-    `arrival_count` batches of `request_grouping` (the last batch may
-    be short). Each batch is one job whose demand is its summed
-    instruction length at `rates[ub.target_dc]`, its datacenter's VM
-    rate. Arrival times are `horizon_ms x random()` from the seeded
-    generator, equal to `uniform(0, horizon_ms)`, in generation order.
+    Total requests = users x rate x hours, in `arrival_count` batches of
+    `request_grouping` (the last may be short). Each batch is one job whose
+    demand and transfer time are its summed instruction length and data size
+    at `rates[ub.target_dc]`, its datacenter's (VM rate, bandwidth). Arrivals
+    are `horizon_ms x random()` (= `uniform(0, horizon_ms)`) in generation order.
     """
-    rate = rates[ub.target_dc]
     n = arrival_count(ub, horizon_ms)
     if n == 0:
         return []
     draw = _arrival_rng(rng_seed, ub.id).random
     last = int(requests_over(ub, horizon_ms)) - (n - 1) * ub.request_grouping
-    jobs = _batches(ub, n - 1, ub.request_grouping, rate, horizon_ms, draw)
-    return jobs + _batches(ub, 1, last, rate, horizon_ms, draw)
+    jobs = _batches(ub, n - 1, ub.request_grouping, rates, horizon_ms, draw)
+    return jobs + _batches(ub, 1, last, rates, horizon_ms, draw)
 
 
 def generate_sweep_arrivals(
     user_bases: list[UserBase], horizon_ms: float, rng_seed, total_jobs: int,
-    rates: dict[str, float],
+    rates: dict[str, tuple[float, float]],
 ) -> list[Job]:
-    """Arrival list for one load-sweep level: exactly `total_jobs`
-    full-batch jobs over the horizon, split across user bases in
-    proportion to their nominal traffic volume (largest-remainder
-    rounding, ties to the earlier user base). Each user base draws
-    `horizon_ms x random()`, equal to `uniform(0, horizon_ms)`, from its
+    """Arrival list for one load-sweep level: exactly `total_jobs` full-batch
+    jobs over the horizon, built from `rates` as in `generate_arrivals`, split
+    across user bases in proportion to their nominal traffic volume
+    (largest-remainder rounding, ties to the earlier user base). Each user base
+    draws `horizon_ms x random()`, equal to `uniform(0, horizon_ms)`, from its
     own stream seeded by `total_jobs` too; jobs are in generation order."""
     if total_jobs <= 0 or not user_bases or horizon_ms <= 0:
         return []
@@ -257,7 +255,7 @@ def generate_sweep_arrivals(
     jobs = []
     for ub, n in zip(user_bases, counts):
         draw = _arrival_rng(rng_seed, ub.id, tag=f"sweep:{total_jobs}:").random
-        jobs += _batches(ub, n, ub.request_grouping, rates[ub.target_dc], horizon_ms, draw)
+        jobs += _batches(ub, n, ub.request_grouping, rates, horizon_ms, draw)
     return jobs
 
 

@@ -71,7 +71,7 @@ def test_rr_fairness(capsys):
         for k in (1, 3, 7):
             dc = Datacenter(
                 id="DC",
-                vms=[VmInstance(id=i, bandwidth=1) for i in range(v)],
+                vms=[VmInstance(id=i) for i in range(v)],
                 capacity=math.inf,
             )
             counts = [0] * v

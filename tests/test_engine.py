@@ -16,7 +16,7 @@ from dispatchsim.engine import (
     Simulation,
     TooManyJobs,
 )
-from dispatchsim.model import MS_PER_HOUR, Job
+from dispatchsim.model import MS_PER_HOUR, Job, transfer_time
 from dispatchsim.scenario import ScenarioConfig, PolicyConfig, load_scenario
 
 from conftest import TABLE6_ORDER, TABLE6_WAITS
@@ -342,8 +342,8 @@ bandwidth_unit = units_per_ms
 vms = 1
 rate = 40
 memory = 1
-bandwidth = 1
-bandwidth_unit = units_per_ms
+bandwidth = 2
+bandwidth_unit = mbps
 
 [userbase.UBF]
 requests_per_user_per_hour = 1
@@ -367,31 +367,49 @@ deadline = 1
 
 [jobs]
 job = 4 0 0.001
-job = 9 0.5 0.002
+job = 9 0.5 0.002 5
 """
 
 
 @pytest.mark.parametrize(
     "total_jobs, demands",
+    # (user base, demand, transfer time) of its generated jobs
     [
         # 10 and 7 requests in batches of 3, the last batch of each short
-        (None, {("UBF", 1.5), ("UBF", 0.5), ("UBS", 3.75), ("UBS", 1.25)}),
-        (9, {("UBF", 1.5), ("UBS", 3.75)}),  # sweep jobs are full batches
+        (
+            None,
+            {("UBF", 1.5, 3.0), ("UBF", 0.5, 1.0), ("UBS", 3.75, 0.012), ("UBS", 1.25, 0.004)},
+        ),
+        (9, {("UBF", 1.5, 3.0), ("UBS", 3.75, 0.012)}),  # sweep jobs are full batches
     ],
 )
 def test_each_job_demand_uses_its_datacenter_rate(total_jobs, demands):
+    """Set-up fixes each job's demand and transfer time from its
+    datacenter's rate and bandwidth; the run adds both to its start."""
     config = load_scenario(TWO_RATES)
     user_bases = {ub.id: ub for ub in config.user_bases}
     rates = {dc.id: dc.rate for dc in config.datacenters}
-    bursts = {j.id: j.burst * config.unit_ms for j in config.jobs}
-    jobs = Simulation(config, total_jobs=total_jobs).jobs
-    for job in jobs:
+    bandwidths = {dc.id: dc.bandwidth_per_ms for dc in config.datacenters}
+    assert bandwidths == {"FAST": 1.0, "SLOW": 250.0}  # 2 Mbit/s
+    rows = {j.id: j for j in config.jobs}
+    sim = Simulation(config, total_jobs=total_jobs)
+    for job in sim.jobs:
         if job.origin_ub is None:
-            assert job.demand == bursts[job.id]
+            # [jobs] rows run on the first datacenter
+            assert job.demand == rows[job.id].burst * config.unit_ms
+            assert job.transfer == transfer_time(rows[job.id].data_size, bandwidths["FAST"])
         else:
             ub = user_bases[job.origin_ub]
             assert job.demand == ub.instruction_length * job.batch_size / rates[ub.target_dc]
-    assert {(j.origin_ub, j.demand) for j in jobs if j.origin_ub} == demands
+            assert job.transfer == transfer_time(
+                ub.data_size_per_request * job.batch_size, bandwidths[ub.target_dc]
+            )
+    assert {(j.origin_ub, j.demand, j.transfer) for j in sim.jobs if j.origin_ub} == demands
+    assert [j.transfer for j in sim.jobs[:2]] == [0.0, 5.0]  # row 4 has no data
+    metrics = sim.run()
+    completed = [j for j in metrics.traces if j.finish is not None]
+    assert completed
+    assert all(j.finish == j.start + j.demand + j.transfer for j in completed)
 
 
 @pytest.mark.parametrize("total_jobs", [None, 500])

@@ -23,7 +23,7 @@ from dispatchsim.engine import Simulation
 from dispatchsim.scenario import load_scenario
 
 # Job fields that hold a time.
-TIME_FIELDS = ("arrival", "demand", "start", "finish", "rejected_at")
+TIME_FIELDS = ("arrival", "demand", "transfer", "start", "finish", "rejected_at")
 TIME_LOG_FIELDS = (3, 4, 5)  # now, current wait and cost of a migration_log entry
 
 durations = st.one_of(

@@ -84,7 +84,7 @@ def _ub(rate=12, grouping=1000, batch=100, **kw):
     return UserBase(**defaults)
 
 
-RATES = {"DC1": 100.0}
+RATES = {"DC1": (100.0, 1000.0)}
 
 
 def test_sum_in_order_is_not_compensated():
@@ -96,7 +96,7 @@ def test_sum_in_order_is_not_compensated():
 
 
 def test_generate_arrivals_batch_count_one_hour():
-    jobs = generate_arrivals(_ub(), 3_600_000.0, 42, {"DC1": 40.0})
+    jobs = generate_arrivals(_ub(), 3_600_000.0, 42, {"DC1": (40.0, 1000.0)})
     assert len(jobs) == 120  # 12 * 1000 requests in batches of 100
     assert all(j.batch_size == 100 for j in jobs)
     assert all(j.demand == 625.0 for j in jobs)  # 100 x 250 instructions at 40 per ms
@@ -129,21 +129,22 @@ def test_generate_arrivals_count_matches_enumeration(rate, grouping, batch, hour
     assert sum(j.batch_size for j in jobs) == total_requests
 
 
-def _per_job(ub, arrival, batch, rate):
+def _per_job(ub, arrival, batch, dc_rates):
+    rate, bandwidth = dc_rates
     return Job(
         id=0,
         arrival=arrival,
         demand=processing_time(ub.instruction_length * batch, rate),
         origin_ub=ub.id,
-        data_size=ub.data_size_per_request * batch,
+        transfer=transfer_time(ub.data_size_per_request * batch, bandwidth),
         batch_size=batch,
     )
 
 
 def reference_arrivals(ub, horizon, seed, rates):
     """`generate_arrivals` by the per-job formula: one `uniform` draw and
-    one `processing_time` per job, batch k holding min(full, requests -
-    k * full) requests."""
+    one `processing_time` and one `transfer_time` per job, batch k
+    holding min(full, requests - k * full) requests."""
     rng = random.Random(f"{seed}:{ub.id}")
     requests = int(requests_over(ub, horizon))
     full = ub.request_grouping
@@ -159,8 +160,8 @@ def reference_sweep(user_bases, horizon, seed, counts, rates):
     jobs = []
     for ub, n in zip(user_bases, counts):
         rng = random.Random(f"{seed}:sweep:{sum(counts)}:{ub.id}")
-        batch, rate = ub.request_grouping, rates[ub.target_dc]
-        jobs += [_per_job(ub, rng.uniform(0.0, horizon), batch, rate) for _ in range(n)]
+        batch, dc_rates = ub.request_grouping, rates[ub.target_dc]
+        jobs += [_per_job(ub, rng.uniform(0.0, horizon), batch, dc_rates) for _ in range(n)]
     return jobs
 
 
@@ -177,7 +178,11 @@ user_bases = st.builds(
     data_size_per_request=st.floats(min_value=0, max_value=1e6),
 )
 horizons = st.floats(min_value=1.0, max_value=2 * 3_600_000.0)
-vm_rates = st.floats(min_value=1e-3, max_value=1e3)
+# (VM rate, bandwidth) of a datacenter
+dc_rates = st.tuples(
+    st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e6)
+)
+R40 = (40.0, 1000.0)
 seeds = st.integers(min_value=0, max_value=2**32)
 
 
@@ -186,13 +191,13 @@ def _astuples(jobs):
 
 
 @settings(deadline=None)
-@given(ub=user_bases, horizon=horizons, vm_rate=vm_rates, seed=seeds)
-@example(ub=_ub(grouping=21), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # 252: short last
-@example(ub=_ub(grouping=25), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # 300: exact
-@example(ub=_ub(rate=1, grouping=1), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # 1 request
-@example(ub=_ub(rate=0), horizon=3_600_000.0, vm_rate=40.0, seed=1)  # no request
-def test_generate_arrivals_matches_the_per_job_formula(ub, horizon, vm_rate, seed):
-    rates = {"DC1": vm_rate}
+@given(ub=user_bases, horizon=horizons, dc_rate=dc_rates, seed=seeds)
+@example(ub=_ub(grouping=21), horizon=3_600_000.0, dc_rate=R40, seed=1)  # 252: short last
+@example(ub=_ub(grouping=25), horizon=3_600_000.0, dc_rate=R40, seed=1)  # 300: exact
+@example(ub=_ub(rate=1, grouping=1), horizon=3_600_000.0, dc_rate=R40, seed=1)  # 1 request
+@example(ub=_ub(rate=0), horizon=3_600_000.0, dc_rate=R40, seed=1)  # no request
+def test_generate_arrivals_matches_the_per_job_formula(ub, horizon, dc_rate, seed):
+    rates = {"DC1": dc_rate}
     jobs = generate_arrivals(ub, horizon, seed, rates)
     assert _astuples(jobs) == _astuples(reference_arrivals(ub, horizon, seed, rates))
 
@@ -201,13 +206,13 @@ def test_generate_arrivals_matches_the_per_job_formula(ub, horizon, vm_rate, see
 @given(
     ubs=st.lists(user_bases, min_size=1, max_size=3),
     horizon=horizons,
-    vm_rate=vm_rates,
+    dc_rate=dc_rates,
     seed=seeds,
     total=st.integers(min_value=0, max_value=300),
 )
-def test_generate_sweep_arrivals_matches_the_per_job_formula(ubs, horizon, vm_rate, seed, total):
+def test_generate_sweep_arrivals_matches_the_per_job_formula(ubs, horizon, dc_rate, seed, total):
     ubs = [dataclasses.replace(ub, id=f"UB{i}") for i, ub in enumerate(ubs)]
-    rates = {"DC1": vm_rate}
+    rates = {"DC1": dc_rate}
     jobs = generate_sweep_arrivals(ubs, horizon, seed, total, rates)
     expected = reference_sweep(ubs, horizon, seed, _counts(jobs, ubs), rates)
     assert _astuples(jobs) == _astuples(expected)
@@ -279,7 +284,7 @@ def test_sweep_level_arrivals_depend_only_on_seed_user_base_and_level():
 def _dc_with_queues(queue_lens, capacity):
     vms = []
     for i, n in enumerate(queue_lens):
-        vm = VmInstance(id=i, bandwidth=1)
+        vm = VmInstance(id=i)
         vm.queue = [Job(id=100 * i + k, arrival=0.0, demand=1.0) for k in range(n)]
         vms.append(vm)
     return Datacenter(id="DC1", vms=vms, capacity=capacity)

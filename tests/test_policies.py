@@ -16,7 +16,7 @@ from conftest import sjf_at_zero
 
 
 def _dc(n_vms):
-    vms = [VmInstance(id=i, bandwidth=1) for i in range(n_vms)]
+    vms = [VmInstance(id=i) for i in range(n_vms)]
     return Datacenter(id="DC", vms=vms, capacity=math.inf)
 
 
@@ -45,7 +45,7 @@ def test_rr_empty_datacenter():
 def _queue_cap_dc(queue_lens, capacity=1, incoming_lens=None):
     """A datacenter built from VMs whose queues (and incoming lists) are
     already filled, so `Datacenter.open_ids` indexes them."""
-    vms = [VmInstance(id=i, bandwidth=1) for i in range(len(queue_lens))]
+    vms = [VmInstance(id=i) for i in range(len(queue_lens))]
     for vm, n, m in zip(vms, queue_lens, incoming_lens or [0] * len(vms)):
         vm.queue = [Job(id=100 * vm.id + k, arrival=0.0, demand=1.0) for k in range(n)]
         vm.incoming = [Job(id=100 * vm.id + 50 + k, arrival=0.0, demand=1.0) for k in range(m)]
