@@ -27,6 +27,7 @@ from .model import (
     generate_arrivals,
     generate_sweep_arrivals,
     sum_in_order,
+    transfer_time,
 )
 from .policies import migration_decision, rr_next_vm
 from .scenario import ScenarioConfig
@@ -174,7 +175,8 @@ class EventCalendar:
 
 
 class Simulation:
-    """One deterministic run of a scenario. Build, then call run()."""
+    """One deterministic run of a config that passed `scenario.validate`,
+    whose checks set-up does not repeat. Build, then call run()."""
 
     def __init__(
         self,
@@ -233,7 +235,7 @@ class Simulation:
             )
         explicit = [  # [jobs] rows run on the first datacenter, which `validate` requires
             Job(j.id, j.arrival * u, j.burst * u,
-                transfer=j.data_size / config.datacenters[0].bandwidth_per_ms)
+                transfer=transfer_time(j.data_size, config.datacenters[0].bandwidth_per_ms))
             for j in config.jobs
         ]
         rates = {spec.id: (spec.rate, spec.bandwidth_per_ms) for spec in config.datacenters}
@@ -504,13 +506,13 @@ class Simulation:
         numbers. Otherwise a skipped decision could differ only where
         the full pass would itself have turned on a last-ulp tie.
         """
-        vms = dc.vms
-        if dc.settled or len(vms) < 2:
+        if dc.settled:
             return
         targets = self._migration_targets(dc)
         if not targets:
             dc.settled = True  # exact: no VM can take a job, so none can move
             return
+        vms = dc.vms
         logged = len(self.migration_log)
         residual = [self._residual(v, now) for v in vms]
         shed = self._shed_sjf if self.scheduler == "sjf" else self._shed_rr

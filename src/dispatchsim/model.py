@@ -1,6 +1,5 @@
-"""Domain entities (jobs, VMs, datacenters, user bases) and the
-service-time / transfer-time arithmetic that turns configuration into
-durations.
+"""Domain entities (jobs, VMs, datacenters, user bases) and the only run-time
+and send-time formulas, called by set-up and by `scenario.validate`.
 
 All internal durations are abstract milliseconds; VM rates are
 instructions per millisecond.
@@ -18,18 +17,6 @@ QUEUED = "queued"
 RUNNING = "running"
 COMPLETED = "completed"
 REJECTED = "rejected"
-
-
-class ModelError(Exception):
-    pass
-
-
-class ZeroRate(ModelError):
-    pass
-
-
-class ZeroBandwidth(ModelError):
-    pass
 
 
 @dataclass(eq=False, slots=True)
@@ -169,16 +156,13 @@ def sum_in_order(values) -> float:
 
 def processing_time(instruction_length: float, rate: float) -> float:
     """Duration to execute `instruction_length` instructions at `rate`
-    instructions/ms."""
-    if rate <= 0:
-        raise ZeroRate(f"vm rate must be positive, got {rate}")
+    instructions/ms: the one run-time formula, for set-up and `validate`."""
     return instruction_length / rate
 
 
 def transfer_time(data_size: float, bandwidth: float) -> float:
-    """Duration to move `data_size` bytes at `bandwidth` units/ms."""
-    if bandwidth <= 0:
-        raise ZeroBandwidth(f"bandwidth must be positive, got {bandwidth}")
+    """Duration to move `data_size` bytes at `bandwidth` units/ms: the one
+    send-time formula, for set-up and `validate`."""
     return data_size / bandwidth
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
-from .model import MS_PER_HOUR, UserBase, requests_over
+from .model import MS_PER_HOUR, UserBase, processing_time, requests_over, transfer_time
 
 TIME_UNITS = ("ms", "hours")
 BANDWIDTH_UNITS = ("units_per_ms", "mbps")
@@ -383,8 +383,9 @@ def validate(config: ScenarioConfig) -> None:
         # no job holds more than a full batch (`model._batches`), so these
         # bound the run and transfer times of every job of the user base
         dc = config.datacenters[dc_ids.index(ub.target_dc)]
-        demand = ub.instruction_length * ub.request_grouping / dc.rate
-        transfer = ub.data_size_per_request * ub.request_grouping / dc.bandwidth_per_ms
+        batch = ub.request_grouping
+        demand = processing_time(ub.instruction_length * batch, dc.rate)
+        transfer = transfer_time(ub.data_size_per_request * batch, dc.bandwidth_per_ms)
         for what, ms in (("demand", demand), ("transfer time", transfer)):
             if not math.isfinite(ms):
                 raise ValidationError(
@@ -412,9 +413,8 @@ def validate(config: ScenarioConfig) -> None:
         job_ids = [j.id for j in config.jobs]
         if len(set(job_ids)) != len(job_ids):
             raise ValidationError(f"duplicate explicit job ids: {job_ids}")
-        bandwidth = config.datacenters[0].bandwidth_per_ms
         for j in config.jobs:
-            ms = j.data_size / bandwidth
+            ms = transfer_time(j.data_size, config.datacenters[0].bandwidth_per_ms)
             if not math.isfinite(ms):
                 raise ValidationError(
                     f"[jobs] job {j.id} transfer time must be finite, got {ms!r} ms"

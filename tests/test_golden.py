@@ -15,7 +15,10 @@ any supported Python), with
 
     PYTHONPATH=src python tests/test_golden.py --check
 
-which prints each mismatch and exits 1 if there is one.
+which prints each mismatch and exits 1 if there is one. Where a pyenv
+`python3.X` shim refuses to run ("Python versions to be found at the
+same time"), call that interpreter by its path, such as
+`~/.pyenv/versions/3.12.1/bin/python`.
 """
 
 import argparse

@@ -111,9 +111,14 @@ def test_duplicate_section():
         load_scenario(MINIMAL + "\n[datacenter.DC1]\nvms = 1\n")
 
 
-def test_non_positive_value_rejected():
-    with pytest.raises(ValidationError):
-        load_scenario(MINIMAL.replace("rate = 100", "rate = 0"))
+@pytest.mark.parametrize(
+    "key, value", [("rate", "0"), ("rate", "-1"), ("bandwidth", "0"), ("bandwidth", "-1")]
+)
+def test_non_positive_value_rejected(key, value):
+    # the one gate on a datacenter's rate and bandwidth: the model divides by them unchecked
+    line = {"rate": "rate = 100", "bandwidth": "bandwidth = 1000"}[key]
+    with pytest.raises(ValidationError, match=f"^\\[datacenter.DC1\\] {key} must be positive"):
+        load_scenario(MINIMAL.replace(line, f"{key} = {value}"))
 
 
 def test_deadline_mode_requires_deadline():
