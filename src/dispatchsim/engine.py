@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
@@ -38,7 +38,7 @@ JOB_FINISH = "JobFinish"
 MIGRATION_CHECK = "MigrationCheck"
 DEADLINE_EXPIRY = "DeadlineExpiry"
 
-DEFAULT_EVENT_CAP = 10_000_000
+EVENT_CAP = 10_000_000  # most events one run may pop
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
 _DEMAND = attrgetter("demand")
@@ -123,7 +123,7 @@ class EventCalendar:
     def __init__(self):
         self._heap: list = []
         self._now: deque = deque()
-        self._lanes: dict[str, deque] = {}
+        self._lanes: defaultdict[str, deque] = defaultdict(deque)
         self._gates: dict[str, Event | None] = {}
         self._seq = 0
         self.clock = 0.0
@@ -140,9 +140,7 @@ class EventCalendar:
         if fire_at == clock:
             self._now.append(ev)
             return
-        lane = self._lanes.get(kind)
-        if lane is None:
-            lane = self._lanes[kind] = deque()
+        lane = self._lanes[kind]
         last = lane[-1] if lane else self._gates.get(kind)
         if last is not None and fire_at >= last[0]:
             lane.append(ev)  # its seq is the largest, so it sorts after `last`
@@ -176,16 +174,12 @@ class EventCalendar:
 
 class Simulation:
     """One deterministic run of a config that passed `scenario.validate`,
-    whose checks set-up does not repeat. Build, then call run()."""
+    whose checks set-up does not repeat. Build, then call run(). The
+    event cap is `EVENT_CAP` as it stands when the simulation is built."""
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        event_cap: int = DEFAULT_EVENT_CAP,
-        total_jobs: int | None = None,
-    ):
+    def __init__(self, config: ScenarioConfig, total_jobs: int | None = None):
         self.config = config
-        self.event_cap = event_cap
+        self.event_cap = event_cap = EVENT_CAP
         u = config.unit_ms
         pol = config.policy
 
@@ -205,15 +199,16 @@ class Simulation:
         self.deadline_ms = None if pol.deadline is None else pol.deadline * u
         capacity = pol.queue_capacity if pol.admission_mode == "queue_cap" else math.inf
 
+        sjf, migration = self.scheduler == "sjf", self.migration_on
         self.datacenters: dict[str, Datacenter] = {}
         for spec in config.datacenters:
-            vms = [VmInstance(id=i) for i in range(spec.vm_count)]
+            vms = [
+                VmInstance(
+                    id=i, service_keys=[] if sjf else None, movable=[] if migration else ()
+                )
+                for i in range(spec.vm_count)
+            ]
             self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
-            for vm in vms:
-                if self.scheduler == "sjf":
-                    vm.service_keys = []
-                if self.migration_on:
-                    vm.movable = []
 
         # the datacenter each job arrives at, by its origin user base;
         # explicit [jobs] entries (origin None) run on the first one

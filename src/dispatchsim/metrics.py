@@ -15,14 +15,6 @@ class MetricsError(Exception):
     pass
 
 
-class NeverStarted(MetricsError):
-    pass
-
-
-class NoSubmissions(MetricsError):
-    pass
-
-
 @dataclass
 class StatSummary:
     avg: float
@@ -123,18 +115,14 @@ def aggregate(metrics: RunMetrics):
 
 
 def queue_wait(trace: Job) -> float:
-    """Start minus arrival (the worked-example sense of response time)."""
-    if trace.start is None:
-        raise NeverStarted(f"job {trace.id} never started")
+    """Start minus arrival (the worked-example sense of response time),
+    of a trace that started."""
     return trace.start - trace.arrival
 
 
 def rejection_percentage(submitted: int, rejected: int) -> int:
-    """100 x rejected / submitted, rounded half-up to an integer."""
-    if submitted <= 0:
-        raise NoSubmissions("no jobs submitted")
-    if rejected < 0 or rejected > submitted:
-        raise MetricsError(f"rejected {rejected} out of range for {submitted}")
+    """100 x rejected / submitted, rounded half-up to an integer, for a
+    run that submitted at least one job and rejected at most all of them."""
     return int(math.floor(100.0 * rejected / submitted + 0.5))
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -148,10 +150,7 @@ def sum_in_order(values) -> float:
     """The float sum of `values` added left to right from 0.0. Unlike
     `sum()`, which is compensated from CPython 3.12 on, it gives the
     same result on every interpreter."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return reduce(add, values, 0.0)
 
 
 def processing_time(instruction_length: float, rate: float) -> float:

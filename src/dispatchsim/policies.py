@@ -12,10 +12,6 @@ from bisect import bisect_left
 from .model import Datacenter, VmInstance
 
 
-class PolicyError(Exception):
-    pass
-
-
 def rr_next_vm(dc: Datacenter) -> VmInstance:
     """Return the first VM at or after the round-robin pointer, in wheel
     order, that has room for one more job (`Datacenter.has_room`; under
@@ -23,11 +19,10 @@ def rr_next_vm(dc: Datacenter) -> VmInstance:
     it. Ignores load otherwise.
 
     The VM is found in `dc.open_ids` by bisection, wrapping to the
-    lowest open id, so full VMs cost nothing to skip. With no VM open
-    it raises PolicyError and leaves the pointer where it was."""
+    lowest open id, so full VMs cost nothing to skip. `dc.open_ids` must
+    not be empty: the engine dispatches only a job that `admit` let in,
+    which it does only while some VM of the datacenter has room."""
     ids = dc.open_ids
-    if not ids:
-        raise PolicyError(f"no VM of datacenter {dc.id} has room")
     k = bisect_left(ids, dc.rr_pointer)
     vm_id = ids[k] if k < len(ids) else ids[0]
     dc.rr_pointer = (vm_id + 1) % len(dc.vms)

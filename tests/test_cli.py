@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import dispatchsim
-from dispatchsim import cli
+from dispatchsim import cli, engine
 from dispatchsim.cli import main
 from dispatchsim.engine import Simulation
 
@@ -178,14 +178,10 @@ def test_non_utf8_scenario_exits_2(command, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def _recording_simulation(runs, **fixed):
-    """`Simulation` subclass that appends each instance to `runs` when
-    it runs; `fixed` keyword arguments override the caller's."""
+def _recording_simulation(runs):
+    """`Simulation` subclass that appends each instance to `runs` when it runs."""
 
     class RecordingSimulation(Simulation):
-        def __init__(self, config, **kwargs):
-            super().__init__(config, **{**kwargs, **fixed})
-
         def run(self):
             runs.append(self)
             return super().run()
@@ -460,7 +456,8 @@ def test_sweep_level_over_event_cap_exits_2(monkeypatch, tmp_path, capsys):
     # levels run from the top down, so level 101 fails before its jobs
     # are built and before level 5 runs
     runs = []
-    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs, event_cap=100))
+    monkeypatch.setattr(engine, "EVENT_CAP", 100)
+    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs))
     out = tmp_path / "sweep"
     assert main(["sweep", "sweep_demo.scn", "--sweep", "5,101", "--out", str(out)]) == 2
     assert "101 jobs, more than the event cap 100" in capsys.readouterr().err
@@ -475,7 +472,8 @@ def test_sweep_level_over_event_cap_exits_2(monkeypatch, tmp_path, capsys):
 def test_event_cap_exceeded_exits_3(argv, cap, monkeypatch, tmp_path, capsys):
     # the cap is above the job count, so set-up passes and the run fails
     runs = []
-    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs, event_cap=cap))
+    monkeypatch.setattr(engine, "EVENT_CAP", cap)
+    monkeypatch.setattr(cli, "Simulation", _recording_simulation(runs))
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 3
     err = capsys.readouterr().err

@@ -200,9 +200,10 @@ def test_run_deterministic_replay(sweep_config):
     assert a.migration_log == b.migration_log
 
 
-def test_run_event_cap(table6_config):
+def test_run_event_cap(table6_config, monkeypatch):
+    monkeypatch.setattr(engine, "EVENT_CAP", 3)
     with pytest.raises(HorizonExceeded):
-        Simulation(table6_config, event_cap=3).run()
+        Simulation(table6_config).run()
 
 
 def test_sweep_level_over_event_cap_builds_no_jobs(sweep_config, monkeypatch):
@@ -210,8 +211,9 @@ def test_sweep_level_over_event_cap_builds_no_jobs(sweep_config, monkeypatch):
         raise AssertionError("jobs generated for a level over the cap")
 
     monkeypatch.setattr(engine, "generate_sweep_arrivals", unreachable)
+    monkeypatch.setattr(engine, "EVENT_CAP", 10)
     with pytest.raises(TooManyJobs, match="11 jobs, more than the event cap 10"):
-        Simulation(sweep_config, event_cap=10, total_jobs=11)
+        Simulation(sweep_config, total_jobs=11)
 
 
 def test_traces_are_the_run_jobs(migration_config):
@@ -519,13 +521,14 @@ def test_set_up_and_run_make_no_cyclic_garbage(scenario, deadline, scheduler, mi
         gc.enable()
 
 
-def test_set_up_and_run_restore_the_collector(table6_config):
+def test_set_up_and_run_restore_the_collector(table6_config, monkeypatch):
     sim = Simulation(table6_config)
     assert gc.isenabled()
     sim.run()
     assert gc.isenabled()
-    with pytest.raises(HorizonExceeded):
-        Simulation(table6_config, event_cap=len(table6_config.jobs)).run()
+    with monkeypatch.context() as m, pytest.raises(HorizonExceeded):
+        m.setattr(engine, "EVENT_CAP", len(table6_config.jobs))
+        Simulation(table6_config).run()
     assert gc.isenabled()
     gc.disable()
     try:

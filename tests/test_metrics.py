@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dispatchsim.metrics import (
-    NeverStarted,
-    NoSubmissions,
-    queue_wait,
-    rejection_percentage,
-    starvation_report,
-)
+from dispatchsim.metrics import queue_wait, rejection_percentage, starvation_report
 from dispatchsim.model import Job
 
 from conftest import TABLE6_JOBS, TABLE6_WAITS, EmptyInput, summarize
@@ -67,11 +61,6 @@ def test_queue_wait_immediate_start():
     assert queue_wait(_trace(9, 12.5, 12.5)) == 0.0
 
 
-def test_queue_wait_never_started():
-    with pytest.raises(NeverStarted):
-        queue_wait(_trace(1, 0.0, None, reject_reason="QueueFull"))
-
-
 def test_queue_wait_matches_table7():
     waits = {t.id: queue_wait(t) for t in table7_traces()}
     assert waits == TABLE6_WAITS
@@ -92,11 +81,6 @@ def test_rejection_percentage_none_rejected():
 def test_rejection_percentage_rounds_half_up():
     assert rejection_percentage(40, 1) == 3  # 2.5 -> 3
     assert rejection_percentage(200, 1) == 1  # 0.5 -> 1
-
-
-def test_rejection_percentage_no_submissions():
-    with pytest.raises(NoSubmissions):
-        rejection_percentage(0, 0)
 
 
 @given(st.integers(min_value=1, max_value=1000))

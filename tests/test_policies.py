@@ -1,16 +1,11 @@
 import itertools
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
 from dispatchsim.model import Datacenter, Job, VmInstance
-from dispatchsim.policies import (
-    PolicyError,
-    migration_decision,
-    rr_next_vm,
-)
+from dispatchsim.policies import migration_decision, rr_next_vm
 
 from conftest import sjf_at_zero
 
@@ -34,12 +29,6 @@ def test_rr_pigeonhole_40_vms():
     dc = _dc(40)
     seen = [rr_next_vm(dc).id for _ in range(40)]
     assert sorted(seen) == list(range(40))
-
-
-def test_rr_empty_datacenter():
-    dc = _dc(0)
-    with pytest.raises(PolicyError):
-        rr_next_vm(dc)
 
 
 def _queue_cap_dc(queue_lens, capacity=1, incoming_lens=None):
@@ -67,24 +56,14 @@ def test_rr_queue_cap_counts_queued_and_incoming_jobs():
     assert dc.rr_pointer == 0
 
 
-def test_rr_no_vm_with_room():
-    dc = _queue_cap_dc([2, 2, 2], capacity=2)
-    dc.rr_pointer = 2
-    with pytest.raises(PolicyError):
-        rr_next_vm(dc)
-    assert dc.rr_pointer == 2
-
-
 def _wheel_scan(dc):
     """Round-robin by stepping the wheel one VM at a time past full VMs:
-    the VM found and the pointer after it, or None and the pointer as
-    it was when no VM has room."""
+    the VM found and the pointer after it. Some VM must have room."""
     n = len(dc.vms)
     for step in range(n):
         vm = dc.vms[(dc.rr_pointer + step) % n]
         if dc.has_room(vm):
             return vm, (vm.id + 1) % n
-    return None, dc.rr_pointer
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,14 +73,12 @@ def _wheel_scan(dc):
     st.data(),
 )
 def test_rr_index_matches_the_wheel_scan(lens, capacity, data):
+    # rr runs only after admission found room, so one drawn VM is empty
+    lens[data.draw(st.integers(0, len(lens) - 1))] = (0, 0)
     dc = _queue_cap_dc([q for q, _ in lens], capacity, [m for _, m in lens])
     dc.rr_pointer = data.draw(st.integers(0, len(lens) - 1))
     want_vm, want_pointer = _wheel_scan(dc)
-    if want_vm is None:
-        with pytest.raises(PolicyError):
-            rr_next_vm(dc)
-    else:
-        assert rr_next_vm(dc) is want_vm
+    assert rr_next_vm(dc) is want_vm
     assert dc.rr_pointer == want_pointer
 
 
