@@ -209,6 +209,11 @@ class Simulation:
                 for i in range(spec.vm_count)
             ]
             self.datacenters[spec.id] = Datacenter(id=spec.id, vms=vms, capacity=capacity)
+        # one (id,) per VM index, the vm_history of every job that never
+        # moves from that VM; ids are per-datacenter indices, so one list
+        # serves every datacenter
+        most_vms = max((spec.vm_count for spec in config.datacenters), default=0)
+        self._ones = [(i,) for i in range(most_vms)]
 
         # the datacenter each job arrives at, by its origin user base;
         # explicit [jobs] entries (origin None) run on the first one
@@ -349,7 +354,8 @@ class Simulation:
             insort(dc.open_ids, vm.id)
 
     def _enqueue(self, vm: VmInstance, job: Job, now: float):
-        job.vm_history += (vm.id,)
+        h, one = job.vm_history, self._ones[vm.id]
+        job.vm_history = h + one if h else one
         self._queue_add(vm, job)
         job.vm = vm
         self._maybe_start(vm, now)

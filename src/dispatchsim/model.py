@@ -44,7 +44,9 @@ class Job:
     batch_size: int = 1
     start: float | None = None
     finish: float | None = None  # start + demand + transfer
-    vm_history: tuple[int, ...] = ()  # every VM whose queue it joined
+    # every VM whose queue it joined; a job that never moved shares its
+    # VM's one (id,) tuple with every other such job of that VM
+    vm_history: tuple[int, ...] = ()
     vm: VmInstance | None = None  # whose queue or incoming list holds it, else None
     reject_reason: str | None = None
     rejected_at: float | None = None
@@ -62,8 +64,10 @@ class Job:
 @dataclass
 class VmInstance:
     """A server of datacenter `dc` with a run queue and at most one
-    running job, which finishes at `start + demand + transfer`. Its
-    datacenter's rate and bandwidth are already in each job's `demand` and `transfer`."""
+    running job. The VM is free again at `start + demand`; the job's
+    recorded finish adds its transfer time, `start + demand + transfer`.
+    Its datacenter's rate and bandwidth are already in each job's
+    `demand` and `transfer`."""
 
     id: int
     dc: Datacenter | None = field(default=None, repr=False, compare=False)

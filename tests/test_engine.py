@@ -486,6 +486,26 @@ def test_no_job_holds_a_vm_after_the_run(migration_config, deadline, expired):
     assert [t for t in metrics.traces if t.vm is not None] == []
 
 
+@pytest.mark.parametrize("migration", [False, True])
+def test_jobs_that_never_move_share_their_vm_history(migration_config, migration):
+    # every job that stays on its first VM holds that VM's one (id,)
+    # tuple; a moved job holds a tuple of its own listing every VM it joined
+    migration_config.policy.migration = migration
+    metrics = Simulation(migration_config).run()
+    moved = {}
+    for job_id, source, target, *_ in metrics.migration_log:
+        moved.setdefault(job_id, [source]).append(target)
+    assert bool(moved) == migration
+    stayed = [t for t in metrics.traces if t.id not in moved]
+    shared = {id(t.vm_history) for t in stayed}
+    # both VMs of migration_demo run jobs, and every job completes
+    assert len(shared) == len({t.vm_history for t in stayed}) == 2
+    for t in metrics.traces:
+        if t.id in moved:
+            assert t.vm_history == tuple(moved[t.id])
+            assert id(t.vm_history) not in shared
+
+
 QCAP_DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "qcap_demo.scn")
 
 
