@@ -130,6 +130,8 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     if not config.user_bases:
         return _fail("sweep requires a scenario with user bases", EXIT_BAD_INPUT)
+    if config.horizon_ms <= 0:  # no level could submit a job
+        return _fail("sweep requires a positive horizon", EXIT_BAD_INPUT)
     out = args.out or f"{config.name}_sweep_out"
     # top level first: only the last level can be over the event cap
     rows = [_sweep_level(out, config, level) for level in reversed(levels)]

@@ -1,5 +1,8 @@
-"""Deterministic discrete-event core: virtual clock, event calendar,
-and the run loop all dispatch/balancing policies plug into.
+"""Deterministic discrete-event core: the virtual clock, the event
+calendar, the run's three decisions (`admit`, Round-Robin `rr_next_vm`
+and the wait-vs-hop `migration_decision`) and the `Simulation` that
+works out their inputs, keeps each queue in rr or sjf service order
+and runs the loop.
 
 Simultaneous events pop in insertion order, so a run is a pure
 function of (scenario, seed).
@@ -12,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from contextlib import contextmanager
+from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
 from operator import attrgetter, countOf
@@ -22,14 +26,12 @@ from .model import (
     Datacenter,
     Job,
     VmInstance,
-    admit,
     arrival_count,
     generate_arrivals,
     generate_sweep_arrivals,
     sum_in_order,
     transfer_time,
 )
-from .policies import migration_decision, rr_next_vm
 from .scenario import ScenarioConfig
 
 JOB_ARRIVAL = "JobArrival"
@@ -170,6 +172,66 @@ class EventCalendar:
 
     def peek_time(self) -> float:
         return self._now[0].fire_at if self._now else self._heap[0].fire_at
+
+
+@dataclass(frozen=True)
+class AdmissionResult:
+    admitted: bool
+    reason: str | None = None
+
+
+# `admit` returns one of these two instead of building one per arrival.
+_ADMITTED = AdmissionResult(True)
+_QUEUE_FULL = AdmissionResult(False, "QueueFull")
+
+
+def admit(job: Job, dc: Datacenter, now: float) -> AdmissionResult:
+    """Admission check at arrival: reject when no VM of `dc` has room
+    (`Datacenter.has_room`, which counts jobs migrating toward a VM
+    since they join its queue on landing), that is when `dc.open_ids`
+    is empty. Under deadline admission every VM has room; the engine
+    schedules the expiry that may later reject the job."""
+    if not dc.open_ids:
+        return _QUEUE_FULL
+    return _ADMITTED
+
+
+def rr_next_vm(dc: Datacenter) -> VmInstance:
+    """Return the first VM at or after the round-robin pointer, in wheel
+    order, that has room for one more job (`Datacenter.has_room`; under
+    deadline admission every VM has room), and move the pointer one past
+    it. Ignores load otherwise.
+
+    The VM is found in `dc.open_ids` by bisection, wrapping to the
+    lowest open id, so full VMs cost nothing to skip. `dc.open_ids` must
+    not be empty: the engine dispatches only a job that `admit` let in,
+    which it does only while some VM of the datacenter has room."""
+    ids = dc.open_ids
+    k = bisect_left(ids, dc.rr_pointer)
+    vm_id = ids[k] if k < len(ids) else ids[0]
+    dc.rr_pointer = (vm_id + 1) % len(dc.vms)
+    return dc.vms[vm_id]
+
+
+def migration_decision(
+    current_wait: float,
+    candidates: list[tuple[VmInstance, float]],
+    hop_time: float,
+) -> tuple[VmInstance, float] | None:
+    """Wait-vs-hop rule: of the `(vm, wait)` candidates, in VM order,
+    pick the one minimizing wait + hop time (ms, the same for every
+    move), but only if that strictly beats staying. Returns (vm, wait +
+    hop_time), or None to stay. A tie between candidates goes to the
+    earlier pair, the lower VM id; a tie with the current wait means stay.
+    `Simulation._migration_check` works out the waits."""
+    best = None
+    best_cost = current_wait
+    for vm, wait in candidates:
+        cost = wait + hop_time
+        if cost < best_cost:
+            best = vm, cost
+            best_cost = cost
+    return best
 
 
 class Simulation:
@@ -315,15 +377,11 @@ class Simulation:
     def _queue_remove(self, vm: VmInstance, job: Job, i: int | None = None):
         """Take `job` out of `vm.queue`. A caller that knows its index
         passes it as `i` (a start takes the head, a move the index it
-        priced); otherwise it is found by bisecting the sjf keys, or
-        under rr by a scan."""
+        priced); otherwise, as for a deadline expiry, a scan finds it."""
         dc = vm.dc
         keys = vm.service_keys
         if i is None:
-            if keys is None:
-                i = vm.queue.index(job)
-            else:
-                i = bisect_left(keys, (job.demand, job.arrival, job.id))
+            i = vm.queue.index(job)
         del vm.queue[i]
         if keys is not None:
             del keys[i]

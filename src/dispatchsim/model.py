@@ -139,17 +139,6 @@ class UserBase:
     instruction_length: float  # instructions per request
 
 
-@dataclass(frozen=True)
-class AdmissionResult:
-    admitted: bool
-    reason: str | None = None
-
-
-# `admit` returns one of these two instead of building one per arrival.
-_ADMITTED = AdmissionResult(True)
-_QUEUE_FULL = AdmissionResult(False, "QueueFull")
-
-
 def sum_in_order(values) -> float:
     """The float sum of `values` added left to right from 0.0. Unlike
     `sum()`, which is compensated from CPython 3.12 on, it gives the
@@ -245,13 +234,3 @@ def generate_sweep_arrivals(
         jobs += _batches(ub, n, ub.request_grouping, rates, horizon_ms, draw)
     return jobs
 
-
-def admit(job: Job, dc: Datacenter, now: float) -> AdmissionResult:
-    """Admission check at arrival: reject when no VM of `dc` has room
-    (`Datacenter.has_room`, which counts jobs migrating toward a VM
-    since they join its queue on landing), that is when `dc.open_ids`
-    is empty. Under deadline admission every VM has room; the engine
-    schedules the expiry that may later reject the job."""
-    if not dc.open_ids:
-        return _QUEUE_FULL
-    return _ADMITTED

@@ -7,10 +7,9 @@ import random
 import time
 
 from dispatchsim.cli import main
-from dispatchsim.engine import Simulation
+from dispatchsim.engine import Simulation, rr_next_vm
 from dispatchsim.metrics import queue_wait, rejection_percentage, starvation_report
 from dispatchsim.model import Datacenter, VmInstance
-from dispatchsim.policies import rr_next_vm
 
 from conftest import bundled, completed_traces, network_response, sjf_at_zero, summarize
 

@@ -145,6 +145,20 @@ def test_sweep_requires_user_bases(capsys):
     assert main(["sweep", "table6_demo.scn", "--sweep", "5"]) == 2
 
 
+def test_sweep_requires_a_positive_horizon(tmp_path, capsys):
+    # over a zero horizon no level submits a job, so none has a rejection count
+    scn = tmp_path / "zero.scn"
+    scn.write_text(_read_bundled("sweep_demo.scn").replace("horizon = 3000\n", "horizon = 0\n"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(scn), "--sweep", "10,20", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "dispatchsim: error: sweep requires a positive horizon\n"
+    assert captured.out == ""
+    assert not out.exists()
+    # a run over the same horizon still succeeds, with no generated jobs
+    assert main(["run", str(scn), "--out", str(tmp_path / "run")]) == 0
+
+
 def test_validate_ok(capsys):
     assert main(["validate", "paper_tables.scn"]) == 0
     payload = json.loads(capsys.readouterr().out)

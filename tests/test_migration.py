@@ -19,10 +19,15 @@ milliseconds: the engine sums sjf queues in service order while the
 rescan sums them in join order, and the two orders agree exactly for
 integer-valued demands, but other float demands can differ in the last
 ulp.
+
+Two relations compare the engine with itself on the same random
+scenarios: `migration_cap = 0` runs as migration off, and a datacenter
+with no user base changes no trace, move or event count.
 """
 
 import copy
 import dataclasses
+import re
 from collections import defaultdict
 from operator import attrgetter
 from unittest import mock
@@ -32,9 +37,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim import engine
 from dispatchsim.cli import _read_scenario_text
-from dispatchsim.engine import JOB_ARRIVAL, Simulation
-from dispatchsim.model import AdmissionResult, Job, sum_in_order
-from dispatchsim.policies import migration_decision
+from dispatchsim.engine import JOB_ARRIVAL, AdmissionResult, Simulation, migration_decision
+from dispatchsim.model import Job, sum_in_order
 from dispatchsim.scenario import load_scenario
 
 
@@ -85,7 +89,7 @@ class RescanSimulation(JoinOrderSimulation):
         )
 
     def _all_full_admit(self, job, dc, now):
-        """`model.admit` without `Datacenter.open_ids`: rejects when a
+        """`engine.admit` without `Datacenter.open_ids`: rejects when a
         scan of every VM finds each one full."""
         if all(map(self._is_full, dc.vms)):
             return AdmissionResult(False, "QueueFull")
@@ -228,6 +232,42 @@ def test_migration_check_matches_rescan(text):
 @given(overloaded_scenarios("queue_cap", migration="off"))
 def test_queue_cap_admission_matches_rescan_without_migration(text):
     assert_same_run(text)
+
+
+def traces(metrics):
+    return [dataclasses.astuple(t) for t in metrics.traces]
+
+
+@pytest.mark.parametrize("admission", ["deadline", "queue_cap"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_migration_cap_zero_runs_as_migration_off(admission, data):
+    # no job may ever move, so only the migration ticks differ
+    text = re.sub(r"migration_cap = \d+", "migration_cap = 0", data.draw(
+        overloaded_scenarios(admission)))
+    capped = Simulation(load_scenario(text)).run()
+    off = Simulation(load_scenario(text.replace("migration = on", "migration = off"))).run()
+    assert capped.migration_log == []
+    assert traces(capped) == traces(off)
+
+
+@pytest.mark.parametrize("migration", ["on", "off"])
+@pytest.mark.parametrize("admission", ["deadline", "queue_cap"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_datacenter_without_user_bases_changes_nothing(admission, migration, data):
+    text = data.draw(overloaded_scenarios(admission, migration))
+    idle = "\n".join([
+        "[datacenter.DC2]", f"vms = {data.draw(st.integers(1, 4))}", "rate = 7",
+        "memory = 1", "bandwidth = 3", "bandwidth_unit = units_per_ms", "[policy]",
+    ])
+    config = load_scenario(text.replace("[policy]", idle))
+    assert [dc.id for dc in config.datacenters] == ["DC1", "DC2"]
+    base = Simulation(load_scenario(text)).run()
+    more = Simulation(config).run()
+    assert more.migration_log == base.migration_log
+    assert traces(more) == traces(base)
+    assert more.event_count == base.event_count
 
 
 def build_snapshot(scheduler, hop_time, cap, capacity, now, vms):

@@ -5,14 +5,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dispatchsim.engine import Simulation
+from dispatchsim.engine import AdmissionResult, Simulation, admit
 from dispatchsim.model import (
-    AdmissionResult,
     Datacenter,
     Job,
     UserBase,
     VmInstance,
-    admit,
     arrival_count,
     generate_arrivals,
     generate_sweep_arrivals,

@@ -3,9 +3,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from dispatchsim.engine import Simulation
+from dispatchsim.engine import Simulation, migration_decision, rr_next_vm
 from dispatchsim.model import Datacenter, Job, VmInstance
-from dispatchsim.policies import migration_decision, rr_next_vm
 
 from conftest import sjf_at_zero
 
