@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import gc
 import math
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
@@ -43,6 +45,7 @@ DEADLINE_EXPIRY = "DeadlineExpiry"
 EVENT_CAP = 10_000_000  # most events one run may pop
 DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
+_ARRIVAL = attrgetter("arrival")
 _DEMAND = attrgetter("demand")
 _FINISH = attrgetter("finish")
 _REJECT_REASON = attrgetter("reject_reason")
@@ -98,40 +101,73 @@ class EventCalendar:
     clock is the fire time of the last popped event and never
     decreases.
 
-    Pending events sit in three places. An event scheduled at the clock
-    (every start, and for example an arrival at time 0 before the run)
-    joins `_now`, the current-instant FIFO. Most other events of a kind are scheduled in fire order
-    (up-front arrivals, expiries at arrival + deadline), so each kind
-    has a FIFO lane next to one binary heap: an event joins its kind's
-    lane when it sorts after the last event of that kind in the lane,
-    or after the kind's gate while the lane is empty; any other event
-    goes on the heap. While a lane holds events, its kind's gate is on
-    the heap and sorts before the lane head, and the lane is in
-    (fire_at, seq) order; popping a gate moves the lane head onto the
-    heap as the new gate. So every lane event sorts after one on the
-    heap, and the heap head is the least of the heap and the lanes.
+    Pending events sit in five places:
+
+    - `_now`, the current-instant FIFO: every event scheduled at the
+      clock (every start, and an expiry whose arrival + deadline rounds
+      to the arrival itself).
+    - The arrival cursor: `arrivals`, the jobs in (arrival, list
+      position) order, whose k-th job pops as `Event(job.arrival, k,
+      JOB_ARRIVAL, job)`. The up-front arrivals take seqs 0…n−1, and
+      `_seq` starts at n.
+    - The expiry cursor: `schedule_expiry` gives the k-th arrival's
+      expiry the next seq, kept in `_expiry_seqs[k]` (−1 for one that
+      joined `_now`), and it pops as `Event(job.arrival + deadline,
+      seq, DEADLINE_EXPIRY, job)`.
+    - The generic lanes, one per kind (finishes, migration landings and
+      ticks): an event that sorts after the last one of its kind in the
+      lane, or after the kind's gate while the lane is empty, joins it.
+    - One binary heap: each cursor's and each non-empty lane's gate, and
+      every other event.
+
+    While a cursor or lane holds events, its gate is on the heap and
+    sorts before all of them, and they are in (fire_at, seq) order: a
+    lane by its rule, the arrivals by their sort, and the expiries
+    because fl(a + d) does not fall as a grows and their seqs grow with
+    k. Popping a gate builds or takes the next one as the new gate. So
+    the heap head is the least of the heap, the cursors and the lanes.
 
     `pop` takes the heap head if it fires at the clock, else the head
     of `_now`, else the heap head, and this is exactly the order of one
     heap of all events. Every event in `_now` fires at the clock: the
     clock moves only when the heap head fires after it, which is popped
-    only once `_now` is empty. An event on the heap that fires at the
-    clock was scheduled while the clock was earlier (at the clock it
-    would have joined `_now`), so before every event in `_now`, and its
-    seq is smaller. The heap holds only the gates and the events
+    only once `_now` is empty. An event on the heap or in a cursor that
+    fires at the clock took its seq while the clock was earlier (at the
+    clock it would have joined `_now`; the up-front arrivals took 0…n−1
+    before the run), so before every event in `_now`, and its seq is
+    smaller.
+
+    This is also the order of one heap that got each up-front arrival,
+    with its list position as seq, before the run: among the arrivals,
+    (arrival, rank) and (arrival, list position) sort alike, and both
+    seqs are below n, so below that of every other event, whose seq is
+    the same in both. The heap holds only the gates and the events
     scheduled out of order, so it stays shallow however many events
     wait."""
 
-    def __init__(self):
+    def __init__(self, arrivals: Sequence[Job] = (), deadline: float | None = None):
         self._heap: list = []
         self._now: deque = deque()
         self._lanes: defaultdict[str, deque] = defaultdict(deque)
         self._gates: dict[str, Event | None] = {}
-        self._seq = 0
+        self._arrivals = arrivals
+        self._arrival_gate: Event | None = None
+        self._deadline = deadline
+        self._expiry_seqs = array("q")
+        self._expiry_next = 0  # the entry of `_expiry_seqs` the cursor reads next
+        self._expiry_gate: Event | None = None
+        self._seq = len(arrivals)
         self.clock = 0.0
+        if arrivals:
+            job = arrivals[0]
+            self._arrival_gate = gate = _new_event(Event, (job.arrival, 0, JOB_ARRIVAL, job))
+            self._heap.append(gate)
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._now) + sum(map(len, self._lanes.values()))
+        pending = len(self._heap) + len(self._now) + sum(map(len, self._lanes.values()))
+        if self._arrival_gate is not None:
+            pending += len(self._arrivals) - 1 - self._arrival_gate.seq
+        return pending + sum(seq >= 0 for seq in self._expiry_seqs[self._expiry_next:])
 
     def schedule(self, fire_at: float, kind: str, subject: object = None) -> None:
         clock = self.clock
@@ -151,22 +187,69 @@ class EventCalendar:
             if last is None:
                 self._gates[kind] = ev
 
+    def schedule_expiry(self) -> None:
+        """Schedule the expiry of the next up-front arrival that has none,
+        at its arrival + deadline with the next seq. Call it while that
+        arrival is handled, so the clock is its arrival time.
+        `Simulation._on_arrival` inlines the common case: an expiry after
+        the clock while the cursor holds its gate."""
+        seqs = self._expiry_seqs
+        job = self._arrivals[len(seqs)]
+        fire_at = job.arrival + self._deadline
+        if fire_at == self.clock:  # it joins `_now`, as any event at the clock
+            seqs.append(-1)
+            self.schedule(fire_at, DEADLINE_EXPIRY, job)
+            return
+        seq = self._seq
+        self._seq = seq + 1
+        seqs.append(seq)
+        if self._expiry_gate is None:  # the cursor was empty: this is its gate
+            self._expiry_next = len(seqs)
+            self._expiry_gate = gate = _new_event(Event, (fire_at, seq, DEADLINE_EXPIRY, job))
+            heappush(self._heap, gate)
+
     def pop(self) -> Event:
         heap, now = self._heap, self._now
         if now and not (heap and heap[0][0] == self.clock):
             return now.popleft()  # fires at the clock, so the clock stays
         ev = heap[0]
-        kind = ev[2]
-        if ev is self._gates[kind]:
-            lane = self._lanes[kind]
-            if lane:
-                self._gates[kind] = gate = lane.popleft()
+        if ev is self._arrival_gate:
+            k = ev[1] + 1  # an up-front arrival's seq is its rank
+            arrivals = self._arrivals
+            if k < len(arrivals):
+                job = arrivals[k]
+                self._arrival_gate = gate = _new_event(Event, (job.arrival, k, JOB_ARRIVAL, job))
                 heapreplace(heap, gate)
             else:
-                self._gates[kind] = None
+                self._arrival_gate = None
                 heappop(heap)
+        elif ev is self._expiry_gate:
+            seqs, k = self._expiry_seqs, self._expiry_next
+            while k < len(seqs) and seqs[k] < 0:  # joined `_now` instead
+                k += 1
+            if k < len(seqs):
+                job = self._arrivals[k]
+                self._expiry_gate = gate = _new_event(
+                    Event, (job.arrival + self._deadline, seqs[k], DEADLINE_EXPIRY, job)
+                )
+                heapreplace(heap, gate)
+                k += 1
+            else:
+                self._expiry_gate = None
+                heappop(heap)
+            self._expiry_next = k
         else:
-            heappop(heap)
+            kind = ev[2]
+            if ev is self._gates[kind]:
+                lane = self._lanes[kind]
+                if lane:
+                    self._gates[kind] = gate = lane.popleft()
+                    heapreplace(heap, gate)
+                else:
+                    self._gates[kind] = None
+                    heappop(heap)
+            else:
+                heappop(heap)
         self.clock = ev[0]
         return ev
 
@@ -314,7 +397,7 @@ class Simulation:
             if collector_was_on:
                 gc.collect(0)
         # stable, so equal arrivals keep user base then generation order
-        generated.sort(key=attrgetter("arrival"))
+        generated.sort(key=_ARRIVAL)
         next_id = max((j.id for j in explicit), default=0) + 1
         for j in generated:
             j.id = next_id
@@ -324,7 +407,10 @@ class Simulation:
         self._active = len(self.jobs)
         self.migration_log: list[tuple] = []
         self.event_count = 0
-        self.calendar = EventCalendar()
+        # the arrival cursor's (arrival, list position) order; generated
+        # jobs are in it already, and the sort is stable
+        order = sorted(self.jobs, key=_ARRIVAL) if explicit else self.jobs
+        self.calendar = EventCalendar(order, self.deadline_ms)
 
     # -- helpers -----------------------------------------------------------
 
@@ -446,8 +532,14 @@ class Simulation:
         if not result.admitted:
             self._reject(job, result.reason, now)
             return
-        if self.deadline_ms is not None:
-            self.calendar.schedule(now + self.deadline_ms, DEADLINE_EXPIRY, job)
+        d = self.deadline_ms
+        if d is not None:  # `EventCalendar.schedule_expiry`, its common case inline
+            cal = self.calendar
+            if cal._expiry_gate is None or now + d == now:
+                cal.schedule_expiry()
+            else:
+                cal._expiry_seqs.append(cal._seq)
+                cal._seq += 1
         # admission guaranteed that some VM has room; rr skips full ones
         vm = rr_next_vm(dc)
         self._enqueue(vm, job, now)
@@ -651,11 +743,9 @@ class Simulation:
     def run(self) -> RunMetrics:
         cal = self.calendar
         with _collector_paused():
-            for job in self.jobs:
-                cal.schedule(job.arrival, JOB_ARRIVAL, job)
             if self.migration_on and self.jobs:
                 cal.schedule(self.cadence_ms, MIGRATION_CHECK)
-            # while any lane holds events, its gate is on the heap
+            # while any cursor or lane holds events, its gate is on the heap
             heap, now, pop = cal._heap, cal._now, cal.pop
             handlers, cap = self._HANDLERS, self.event_cap
             while heap or now:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import heapq
+import math
 import os
 from collections import Counter
 
@@ -17,6 +18,7 @@ from dispatchsim.engine import (
     TooManyJobs,
 )
 from dispatchsim.model import MS_PER_HOUR, Job, transfer_time
+from dispatchsim.reporting import write_metrics_csv
 from dispatchsim.scenario import ScenarioConfig, PolicyConfig, load_scenario
 
 from conftest import TABLE6_ORDER, TABLE6_WAITS
@@ -108,6 +110,70 @@ def test_calendar_matches_a_plain_heap(steps):
         assert max(gates.values(), default=0) <= 1
         # and an event scheduled at the clock never goes on the heap
         assert not any(ev.seq in at_clock for ev in cal._heap)
+
+
+# Up-front arrivals for the cursors: ties, the clock's own start, and
+# times so large that a deadline of 0.5 or 1.0 is at most half an ulp of
+# them. With 1.0, 2**53 and 2**53 + 4 expire at their arrival (ties round
+# to even), while 2**53 + 2 expires at 2**53 + 4, so an expiry at the
+# clock can come while the cursor holds a later one.
+CURSOR_ARRIVALS = st.lists(
+    st.sampled_from((0.0, 1.0, 1.0, 2.5, 2.0**53, 2.0**53 + 2, 2.0**53 + 4)), max_size=12
+).map(sorted)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CURSOR_ARRIVALS, st.sampled_from((None, 0.5, 1.0, 1.5, 3.0)), CALENDAR_STEPS)
+def test_calendar_cursors_match_a_plain_heap(arrivals, deadline, steps):
+    """With up-front arrivals and their expiries held in the two cursors,
+    the calendar still pops exactly what one heap of (fire_at, seq) pops
+    that holds every event from the start: the arrivals with seqs 0…n−1,
+    then each expiry with the seq it took when its arrival popped. Its
+    length and next fire time count the events still in a cursor."""
+    jobs = [Job(id=i, arrival=a, demand=1.0) for i, a in enumerate(arrivals)]
+    n = len(jobs)
+    cal = EventCalendar(jobs, deadline)
+    ref = [(job.arrival, k, engine.JOB_ARRIVAL, job) for k, job in enumerate(jobs)]
+    seq = n
+    at_clock = set()  # seqs of events that fire at the clock they were scheduled at
+
+    def push(fire_at, kind, subject):
+        nonlocal seq
+        if fire_at == cal.clock:
+            at_clock.add(seq)
+        heapq.heappush(ref, (fire_at, seq, kind, subject))
+        seq += 1
+
+    for step in steps + [None] * (len(steps) + 2 * n):  # then drain what is left
+        if step is None:
+            if not ref:
+                continue
+            expected = heapq.heappop(ref)
+            assert tuple(cal.pop()) == expected and cal.clock == expected[0]
+            if expected[1] < n and deadline is not None:  # an up-front arrival
+                cal.schedule_expiry()
+                push(expected[0] + deadline, engine.DEADLINE_EXPIRY, expected[3])
+        else:
+            kind, offset = step
+            if kind == "c":  # a landing: the arrivals' kind, but not their cursor
+                kind = engine.JOB_ARRIVAL
+            fire_at = cal.clock + offset  # offset -1 may round to the clock
+            if fire_at < cal.clock:
+                with pytest.raises(PastEvent):
+                    cal.schedule(fire_at, kind)
+            else:
+                subject = object()
+                cal.schedule(fire_at, kind, subject)
+                push(fire_at, kind, subject)
+        assert len(cal) == len(ref)
+        if ref:
+            assert cal.peek_time() == ref[0][0]
+        # each cursor keeps one gate on the heap, and an event at the
+        # clock, an expiry's included, never goes there
+        assert sum(ev.seq < n for ev in cal._heap) <= 1
+        assert sum(ev.kind == engine.DEADLINE_EXPIRY for ev in cal._heap) <= 1
+        assert not any(ev.seq in at_clock for ev in cal._heap)
+    assert not ref and len(cal) == 0
 
 
 def test_calendar_event_at_the_clock_pops_after_pending_ones():
@@ -236,41 +302,39 @@ def test_conservation(table6_config, sweep_config, migration_config):
 
 def test_clock_monotone_over_run(migration_config):
     sim = Simulation(migration_config)
-    cal = sim.calendar
-    seen = []
-    original_pop = cal.pop
-
-    def tracking_pop():
-        ev = original_pop()
-        seen.append((ev.fire_at, ev.seq))
-        return ev
-
-    cal.pop = tracking_pop
-    sim.run()
+    _, seen = _tracked_run(sim)
+    # the run loop takes every event through `pop`, which the benchmark's
+    # tracer wraps
+    assert len(seen) == sim.event_count > 0
     # the exact order of one heap of (fire_at, seq), not only a monotone clock
-    assert all(a < b for a, b in zip(seen, seen[1:]))
+    keys = [(ev.fire_at, ev.seq) for ev in seen]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_event_heap_stays_shallow(paper_config):
-    """Each VM has at most one finish pending, each kind one gate, and a
-    run one tick: starts fire at the clock and wait in the current-
-    instant FIFO, and the pending arrivals and expiries wait in their
-    lanes, not on the heap."""
+    """Each VM has at most one start or finish pending, each cursor and
+    lane one gate, and a run one tick. Starts fire at the clock and wait
+    in the current-instant FIFO; the up-front arrivals and the expiries
+    wait in their cursors, not on the heap and not in a generic lane. So
+    the events held at any one time, on the heap, in the FIFO and in the
+    lanes, stay within a few of the VM count, however many jobs wait."""
     sim = Simulation(paper_config)
     cal = sim.calendar
-    depths = []
+    held = []
     original_pop = cal.pop
 
     def tracking_pop():
-        depths.append(len(cal._heap))
+        held.append(len(cal._heap) + len(cal._now) + sum(map(len, cal._lanes.values())))
         assert all(ev.kind != engine.JOB_START for ev in cal._heap)
+        assert not cal._lanes.get(engine.JOB_ARRIVAL)
+        assert not cal._lanes.get(engine.DEADLINE_EXPIRY)
         return original_pop()
 
     cal.pop = tracking_pop
     sim.run()
     vms = sum(dc.vm_count for dc in paper_config.datacenters)
-    assert (vms, len(depths)) == (145, 57_600)
-    assert max(depths) <= vms + 6
+    assert (vms, len(held)) == (145, 57_600)
+    assert max(held) <= vms + 6
 
 
 def test_migration_cap_and_rule(migration_config):
@@ -426,6 +490,128 @@ def test_generated_jobs_follow_explicit_ones_in_arrival_order(total_jobs):
     arrivals = [j.arrival for j in generated]
     assert arrivals == sorted(arrivals)
     assert {j.origin_ub for j in generated} == {"UB1", "UB2", "UB3", "UB4", "UB5"}
+
+
+def _one_dc(policy: str, jobs, user_base: str = "", vms: int = 1) -> str:
+    """Scenario text: one datacenter of `vms` VMs doing 1 instruction per
+    ms, `[jobs]` rows from `(id, arrival, burst)` triples, in ms."""
+    rows = "".join(f"job = {i} {a} {b}\n" for i, a, b in jobs)
+    return f"""
+[scenario]
+name = one_vm
+time_unit = ms
+horizon = 40
+seed = 1
+[datacenter.DC1]
+vms = {vms}
+rate = 1
+memory = 1
+bandwidth = 1
+bandwidth_unit = units_per_ms
+{user_base}
+[policy]
+scheduler = rr
+{policy}
+[jobs]
+{rows}"""
+
+
+def _tracked_run(sim):
+    """Run `sim` and return its metrics and the events it popped."""
+    seen = []
+    pop = sim.calendar.pop
+
+    def tracking_pop():
+        ev = pop()
+        seen.append(ev)
+        return ev
+
+    sim.calendar.pop = tracking_pop
+    return sim.run(), seen
+
+
+def test_expiry_at_the_clock_pops_after_the_events_pending_there():
+    """With a deadline of 1.0 ms, job 1 (2**53 + 2) expires at 2**53 + 4,
+    and jobs 2 and 3, arriving then, expire at their arrival: 1.0 is half
+    an ulp there, and the tie rounds to even. Like every event scheduled
+    at the clock, such an expiry pops after those already pending at that
+    instant. Job 2's expiry and then its start join the current instant,
+    and job 3's expiry joins after them; job 1's expiry, from the cursor,
+    pops first. Job 2 expires queued, the start takes job 3, and job 3's
+    expiry finds it started. Were the cursor to hold an expiry at the
+    clock, it would put both on the heap behind job 1's, before the
+    start, and jobs 2 and 3 would both expire."""
+    t0, t = 2.0**53 + 2, 2.0**53 + 4
+    rows = [(1, int(t0), 0.5), (2, int(t), 5), (3, int(t), 5)]
+    sim = Simulation(load_scenario(_one_dc("deadline = 1", rows)))
+    metrics, seen = _tracked_run(sim)
+    job1, job2, job3 = metrics.traces
+    assert (job1.start, job1.finish) == (t0, t0)  # 0.5 ms rounds away at t0
+    assert (job2.reject_reason, job2.rejected_at, job2.start) == ("DeadlineExpired", t, None)
+    assert (job3.reject_reason, job3.start, job3.finish) == (None, t, t + 5)
+    # job ids, and VM 0 for the starts and the finishes
+    assert [(ev.kind, ev.subject.id) for ev in seen] == [
+        ("JobArrival", 1), ("JobStart", 0), ("JobFinish", 0),
+        ("JobArrival", 2), ("JobArrival", 3), ("DeadlineExpiry", 1), ("DeadlineExpiry", 2),
+        ("JobStart", 0), ("DeadlineExpiry", 3), ("JobFinish", 0),
+    ]
+
+
+def test_arrival_at_negative_zero_keeps_its_sign(tmp_path):
+    """`validate` accepts a `[jobs]` arrival of -0, and the job's arrival
+    and start keep the sign: the arrival event fires at the job's own
+    arrival, so `jobs.csv` writes -0 for both. Jobs 1 and 3 are the
+    arrival cursor's first event and a later one."""
+    rows = [(1, "-0", 5), (2, 0, 5), (3, "-0", 5)]
+    metrics = Simulation(load_scenario(_one_dc("deadline = 50", rows, vms=3))).run()
+    write_metrics_csv(metrics, tmp_path)
+    assert (tmp_path / "jobs.csv").read_text().splitlines()[1:] == [
+        "1,-0,-0,5,0,0,completed", "2,0,0,5,0,1,completed", "3,-0,-0,5,0,2,completed",
+    ]
+    assert [math.copysign(1.0, t.start) for t in metrics.traces] == [-1.0, 1.0, -1.0]
+
+
+# Out of order, with ties among the rows and with the clock's start.
+EXPLICIT_ROWS = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 6)), min_size=1, max_size=12
+)
+GENERATED_3MS = """
+[userbase.UB1]
+requests_per_user_per_hour = 720000
+data_size_per_request = 1
+datacenter = DC1
+user_grouping = 1
+request_grouping = 1
+instruction_length = 3
+"""
+
+
+@settings(max_examples=60, deadline=None)
+@given(EXPLICIT_ROWS, st.sampled_from([2.5, 10**6]))
+def test_rows_out_of_order_mixed_with_generated_jobs(rows, deadline):
+    """`[jobs]` rows in any order, before generated 3 ms jobs in the
+    list, arrive in (arrival, list position) order. On one VM under rr,
+    that order is a FIFO queue whose jobs expire `deadline` after their
+    arrival unless started by then, so each job's fate follows from its
+    predecessors; a deadline of 2.5 against whole-ms rows leaves no tie
+    between a start and an expiry."""
+    jobs = [(i, a, b) for i, (a, b) in enumerate(rows, start=1)]
+    text = _one_dc(f"deadline = {deadline}", jobs, GENERATED_3MS)
+    sim = Simulation(load_scenario(text))
+    assert sim.jobs[len(rows):]  # some generated jobs follow the rows
+    order = sorted(sim.jobs, key=lambda j: j.arrival)  # stable: list position breaks ties
+    metrics, seen = _tracked_run(sim)
+    assert [ev.subject for ev in seen if ev.kind == engine.JOB_ARRIVAL] == order
+    assert len(seen) == metrics.event_count
+    free = 0.0  # when the VM is next idle
+    for job in order:
+        start = max(job.arrival, free)
+        if start > job.arrival + deadline:
+            assert (job.start, job.reject_reason) == (None, "DeadlineExpired")
+            assert job.rejected_at == job.arrival + deadline
+        else:
+            assert (job.start, job.finish) == (start, start + job.demand + job.transfer)
+            free = start + job.demand
 
 
 @pytest.mark.parametrize(

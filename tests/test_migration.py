@@ -20,9 +20,11 @@ rescan sums them in join order, and the two orders agree exactly for
 integer-valued demands, but other float demands can differ in the last
 ulp.
 
-Two relations compare the engine with itself on the same random
-scenarios: `migration_cap = 0` runs as migration off, and a datacenter
-with no user base changes no trace, move or event count.
+Three relations compare the engine with itself on the same random
+scenarios: `migration_cap = 0` runs as migration off, a datacenter
+with no user base changes no trace, move or event count, and queue_cap
+admission with room for every job runs as a deadline that no job
+reaches, whose expiries all find their jobs started.
 """
 
 import copy
@@ -268,6 +270,27 @@ def test_a_datacenter_without_user_bases_changes_nothing(admission, migration, d
     assert more.migration_log == base.migration_log
     assert traces(more) == traces(base)
     assert more.event_count == base.event_count
+
+
+@pytest.mark.parametrize("migration", ["on", "off"])
+@pytest.mark.parametrize("scheduler", ["rr", "sjf"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_room_for_every_job_runs_as_a_deadline_never_reached(scheduler, migration, data):
+    # a queue capacity above the job count (at most 60) rejects no job,
+    # and so does a deadline no job reaches; only the expiry events differ
+    text = re.sub(r"scheduler = \w+", f"scheduler = {scheduler}", data.draw(
+        overloaded_scenarios("queue_cap", migration)))
+    roomy = re.sub(r"queue_capacity = \d+", "queue_capacity = 61", text)
+    never = re.sub(r"admission = queue_cap\nqueue_capacity = \d+",
+                   "admission = deadline\ndeadline = 1000000", text)
+    assert "queue_capacity" not in never
+    capped = Simulation(load_scenario(roomy)).run()
+    expiring = Simulation(load_scenario(never)).run()
+    assert capped.rejected == expiring.rejected == 0
+    assert expiring.migration_log == capped.migration_log
+    assert traces(expiring) == traces(capped)
+    assert expiring.event_count == capped.event_count + capped.submitted
 
 
 def build_snapshot(scheduler, hop_time, cap, capacity, now, vms):
