@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from .metrics import RunMetrics
 from .model import (
+    COMPLETED,
     Datacenter,
     Job,
     VmInstance,
@@ -47,8 +48,7 @@ DEFAULT_MIGRATION_CADENCE_MS = 10.0
 
 _ARRIVAL = attrgetter("arrival")
 _DEMAND = attrgetter("demand")
-_FINISH = attrgetter("finish")
-_REJECT_REASON = attrgetter("reject_reason")
+_OUTCOME = attrgetter("outcome")
 
 
 @contextmanager
@@ -380,7 +380,7 @@ class Simulation:
             )
         explicit = [  # [jobs] rows run on the first datacenter, which `validate` requires
             Job(j.id, j.arrival * u, j.burst * u,
-                transfer=transfer_time(j.data_size, config.datacenters[0].bandwidth_per_ms))
+                (None, transfer_time(j.data_size, config.datacenters[0].bandwidth_per_ms), 1))
             for j in config.jobs
         ]
         rates = {spec.id: (spec.rate, spec.bandwidth_per_ms) for spec in config.datacenters}
@@ -404,6 +404,9 @@ class Simulation:
             next_id += 1
 
         self.jobs: list[Job] = explicit + generated
+        # generated ids follow the rows' and ascend, so the list is in id
+        # order unless the rows are not
+        self._in_id_order = all(a.id < b.id for a, b in zip(explicit, explicit[1:]))
         self._active = len(self.jobs)
         self.migration_log: list[tuple] = []
         self.event_count = 0
@@ -511,26 +514,25 @@ class Simulation:
             vm.start_pending = True
             self.calendar.schedule(now, JOB_START, vm)
 
-    def _reject(self, job: Job, reason: str, now: float):
-        job.reject_reason = reason
-        job.rejected_at = now
+    def _reject(self, job: Job, outcome: str | tuple):
+        job.outcome = outcome
         self._active -= 1
 
     # -- event handlers ----------------------------------------------------
 
     def _on_arrival(self, job: Job, now: float):
         if job.vm_history:  # queued before, so a migration landing
-            if job.reject_reason is not None:
+            if job.outcome is not None:
                 return  # expired in transit
             vm = job.vm
             self._incoming_remove(vm, job)
             self._enqueue(vm, job, now)
             return
 
-        dc = self._dc_by_ub[job.origin_ub]
+        dc = self._dc_by_ub[job.spec[0]]
         result = admit(job, dc, now)
         if not result.admitted:
-            self._reject(job, result.reason, now)
+            self._reject(job, result.reason)  # rejected at its arrival, `now`
             return
         d = self.deadline_ms
         if d is not None:  # `EventCalendar.schedule_expiry`, its common case inline
@@ -558,7 +560,7 @@ class Simulation:
     def _on_finish(self, vm: VmInstance, now: float):
         job = vm.running
         vm.running = None
-        job.finish = now + job.transfer
+        job.outcome = COMPLETED  # its finish is now + transfer, derived when read
         self._active -= 1
         self._maybe_start(vm, now)
         if self.migration_on:
@@ -572,7 +574,7 @@ class Simulation:
             self._incoming_remove(vm, job)
         else:
             self._queue_remove(vm, job)
-        self._reject(job, "DeadlineExpired", now)
+        self._reject(job, ("DeadlineExpired", now))
 
     def _on_migration_tick(self, _subject: None, now: float):
         if self._active <= 0:
@@ -757,15 +759,18 @@ class Simulation:
         return self._collect()
 
     def _collect(self) -> RunMetrics:
-        # completed jobs have a finish and rejected ones a reason; reading
-        # those fields costs less per job than the `Job.state` property
-        traces = sorted(self.jobs, key=attrgetter("id"))
+        # the jobs themselves are the traces, in id order; a completed
+        # job's outcome is COMPLETED and an active one's None, anything
+        # else is a rejection. Counting outcomes costs less per job than
+        # the `Job.state` property.
+        traces = self.jobs if self._in_id_order else sorted(self.jobs, key=attrgetter("id"))
         n = len(traces)
+        completed = countOf(map(_OUTCOME, traces), COMPLETED)
         return RunMetrics(
             unit_ms=self.config.unit_ms,
             submitted=n,
-            completed=n - countOf(map(_FINISH, traces), None),
-            rejected=n - countOf(map(_REJECT_REASON, traces), None),
+            completed=completed,
+            rejected=n - completed - countOf(map(_OUTCOME, traces), None),
             traces=traces,
             event_count=self.event_count,
             migration_log=self.migration_log,

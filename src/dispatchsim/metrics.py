@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .model import MS_PER_HOUR, Job
+from .model import COMPLETED, MS_PER_HOUR, Job
 
 
 class MetricsError(Exception):
@@ -57,18 +57,19 @@ def aggregate(metrics: RunMetrics):
     every min and max keeps the first of equal values, as `min()` and
     `max()` do. A trace's series is its user base id, or `jobs` for a
     `[jobs]` row, and its hour is the floor of its arrival in hours. A
-    trace with a finish and no start raises TypeError."""
+    completed trace with no start raises TypeError."""
     u = metrics.unit_ms
     hourly: dict[str, dict[int, list]] = {}
     n = 0
     r_sum = p_sum = w_sum = 0.0
     for t in metrics.traces:
-        finish = t.finish
-        if finish is None:
+        if t.outcome != COMPLETED:
             continue
-        arrival, start = t.arrival, t.start
+        arrival, start, demand = t.arrival, t.start, t.demand
+        series, transfer, batch_size = t.spec
+        finish = (start + demand) + transfer  # `Job.finish`, inline
         r = (finish - arrival) / u
-        p = t.demand / t.batch_size / u
+        p = demand / batch_size / u
         w = (start - arrival) / u
         if n:
             # min <= max unless both are NaN, so a new min is never a new max
@@ -92,7 +93,6 @@ def aggregate(metrics: RunMetrics):
         r_sum += r
         p_sum += p
         w_sum += w
-        series = t.origin_ub
         if series is None:
             series = "jobs"
         hours = hourly.get(series)

@@ -24,48 +24,95 @@ REJECTED = "rejected"
 @dataclass(eq=False, slots=True)
 class Job:
     """A unit of work: one `[jobs]` row, or one request batch of
-    generated traffic. Set-up builds it with its `demand` and `transfer`,
-    its run time and data send time at its datacenter: every VM of a
-    datacenter has the same rate and bandwidth, and a job never leaves it.
+    generated traffic. A run's jobs are also its per-job traces:
+    `RunMetrics.traces` lists the jobs themselves in id order. Times are
+    in ms.
 
-    A run's jobs are also its per-job traces: the engine fills in the
-    lifecycle fields, and `RunMetrics.traces` lists the jobs themselves
-    in id order. Times are in ms. A finished run leaves two shapes: a
-    job that ran has a start and a finish, and a rejected job has
-    neither.
+    Stored: `id`, `arrival`, `demand` (its run time on a VM of its
+    datacenter) and `spec`, set at set-up, and the slots the engine
+    fills in: `start`, `vm_history`, `vm` and `outcome`. `outcome` is
+    None while the job is queued, in transit or running, `COMPLETED`
+    once it finished, `"QueueFull"` for an admission rejection and
+    `("DeadlineExpired", t)` for an expiry at t.
+
+    Shared: `spec` is `(origin_ub, transfer, batch_size)`, its user base
+    (None for a `[jobs]` row), its data send time from its datacenter
+    and its request count. Every VM of a datacenter has the same rate
+    and bandwidth, and a job never leaves it, so all the jobs of one
+    batch class share one `spec`, built once per `_batches` call and
+    once per `[jobs]` row.
+
+    Derived, as read-only properties: `origin_ub`, `transfer` and
+    `batch_size` from `spec`; `finish`, which is `(start + demand) +
+    transfer` once completed (its finish event fires at `start +
+    demand`) and None before; `reject_reason`; `rejected_at`, the
+    arrival itself for `QueueFull`; and `state`. A finished run leaves
+    two shapes: a job that ran has a start and a finish, and a rejected
+    job has neither.
 
     Ids are unique, so jobs compare by identity."""
 
     id: int
     arrival: float  # ms
     demand: float  # ms, run time on a VM of its datacenter
-    origin_ub: str | None = None
-    transfer: float = 0.0  # ms, time to send its data from its datacenter
-    batch_size: int = 1
+    spec: tuple  # (origin_ub, transfer, batch_size), shared by its batch class
     start: float | None = None
-    finish: float | None = None  # start + demand + transfer
     # every VM whose queue it joined; a job that never moved shares its
     # VM's one (id,) tuple with every other such job of that VM
     vm_history: tuple[int, ...] = ()
     vm: VmInstance | None = None  # whose queue or incoming list holds it, else None
-    reject_reason: str | None = None
-    rejected_at: float | None = None
+    outcome: str | tuple | None = None  # None, COMPLETED, "QueueFull" or ("DeadlineExpired", t)
+
+    @property
+    def origin_ub(self) -> str | None:
+        return self.spec[0]
+
+    @property
+    def transfer(self) -> float:
+        """ms, time to send its data from its datacenter"""
+        return self.spec[1]
+
+    @property
+    def batch_size(self) -> int:
+        return self.spec[2]
+
+    @property
+    def finish(self) -> float | None:
+        """`(start + demand) + transfer` once completed, else None."""
+        if self.outcome != COMPLETED:
+            return None
+        return (self.start + self.demand) + self.spec[1]
+
+    @property
+    def reject_reason(self) -> str | None:
+        outcome = self.outcome
+        if isinstance(outcome, tuple):
+            return outcome[0]
+        return None if outcome is None or outcome == COMPLETED else outcome
+
+    @property
+    def rejected_at(self) -> float | None:
+        """The arrival for an admission rejection, the expiry time for a
+        deadline one, else None."""
+        outcome = self.outcome
+        if isinstance(outcome, tuple):
+            return outcome[1]
+        return None if outcome is None or outcome == COMPLETED else self.arrival
 
     @property
     def state(self) -> str:
-        """The lifecycle state, read from the times that decide it."""
-        if self.finish is not None:
-            return COMPLETED
-        if self.reject_reason is not None:
-            return REJECTED
-        return QUEUED if self.start is None else RUNNING
+        """The lifecycle state, read from the outcome and the start."""
+        outcome = self.outcome
+        if outcome is None:
+            return QUEUED if self.start is None else RUNNING
+        return COMPLETED if outcome == COMPLETED else REJECTED
 
 
 @dataclass
 class VmInstance:
     """A server of datacenter `dc` with a run queue and at most one
     running job. The VM is free again at `start + demand`; the job's
-    recorded finish adds its transfer time, `start + demand + transfer`.
+    finish adds its transfer time, `(start + demand) + transfer`.
     Its datacenter's rate and bandwidth are already in each job's
     `demand` and `transfer`."""
 
@@ -178,13 +225,13 @@ def arrival_count(ub: UserBase, horizon_ms: float) -> int:
 
 def _batches(ub: UserBase, n: int, batch: int, rates, horizon_ms, draw) -> list[Job]:
     """`n` jobs of `batch` requests from `ub` arriving at `horizon_ms x draw()`,
-    sharing one demand and one transfer time; ids are set after merging."""
+    sharing one demand and one `spec`; ids are set after merging."""
     if n <= 0:
         return []
     rate, bandwidth = rates[ub.target_dc]
     demand = processing_time(ub.instruction_length * batch, rate)
-    transfer = transfer_time(ub.data_size_per_request * batch, bandwidth)
-    return [Job(0, horizon_ms * draw(), demand, ub.id, transfer, batch) for _ in range(n)]
+    spec = (ub.id, transfer_time(ub.data_size_per_request * batch, bandwidth), batch)
+    return [Job(0, horizon_ms * draw(), demand, spec) for _ in range(n)]
 
 
 def generate_arrivals(

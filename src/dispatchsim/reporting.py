@@ -23,6 +23,7 @@ import os
 from itertools import chain
 
 from .metrics import RunMetrics, rejection_percentage
+from .model import COMPLETED
 
 _RAN_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%s,completed"
 _UNSTARTED_ROW = "%s,%.12g,,,,%s,%s"
@@ -44,7 +45,8 @@ def _write_atomic(path, lines) -> str:
 def _job_rows(metrics: RunMetrics):
     """Yield the jobs.csv row of each trace: one format call for each of
     the two shapes a run leaves, a job that ran and a job rejected before
-    it started. A trace with a start and no finish raises TypeError."""
+    it started. A trace with a start that did not complete raises
+    TypeError."""
     u = metrics.unit_ms
     for t in metrics.traces:
         h = t.vm_history
@@ -52,9 +54,12 @@ def _job_rows(metrics: RunMetrics):
         arrival, start = t.arrival, t.start
         if start is None:
             yield _UNSTARTED_ROW % (t.id, arrival / u, history, t.state)
+        elif t.outcome != COMPLETED:
+            raise TypeError(f"job {t.id} has a start and no finish")
         else:
+            finish = (start + t.demand) + t.spec[1]  # `Job.finish`, inline
             yield _RAN_ROW % (
-                t.id, arrival / u, start / u, t.finish / u, (start - arrival) / u, history,
+                t.id, arrival / u, start / u, finish / u, (start - arrival) / u, history,
             )
 
 

@@ -30,6 +30,28 @@ def migration_config():
     return bundled("migration_demo.scn")
 
 
+# Every public field of a trace, stored or derived from `spec` and
+# `outcome`: two traces agree on all of these exactly when a run recorded
+# the same of both jobs.
+TRACE_FIELDS = (
+    "id", "arrival", "demand", "origin_ub", "transfer", "batch_size", "start", "finish",
+    "vm_history", "vm", "state", "reject_reason", "rejected_at",
+)
+
+
+def trace_fields(job: Job) -> dict:
+    """`TRACE_FIELDS` of `job`, by name."""
+    return {name: getattr(job, name) for name in TRACE_FIELDS}
+
+
+def make_job(id, arrival, demand, *, origin_ub=None, transfer=0.0, batch_size=1,
+             start=None, vm_history=(), outcome=None) -> Job:
+    """A hand-made job with a `spec` of its own. Its finish is derived,
+    `(start + demand) + transfer`, once `outcome` is `COMPLETED`."""
+    return Job(id, arrival, demand, (origin_ub, transfer, batch_size), start, vm_history,
+               outcome=outcome)
+
+
 TABLE6_JOBS = [(1, 0.0, 8.0), (2, 1.0, 4.0), (3, 3.0, 6.0), (4, 5.0, 2.0), (5, 6.0, 5.0)]
 TABLE6_ORDER = [1, 4, 2, 5, 3]
 TABLE6_WAITS = {1: 0.0, 4: 3.0, 2: 9.0, 5: 8.0, 3: 16.0}

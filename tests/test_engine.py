@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import heapq
 import math
@@ -17,16 +16,16 @@ from dispatchsim.engine import (
     Simulation,
     TooManyJobs,
 )
-from dispatchsim.model import MS_PER_HOUR, Job, transfer_time
+from dispatchsim.model import MS_PER_HOUR, transfer_time
 from dispatchsim.reporting import write_metrics_csv
 from dispatchsim.scenario import ScenarioConfig, PolicyConfig, load_scenario
 
-from conftest import TABLE6_ORDER, TABLE6_WAITS
+from conftest import TABLE6_ORDER, TABLE6_WAITS, make_job, trace_fields
 
 
 def test_calendar_single_element():
     cal = EventCalendar()
-    job = Job(id=1, arrival=5.0, demand=1.0)
+    job = make_job(1, 5.0, 1.0)
     cal.schedule(5.0, "JobArrival", job)
     ev = cal.pop()
     # the fields the benchmark's traced pop and the run loop read
@@ -38,7 +37,7 @@ def test_calendar_fifo_tie_break():
     # Jobs do not order, so this raises TypeError if the heap ever
     # compares the subjects of two events at the same instant
     cal = EventCalendar()
-    a, b = Job(id=1, arrival=5.0, demand=1.0), Job(id=2, arrival=5.0, demand=1.0)
+    a, b = make_job(1, 5.0, 1.0), make_job(2, 5.0, 1.0)
     cal.schedule(5.0, "JobArrival", a)
     cal.schedule(5.0, "JobArrival", b)
     assert cal.pop().subject is a
@@ -130,7 +129,7 @@ def test_calendar_cursors_match_a_plain_heap(arrivals, deadline, steps):
     that holds every event from the start: the arrivals with seqs 0…n−1,
     then each expiry with the seq it took when its arrival popped. Its
     length and next fire time count the events still in a cursor."""
-    jobs = [Job(id=i, arrival=a, demand=1.0) for i, a in enumerate(arrivals)]
+    jobs = [make_job(i, a, 1.0) for i, a in enumerate(arrivals)]
     n = len(jobs)
     cal = EventCalendar(jobs, deadline)
     ref = [(job.arrival, k, engine.JOB_ARRIVAL, job) for k, job in enumerate(jobs)]
@@ -259,9 +258,7 @@ job = 2 2 3
 def test_run_deterministic_replay(sweep_config):
     a = Simulation(sweep_config).run()
     b = Simulation(sweep_config).run()
-    assert [dataclasses.astuple(t) for t in a.traces] == [
-        dataclasses.astuple(t) for t in b.traces
-    ]
+    assert [trace_fields(t) for t in a.traces] == [trace_fields(t) for t in b.traces]
     assert a.event_count == b.event_count
     assert a.migration_log == b.migration_log
 
@@ -658,6 +655,60 @@ job = 3 0 100
     else:
         assert (job.start, job.finish) == (51.0, 151.0)
     assert metrics.event_count == event_count
+
+
+# [jobs] rows whose (start + demand) + transfer is not start + (demand +
+# transfer) for some of them: tenths of a ms and data of 0.3 units
+FRACTIONAL_ROWS = "".join(
+    f"job = {i} {i / 10!r} {0.2 + i / 10!r} 0.3\n" for i in range(1, 13)
+)
+
+
+def test_a_running_job_has_no_finish_until_it_completes():
+    """While its VM runs it, a job reads state running and no finish.
+    Its finish event leaves it completed with finish `(start + demand)
+    + transfer`, the clock at that event plus its transfer time."""
+    checked = []
+
+    class Watched(Simulation):
+        def _on_finish(self, vm, now):
+            job = vm.running
+            assert (job.state, job.finish, job.reject_reason) == ("running", None, None)
+            Simulation._on_finish(self, vm, now)
+            assert (job.state, job.finish) == ("completed", now + job.transfer)
+            checked.append(job)
+
+        _HANDLERS = {**Simulation._HANDLERS, engine.JOB_FINISH: _on_finish}
+
+    text = _one_dc("deadline = 100", [], vms=2).replace("[jobs]\n", "[jobs]\n" + FRACTIONAL_ROWS)
+    traces = Watched(load_scenario(text)).run().traces
+    assert checked and sorted(checked, key=lambda j: j.id) == traces
+    for j in traces:
+        assert j.finish == (j.start + j.demand) + j.transfer
+    # the rows tell the two ways of adding the three apart
+    assert any(j.finish != j.start + (j.demand + j.transfer) for j in traces)
+
+
+def test_a_queue_full_job_is_rejected_at_its_arrival():
+    traces = Simulation(load_scenario(_read_scenario_text(QCAP_DEMO))).run().traces
+    full = [t for t in traces if t.reject_reason == "QueueFull"]
+    assert full
+    assert all(t.rejected_at == t.arrival and t.state == "rejected" for t in full)
+    assert all(t.finish is None and t.start is None for t in full)
+
+
+def test_collect_returns_the_jobs_in_id_order():
+    """`_collect` returns the simulation's own job list while it is in
+    id order, and a sorted copy when the `[jobs]` rows are not."""
+    def simulation(rows):
+        return Simulation(load_scenario(_one_dc("deadline = 100", rows, GENERATED_3MS)))
+
+    in_order = simulation([(1, 2, 1), (2, 0, 1)])
+    assert in_order.run().traces is in_order.jobs
+    sim = simulation([(3, 0, 1), (1, 2, 1), (2, 1, 1)])
+    traces = sim.run().traces
+    assert sim.jobs[3:] and [t.id for t in sim.jobs[:3]] == [3, 1, 2]
+    assert [t.id for t in traces] == list(range(1, len(sim.jobs) + 1))
 
 
 @pytest.mark.parametrize("deadline, expired", [(150, 0), (30, 2)])

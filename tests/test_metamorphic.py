@@ -14,13 +14,13 @@ when its datacenter runs alone with its own user bases. Job ids differ
 between the runs, so jobs are matched on `(origin_ub, arrival)`.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
 from dispatchsim.scenario import load_scenario
+
+from conftest import trace_fields
 
 # Job fields that hold a time.
 TIME_FIELDS = ("arrival", "demand", "transfer", "start", "finish", "rejected_at")
@@ -92,7 +92,7 @@ def scalable_scenarios(draw):
 
 
 def doubled(trace):
-    fields = dataclasses.asdict(trace)
+    fields = trace_fields(trace)
     for name in TIME_FIELDS:
         if fields[name] is not None:
             fields[name] *= 2
@@ -107,7 +107,7 @@ def test_doubling_every_duration_doubles_every_time(text):
     assert (scaled.submitted, scaled.completed, scaled.rejected, scaled.event_count) == (
         base.submitted, base.completed, base.rejected, base.event_count
     )
-    assert [dataclasses.asdict(t) for t in scaled.traces] == [doubled(t) for t in base.traces]
+    assert [trace_fields(t) for t in scaled.traces] == [doubled(t) for t in base.traces]
     assert scaled.migration_log == [
         tuple(2 * x if i in TIME_LOG_FIELDS else x for i, x in enumerate(entry))
         for entry in base.migration_log

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispatchsim.metrics import queue_wait, rejection_percentage, starvation_report
-from dispatchsim.model import Job
+from dispatchsim.model import COMPLETED
 
-from conftest import TABLE6_JOBS, TABLE6_WAITS, EmptyInput, summarize
+from conftest import TABLE6_JOBS, TABLE6_WAITS, EmptyInput, make_job, summarize
 
 
 def test_summarize_basic():
@@ -30,17 +30,12 @@ def test_summarize_ordering_invariant(samples):
     assert s.min - tol <= s.avg <= s.max + tol
 
 
-def _trace(job_id, arrival, start, **kw):
-    finish = kw.pop("finish", None if start is None else start + 1.0)
-    return Job(
-        id=job_id,
-        arrival=arrival,
-        demand=1.0,
-        start=start,
-        finish=finish,
-        vm_history=(0,) if start is not None else (),
-        **kw,
-    )
+def _trace(job_id, arrival, start, outcome=None):
+    """A job of demand 1.0: completed at start + 1.0 if it started, else
+    with `outcome`."""
+    if start is not None:
+        return make_job(job_id, arrival, 1.0, start=start, vm_history=(0,), outcome=COMPLETED)
+    return make_job(job_id, arrival, 1.0, outcome=outcome)
 
 
 def table7_traces():
@@ -103,14 +98,6 @@ def test_starvation_report_threshold_8():
 
 
 def test_starvation_report_includes_deadline_rejections():
-    traces = table7_traces() + [
-        _trace(
-            6,
-            0.0,
-            None,
-            reject_reason="DeadlineExpired",
-            rejected_at=30.0,
-        )
-    ]
+    traces = table7_traces() + [_trace(6, 0.0, None, ("DeadlineExpired", 30.0))]
     report = starvation_report(traces, 1000.0)
     assert report == [(6, 30.0)]

@@ -28,7 +28,6 @@ reaches, whose expiries all find their jobs started.
 """
 
 import copy
-import dataclasses
 import re
 from collections import defaultdict
 from operator import attrgetter
@@ -40,8 +39,10 @@ from hypothesis import example, given, settings, strategies as st
 from dispatchsim import engine
 from dispatchsim.cli import _read_scenario_text
 from dispatchsim.engine import JOB_ARRIVAL, AdmissionResult, Simulation, migration_decision
-from dispatchsim.model import Job, sum_in_order
+from dispatchsim.model import sum_in_order
 from dispatchsim.scenario import load_scenario
+
+from conftest import make_job, trace_fields
 
 
 def _step_wheel(dc):
@@ -215,9 +216,7 @@ def assert_same_run(text):
     fast = Simulation(load_scenario(text)).run()
     ref = RescanSimulation(load_scenario(text)).run()
     assert fast.migration_log == ref.migration_log
-    assert [dataclasses.astuple(t) for t in fast.traces] == [
-        dataclasses.astuple(t) for t in ref.traces
-    ]
+    assert [trace_fields(t) for t in fast.traces] == [trace_fields(t) for t in ref.traces]
     assert fast.event_count == ref.event_count
 
 
@@ -237,7 +236,7 @@ def test_queue_cap_admission_matches_rescan_without_migration(text):
 
 
 def traces(metrics):
-    return [dataclasses.astuple(t) for t in metrics.traces]
+    return [trace_fields(t) for t in metrics.traces]
 
 
 @pytest.mark.parametrize("admission", ["deadline", "queue_cap"])
@@ -329,7 +328,7 @@ migration_cap = {cap}
     ids = iter(range(1, 1000))
 
     def new_job(demand, arrival):
-        return Job(id=next(ids), arrival=float(arrival), demand=float(demand))
+        return make_job(next(ids), float(arrival), float(demand))
 
     for vm, (running, queued, incoming) in zip(sim.datacenters["DC1"].vms, vms):
         if running is not None:
@@ -610,8 +609,9 @@ def test_datacenter_summaries_hold_after_every_event(text):
     `movable` lists the queued jobs that may still move, in join order,
     and a rescan of a settled datacenter, run on a copy, moves no
     job. Each job's `vm` is the VM whose queue or incoming list holds
-    it, and None once it has started or been rejected. Once an instant's
-    events are done, no VM is idle with a non-empty queue."""
+    it, and None once it has started or been rejected; a running job is
+    its VM's `running`, with state running and no finish yet. Once an
+    instant's events are done, no VM is idle with a non-empty queue."""
     config = load_scenario(text)
     sjf = config.policy.scheduler == "sjf"
     sjf_key = attrgetter("demand", "arrival", "id")
@@ -630,6 +630,10 @@ def test_datacenter_summaries_hold_after_every_event(text):
             for vm in dc.vms:
                 for job in vm.queue + vm.incoming:
                     assert job.vm is vm, (kind, now, vm.id, job.id)
+                if vm.running is not None:
+                    assert (vm.running.state, vm.running.finish) == ("running", None), (
+                        kind, now, vm.id,
+                    )
                 joined = sim.join_order(vm)
                 assert vm.queue == (sorted(joined, key=sjf_key) if sjf else joined), (
                     kind, now, vm.id,
@@ -668,6 +672,31 @@ EXPIRES_IN_TRANSIT = "\n".join(
         *(f"job = {i} 0 {({32: 4, 44: 3}).get(i, 1)}" for i in range(1, 49)),
     ]
 ) + "\n"
+
+
+def test_a_job_expired_queued_or_in_transit_is_rejected_at_arrival_plus_deadline():
+    """EXPIRES_IN_TRANSIT with every job arriving at 1 ms: jobs expire
+    both queued and in transit, and each reads `rejected_at == arrival +
+    deadline`, the time its expiry fired."""
+    where = {}  # job id -> "queued" or "in transit" when it expired
+
+    class Recording(Simulation):
+        def _on_deadline(self, job, now):
+            if job.start is None:
+                where[job.id] = "in transit" if job in job.vm.incoming else "queued"
+            Simulation._on_deadline(self, job, now)
+
+        _HANDLERS = {**Simulation._HANDLERS, engine.DEADLINE_EXPIRY: _on_deadline}
+
+    text = re.sub(r"^(job = \d+) 0 ", r"\1 1 ", EXPIRES_IN_TRANSIT, flags=re.M)
+    traces = Recording(load_scenario(text)).run().traces
+    assert set(where.values()) == {"queued", "in transit"}
+    for t in traces:
+        if t.id in where:
+            assert (t.reject_reason, t.start, t.finish) == ("DeadlineExpired", None, None)
+            assert t.rejected_at == t.arrival + 20.0 == 21.0
+        else:
+            assert t.rejected_at is None
 
 
 @settings(max_examples=120, deadline=None)

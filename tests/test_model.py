@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim.engine import AdmissionResult, Simulation, admit
 from dispatchsim.model import (
+    COMPLETED,
     Datacenter,
     Job,
     UserBase,
@@ -20,6 +22,8 @@ from dispatchsim.model import (
     transfer_time,
 )
 from dispatchsim.scenario import load_scenario
+
+from conftest import make_job, trace_fields
 
 
 def test_processing_time_default_rate():
@@ -117,10 +121,10 @@ def test_generate_arrivals_count_matches_enumeration(rate, grouping, batch, hour
 
 def _per_job(ub, arrival, batch, dc_rates):
     rate, bandwidth = dc_rates
-    return Job(
-        id=0,
-        arrival=arrival,
-        demand=processing_time(ub.instruction_length * batch, rate),
+    return make_job(
+        0,
+        arrival,
+        processing_time(ub.instruction_length * batch, rate),
         origin_ub=ub.id,
         transfer=transfer_time(ub.data_size_per_request * batch, bandwidth),
         batch_size=batch,
@@ -172,8 +176,8 @@ R40 = (40.0, 1000.0)
 seeds = st.integers(min_value=0, max_value=2**32)
 
 
-def _astuples(jobs):
-    return [dataclasses.astuple(j) for j in jobs]
+def _fields(jobs):
+    return [trace_fields(j) for j in jobs]
 
 
 @settings(deadline=None)
@@ -185,7 +189,7 @@ def _astuples(jobs):
 def test_generate_arrivals_matches_the_per_job_formula(ub, horizon, dc_rate, seed):
     rates = {"DC1": dc_rate}
     jobs = generate_arrivals(ub, horizon, seed, rates)
-    assert _astuples(jobs) == _astuples(reference_arrivals(ub, horizon, seed, rates))
+    assert _fields(jobs) == _fields(reference_arrivals(ub, horizon, seed, rates))
 
 
 @settings(deadline=None)
@@ -201,7 +205,7 @@ def test_generate_sweep_arrivals_matches_the_per_job_formula(ubs, horizon, dc_ra
     rates = {"DC1": dc_rate}
     jobs = generate_sweep_arrivals(ubs, horizon, seed, total, rates)
     expected = reference_sweep(ubs, horizon, seed, _counts(jobs, ubs), rates)
-    assert _astuples(jobs) == _astuples(expected)
+    assert _fields(jobs) == _fields(expected)
 
 
 @settings(deadline=None)
@@ -257,47 +261,61 @@ def test_sweep_level_arrivals_depend_only_on_seed_user_base_and_level():
     level = generate_sweep_arrivals(ubs, 3_600_000.0, 7, 10, RATES)
     for other in (5, 15, 20):
         generate_sweep_arrivals(ubs, 3_600_000.0, 7, other, RATES)
-    assert _astuples(generate_sweep_arrivals(ubs, 3_600_000.0, 7, 10, RATES)) == _astuples(level)
+    assert _fields(generate_sweep_arrivals(ubs, 3_600_000.0, 7, 10, RATES)) == _fields(level)
     # each user base draws from its own stream: alone, UB0 makes all ten
     # jobs, and the first of them are the ones it made beside UB1
     alone = generate_sweep_arrivals(ubs[:1], 3_600_000.0, 7, 10, RATES)
     ub0 = [j for j in level if j.origin_ub == "UB0"]
-    assert _astuples(alone[: len(ub0)]) == _astuples(ub0)
+    assert _fields(alone[: len(ub0)]) == _fields(ub0)
     other_seed = generate_sweep_arrivals(ubs, 3_600_000.0, 8, 10, RATES)
     assert [j.arrival for j in other_seed] != [j.arrival for j in level]
+
+
+def test_a_job_is_96_bytes_and_each_batch_class_shares_one_spec():
+    """A job holds 8 slots, at most 96 bytes. The full batches of a user
+    base share one `spec`, its short last batch has its own, and the
+    jobs of one user base at a sweep level share one."""
+    jobs = generate_arrivals(_ub(grouping=21), 3_600_000.0, 1, RATES)  # 252 requests
+    assert max(map(sys.getsizeof, jobs)) <= 96
+    *full, last = jobs
+    assert [j.batch_size for j in jobs] == [100, 100, 52]
+    assert full[0].spec is full[1].spec
+    assert last.spec is not full[0].spec
+    level = generate_sweep_arrivals([_ub()], 3_600_000.0, 1, 10, RATES)
+    assert len(level) == 10 and len({id(j.spec) for j in level}) == 1
 
 
 def _dc_with_queues(queue_lens, capacity):
     vms = []
     for i, n in enumerate(queue_lens):
         vm = VmInstance(id=i)
-        vm.queue = [Job(id=100 * i + k, arrival=0.0, demand=1.0) for k in range(n)]
+        vm.queue = [make_job(100 * i + k, 0.0, 1.0) for k in range(n)]
         vms.append(vm)
     return Datacenter(id="DC1", vms=vms, capacity=capacity)
 
 
 def test_admit_queue_cap_saturated():
     dc = _dc_with_queues([1, 1], capacity=1)
-    result = admit(Job(id=9, arrival=0.0, demand=1.0), dc, 0.0)
+    result = admit(make_job(9, 0.0, 1.0), dc, 0.0)
     assert result == AdmissionResult(False, "QueueFull")
 
 
 def test_admit_queue_cap_with_free_slot():
     dc = _dc_with_queues([1, 0], capacity=1)
-    assert admit(Job(id=9, arrival=0.0, demand=1.0), dc, 0.0).admitted
+    assert admit(make_job(9, 0.0, 1.0), dc, 0.0).admitted
 
 
 def test_open_vms_counts_jobs_in_transit():
     dc = _dc_with_queues([1, 0, 0], capacity=1)
     assert dc.open_ids == [1, 2]
-    dc.vms[1].incoming.append(Job(id=8, arrival=0.0, demand=1.0))
+    dc.vms[1].incoming.append(make_job(8, 0.0, 1.0))
     assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).open_ids == [2]
 
 
 def test_datacenter_counts_queued_jobs_not_jobs_in_transit():
     dc = _dc_with_queues([3, 0, 2], capacity=4)
     assert dc.queued == 5
-    dc.vms[1].incoming.append(Job(id=8, arrival=0.0, demand=1.0))
+    dc.vms[1].incoming.append(make_job(8, 0.0, 1.0))
     assert Datacenter(id="DC1", vms=dc.vms, capacity=dc.capacity).queued == 5
 
 
@@ -309,25 +327,27 @@ def test_datacenter_sets_each_vm_dc():
 
 def test_admit_deadline_mode_always_admits():
     dc = _dc_with_queues([5, 5], capacity=math.inf)
-    assert admit(Job(id=9, arrival=0.0, demand=1.0), dc, 0.0).admitted
+    assert admit(make_job(9, 0.0, 1.0), dc, 0.0).admitted
 
 
 def test_job_state_follows_its_times():
-    """`state` is read from start, finish and reject_reason, is no
-    field, and cannot be assigned."""
+    """`state` is read from start and outcome, is no field, and cannot
+    be assigned; neither can the finish it implies."""
     assert "state" not in [f.name for f in dataclasses.fields(Job)]
-    job = Job(id=1, arrival=0.0, demand=1.0)
+    job = make_job(1, 0.0, 1.0)
     assert job.state == "queued"
     job.start = 2.0
     assert job.state == "running"
-    job.finish = 3.0
+    job.outcome = COMPLETED
     assert job.state == "completed"
-    rejected = Job(id=2, arrival=0.0, demand=1.0, reject_reason="QueueFull")
+    rejected = make_job(2, 0.0, 1.0, outcome="QueueFull")
     assert rejected.state == "rejected"
     with pytest.raises(AttributeError):
         job.state = "queued"
+    with pytest.raises(AttributeError):
+        job.finish = 3.0
     with pytest.raises(TypeError):
-        Job(id=3, arrival=0.0, demand=1.0, state="queued")
+        Job(3, 0.0, 1.0, (None, 0.0, 1), state="queued")
 
 
 DEADLINE_SCN = """

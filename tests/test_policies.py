@@ -4,9 +4,9 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.engine import Simulation, migration_decision, rr_next_vm
-from dispatchsim.model import Datacenter, Job, VmInstance
+from dispatchsim.model import Datacenter, VmInstance
 
-from conftest import sjf_at_zero
+from conftest import make_job, sjf_at_zero
 
 
 def _dc(n_vms):
@@ -35,8 +35,8 @@ def _queue_cap_dc(queue_lens, capacity=1, incoming_lens=None):
     already filled, so `Datacenter.open_ids` indexes them."""
     vms = [VmInstance(id=i) for i in range(len(queue_lens))]
     for vm, n, m in zip(vms, queue_lens, incoming_lens or [0] * len(vms)):
-        vm.queue = [Job(id=100 * vm.id + k, arrival=0.0, demand=1.0) for k in range(n)]
-        vm.incoming = [Job(id=100 * vm.id + 50 + k, arrival=0.0, demand=1.0) for k in range(m)]
+        vm.queue = [make_job(100 * vm.id + k, 0.0, 1.0) for k in range(n)]
+        vm.incoming = [make_job(100 * vm.id + 50 + k, 0.0, 1.0) for k in range(m)]
     return Datacenter(id="DC", vms=vms, capacity=capacity)
 
 

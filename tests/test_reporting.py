@@ -7,14 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim.engine import Simulation
 from dispatchsim.metrics import RunMetrics, queue_wait
-from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, Job, sum_in_order
+from dispatchsim.model import COMPLETED, MS_PER_HOUR, REJECTED, sum_in_order
 from dispatchsim.reporting import (
     emit_plot_series,
     write_metrics_csv,
     write_sweep_rejections_csv,
 )
 
-from conftest import network_response, summarize
+from conftest import make_job, network_response, summarize
 
 
 def _read(path):
@@ -182,7 +182,11 @@ times = st.one_of(
 )
 
 
-REASONS = ["QueueFull", "DeadlineExpired"]
+# A demand or transfer time: often a signed zero, so that the derived
+# finish, (start + demand) + transfer, takes each extreme value drawn for
+# the start as well.
+offsets = st.one_of(st.sampled_from([0.0, -0.0]), times)
+REJECTIONS = st.one_of(st.just("QueueFull"), st.tuples(st.just("DeadlineExpired"), times))
 
 
 @st.composite
@@ -190,16 +194,16 @@ def hand_traces(draw, job_id):
     """A trace of one of the two shapes a run leaves: completed, or
     rejected before it started."""
     completed = draw(st.booleans())
-    return Job(
-        id=job_id,
-        arrival=draw(times),
-        demand=draw(times),
+    return make_job(
+        job_id,
+        draw(times),
+        draw(offsets),
         origin_ub=draw(st.sampled_from([None, "UB1", "UB2"])),
+        transfer=draw(offsets),
         batch_size=draw(st.integers(1, 5)),
         start=draw(times) if completed else None,
-        finish=draw(times) if completed else None,
-        reject_reason=None if completed else draw(st.sampled_from(REASONS)),
         vm_history=tuple(draw(st.lists(st.integers(0, 150), max_size=4))),
+        outcome=COMPLETED if completed else draw(REJECTIONS),
     )
 
 
@@ -223,11 +227,14 @@ def _one(trace, unit_ms=1.0):
 
 def _done(*samples):
     """A run of completed traces, one per `(arrival, t, ub)`, in id
-    order: each arrives from user base `ub`, starts and finishes at `t`
-    and has demand `t`. At arrival 0.0 its response, queue wait and
-    processing time are all `t`, with the sign of a zero `t` kept."""
+    order: each arrives from user base `ub`, starts at `t`, has demand
+    `t` and transfer time `-t` (a zero `t` keeps its sign), and so
+    finishes at `(t + t) - t`, which is `t` while `t + t` is finite. At
+    arrival 0.0 its response, queue wait and processing time are all
+    `t`, with the sign of a zero `t` kept."""
     traces = [
-        Job(i, arrival, t, ub, start=t, finish=t)
+        make_job(i, arrival, t, origin_ub=ub, transfer=-t if t else t, start=t,
+                 outcome=COMPLETED)
         for i, (arrival, t, ub) in enumerate(samples, 1)
     ]
     return RunMetrics(1.0, len(traces), len(traces), 0, traces=traces)
@@ -235,9 +242,15 @@ def _done(*samples):
 
 @settings(max_examples=200, deadline=None)
 @given(hand_metrics())
-@example(_one(Job(1, -5e-324, 1.0, start=0.0, finish=1.0, vm_history=(0,))))
-@example(_one(Job(2, 3.2982725956280398e19, 1.0, start=4e19, finish=5e19)))
-@example(_one(Job(3, 0.1 + 0.2, 1.0, vm_history=(0, 1), reject_reason="QueueFull"), 1000.0))
+@example(_one(make_job(1, -5e-324, 1.0, start=0.0, vm_history=(0,), outcome=COMPLETED)))
+@example(_one(make_job(2, 3.2982725956280398e19, 1.0, transfer=1e19, start=4e19,
+                       outcome=COMPLETED)))  # finishes at 5e19
+@example(_one(make_job(3, 0.1 + 0.2, 1.0, vm_history=(0, 1), outcome="QueueFull"), 1000.0))
+# derived finishes of -5e-324 and of 4e19, where the demand rounds away
+@example(_one(make_job(4, -5e-324, -0.0, transfer=-0.0, start=-5e-324, outcome=COMPLETED)))
+@example(_one(make_job(5, 3.2982725956280398e19, 1.0, start=4e19, outcome=COMPLETED)))
+# a finish of 0.1 that `start + (demand + transfer)` would give as 0.0
+@example(_one(make_job(6, 0.0, -1e16, transfer=0.1, start=1e16, outcome=COMPLETED)))
 # a lone -0.0 sample, whose sum from 0.0 is 0.0
 @example(_done((0.0, -0.0, "UB1")))
 # -0.0 then 0.0 as the first samples, and the reverse: min and max keep the first
@@ -250,7 +263,7 @@ def _done(*samples):
                (MS_PER_HOUR, MS_PER_HOUR + 3, "UB1"), (1.0, 4.0, "UB2"),
                (2.0, 5.0, "UB1"), (2 * MS_PER_HOUR, 2 * MS_PER_HOUR + 6, "UB2")))
 # a response sum that overflows to inf and stays there
-@example(_done((0.0, 1e308, "UB1"), (0.0, 1e308, "UB1"), (0.0, -1e308, "UB1")))
+@example(_done(*[(0.0, x, "UB1") for x in (8e307, 8e307, 8e307, -8e307)]))
 def test_writers_match_the_per_field_reference(metrics):
     """Every byte of summary.csv, jobs.csv and the hourly series equals
     the field-by-field reference writer's, on traces of both shapes."""
@@ -265,8 +278,8 @@ def test_writers_match_the_per_field_reference(metrics):
 def test_failed_row_leaves_no_jobs_file(tmp_path):
     """A row that raises part-way through jobs.csv leaves neither the
     file nor its temp file."""
-    good = Job(1, 0.0, 1.0, start=0.0, finish=1.0, vm_history=(0,))
-    bad = Job(2, None, 1.0, reject_reason="QueueFull")
+    good = make_job(1, 0.0, 1.0, start=0.0, vm_history=(0,), outcome=COMPLETED)
+    bad = make_job(2, None, 1.0, outcome="QueueFull")
     metrics = RunMetrics(1.0, 2, 1, 1, traces=[good, bad])
     with pytest.raises(TypeError):
         write_metrics_csv(metrics, tmp_path)
@@ -275,11 +288,14 @@ def test_failed_row_leaves_no_jobs_file(tmp_path):
     assert not [n for n in names if n.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("time", ["start", "finish"])
-def test_trace_with_one_of_start_and_finish_raises(tmp_path, time):
-    """A trace of neither shape a run leaves fails the write with
-    TypeError and leaves neither jobs.csv nor a temp file."""
-    trace = Job(1, 0.0, 1.0, vm_history=(0,), **{time: 1.0})
+@pytest.mark.parametrize(
+    "lifecycle", [{"start": 1.0}, {"outcome": COMPLETED}], ids=["start", "finish"]
+)
+def test_trace_with_one_of_start_and_finish_raises(tmp_path, lifecycle):
+    """A trace of neither shape a run leaves, one that started and did
+    not finish or one that finished and never started, fails the write
+    with TypeError and leaves neither jobs.csv nor a temp file."""
+    trace = make_job(1, 0.0, 1.0, vm_history=(0,), **lifecycle)
     metrics = RunMetrics(1.0, 1, 1, 0, traces=[trace])
     with pytest.raises(TypeError):
         write_metrics_csv(metrics, tmp_path)
