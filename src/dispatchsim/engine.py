@@ -14,7 +14,7 @@ import gc
 import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -101,31 +101,31 @@ class EventCalendar:
     clock is the fire time of the last popped event and never
     decreases.
 
-    Pending events sit in five places:
+    Pending events sit in four places:
 
     - `_now`, the current-instant FIFO: every event scheduled at the
       clock (every start, and an expiry whose arrival + deadline rounds
       to the arrival itself).
-    - The arrival cursor: `arrivals`, the jobs in (arrival, list
-      position) order, whose k-th job pops as `Event(job.arrival, k,
-      JOB_ARRIVAL, job)`. The up-front arrivals take seqs 0…n−1, and
-      `_seq` starts at n.
-    - The expiry cursor: `schedule_expiry` gives the k-th arrival's
-      expiry the next seq, kept in `_expiry_seqs[k]` (−1 for one that
-      joined `_now`), and it pops as `Event(job.arrival + deadline,
-      seq, DEADLINE_EXPIRY, job)`.
-    - The generic lanes, one per kind (finishes, migration landings and
-      ticks): an event that sorts after the last one of its kind in the
-      lane, or after the kind's gate while the lane is empty, joins it.
-    - One binary heap: each cursor's and each non-empty lane's gate, and
-      every other event.
+    - The two cursors. The arrival cursor is `arrivals`, the jobs in
+      (arrival, list position) order, whose k-th job pops as
+      `Event(job.arrival, k, JOB_ARRIVAL, job)`; the up-front arrivals
+      take seqs 0…n−1, and `_seq` starts at n. For the expiry cursor,
+      `schedule_expiry` gives the k-th arrival's expiry the next seq,
+      kept in `_expiry_seqs[k]` (−1 for one that joined `_now`), and it
+      pops as `Event(job.arrival + deadline, seq, DEADLINE_EXPIRY,
+      job)`.
+    - The generic lane: finishes, migration landings and ticks in
+      (fire_at, seq) order. An event that sorts at or after the lane's
+      last one, or after its gate while the lane is empty, joins it.
+    - One binary heap: each cursor's and the lane's gate, and every
+      other event.
 
-    While a cursor or lane holds events, its gate is on the heap and
-    sorts before all of them, and they are in (fire_at, seq) order: a
+    While a cursor or the lane holds events, its gate is on the heap and
+    sorts before all of them, and they are in (fire_at, seq) order: the
     lane by its rule, the arrivals by their sort, and the expiries
     because fl(a + d) does not fall as a grows and their seqs grow with
     k. Popping a gate builds or takes the next one as the new gate. So
-    the heap head is the least of the heap, the cursors and the lanes.
+    the heap head is the least of the heap, the cursors and the lane.
 
     `pop` takes the heap head if it fires at the clock, else the head
     of `_now`, else the heap head, and this is exactly the order of one
@@ -148,8 +148,8 @@ class EventCalendar:
     def __init__(self, arrivals: Sequence[Job] = (), deadline: float | None = None):
         self._heap: list = []
         self._now: deque = deque()
-        self._lanes: defaultdict[str, deque] = defaultdict(deque)
-        self._gates: dict[str, Event | None] = {}
+        self._lane: deque = deque()
+        self._gate: Event | None = None
         self._arrivals = arrivals
         self._arrival_gate: Event | None = None
         self._deadline = deadline
@@ -164,7 +164,7 @@ class EventCalendar:
             self._heap.append(gate)
 
     def __len__(self) -> int:
-        pending = len(self._heap) + len(self._now) + sum(map(len, self._lanes.values()))
+        pending = len(self._heap) + len(self._now) + len(self._lane)
         if self._arrival_gate is not None:
             pending += len(self._arrivals) - 1 - self._arrival_gate.seq
         return pending + sum(seq >= 0 for seq in self._expiry_seqs[self._expiry_next:])
@@ -178,21 +178,19 @@ class EventCalendar:
         if fire_at == clock:
             self._now.append(ev)
             return
-        lane = self._lanes[kind]
-        last = lane[-1] if lane else self._gates.get(kind)
+        lane = self._lane
+        last = lane[-1] if lane else self._gate
         if last is not None and fire_at >= last[0]:
             lane.append(ev)  # its seq is the largest, so it sorts after `last`
         else:
             heappush(self._heap, ev)
             if last is None:
-                self._gates[kind] = ev
+                self._gate = ev
 
     def schedule_expiry(self) -> None:
         """Schedule the expiry of the next up-front arrival that has none,
         at its arrival + deadline with the next seq. Call it while that
-        arrival is handled, so the clock is its arrival time.
-        `Simulation._on_arrival` inlines the common case: an expiry after
-        the clock while the cursor holds its gate."""
+        arrival is handled, so the clock is its arrival time."""
         seqs = self._expiry_seqs
         job = self._arrivals[len(seqs)]
         fire_at = job.arrival + self._deadline
@@ -238,18 +236,16 @@ class EventCalendar:
                 self._expiry_gate = None
                 heappop(heap)
             self._expiry_next = k
-        else:
-            kind = ev[2]
-            if ev is self._gates[kind]:
-                lane = self._lanes[kind]
-                if lane:
-                    self._gates[kind] = gate = lane.popleft()
-                    heapreplace(heap, gate)
-                else:
-                    self._gates[kind] = None
-                    heappop(heap)
+        elif ev is self._gate:
+            lane = self._lane
+            if lane:
+                self._gate = gate = lane.popleft()
+                heapreplace(heap, gate)
             else:
+                self._gate = None
                 heappop(heap)
+        else:
+            heappop(heap)
         self.clock = ev[0]
         return ev
 
@@ -534,14 +530,8 @@ class Simulation:
         if not result.admitted:
             self._reject(job, result.reason)  # rejected at its arrival, `now`
             return
-        d = self.deadline_ms
-        if d is not None:  # `EventCalendar.schedule_expiry`, its common case inline
-            cal = self.calendar
-            if cal._expiry_gate is None or now + d == now:
-                cal.schedule_expiry()
-            else:
-                cal._expiry_seqs.append(cal._seq)
-                cal._seq += 1
+        if self.deadline_ms is not None:
+            self.calendar.schedule_expiry()
         # admission guaranteed that some VM has room; rr skips full ones
         vm = rr_next_vm(dc)
         self._enqueue(vm, job, now)
@@ -747,7 +737,7 @@ class Simulation:
         with _collector_paused():
             if self.migration_on and self.jobs:
                 cal.schedule(self.cadence_ms, MIGRATION_CHECK)
-            # while any cursor or lane holds events, its gate is on the heap
+            # while a cursor or the lane holds events, its gate is on the heap
             heap, now, pop = cal._heap, cal._now, cal.pop
             handlers, cap = self._HANDLERS, self.event_cap
             while heap or now:

@@ -73,11 +73,12 @@ CALENDAR_STEPS = st.lists(
 @settings(max_examples=400, deadline=None)
 @given(CALENDAR_STEPS)
 def test_calendar_matches_a_plain_heap(steps):
-    """The lanes pop exactly what one heap of (fire_at, seq) pops."""
+    """The lane, the heap and the current-instant FIFO pop exactly what
+    one heap of (fire_at, seq) pops."""
     cal = EventCalendar()
     ref: list = []
     seq = 0
-    in_order = set()  # seqs that sorted after every pending event of their kind
+    in_order = set()  # seqs that sorted at or after every pending event, of any kind
     at_clock = set()  # seqs scheduled at offset 0.0
     for step in steps + [None] * len(steps):  # then drain what is left
         if step is None:
@@ -94,7 +95,7 @@ def test_calendar_matches_a_plain_heap(steps):
             else:
                 subject = object()
                 cal.schedule(fire_at, kind, subject)
-                if all(ev[2] != kind or ev[0] <= fire_at for ev in ref):
+                if all(ev[0] <= fire_at for ev in ref):
                     in_order.add(seq)
                 if offset == 0.0:
                     at_clock.add(seq)
@@ -103,10 +104,9 @@ def test_calendar_matches_a_plain_heap(steps):
         assert len(cal) == len(ref)
         if ref:
             assert cal.peek_time() == ref[0][0]
-        # the heap stays shallow: events scheduled in order wait in their
-        # kind's lane, and only the gate of each kind is on the heap
-        gates = Counter(ev.kind for ev in cal._heap if ev.seq in in_order)
-        assert max(gates.values(), default=0) <= 1
+        # the heap stays shallow: events scheduled in order wait in the
+        # lane, and only its gate is on the heap
+        assert sum(ev.seq in in_order for ev in cal._heap) <= 1
         # and an event scheduled at the clock never goes on the heap
         assert not any(ev.seq in at_clock for ev in cal._heap)
 
@@ -189,7 +189,7 @@ def test_calendar_event_at_the_clock_pops_after_pending_ones():
     assert cal.clock == 3.0
     # only the current-instant FIFO holds an event
     cal.schedule(3.0, "JobStart", "d")
-    assert not cal._heap and not any(cal._lanes.values())
+    assert not cal._heap and not cal._lane
     assert (len(cal), cal.peek_time()) == (1, 3.0)
     with pytest.raises(PastEvent):
         cal.schedule(2.5, "JobStart", "e")
@@ -308,29 +308,41 @@ def test_clock_monotone_over_run(migration_config):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def test_event_heap_stays_shallow(paper_config):
+@pytest.mark.parametrize(
+    "config_name, vms, events",
+    [("paper_config", 145, 57_600), ("migration_config", 2, 42)],
+    ids=["paper_tables", "migration_demo"],
+)
+def test_event_heap_stays_shallow(request, config_name, vms, events):
     """Each VM has at most one start or finish pending, each cursor and
-    lane one gate, and a run one tick. Starts fire at the clock and wait
-    in the current-instant FIFO; the up-front arrivals and the expiries
-    wait in their cursors, not on the heap and not in a generic lane. So
-    the events held at any one time, on the heap, in the FIFO and in the
-    lanes, stay within a few of the VM count, however many jobs wait."""
-    sim = Simulation(paper_config)
+    the lane one gate, a run one tick, and each job in transit one
+    landing. Starts fire at the clock and wait in the current-instant
+    FIFO; the up-front arrivals and the expiries wait in their cursors,
+    not on the heap and not in the lane. So the events held at any one
+    time, on the heap, in the FIFO and in the lane, less the landings,
+    stay within a few of the VM count, however many jobs wait."""
+    config = request.getfixturevalue(config_name)
+    sim = Simulation(config)
     cal = sim.calendar
+    all_vms = [vm for dc in sim.datacenters.values() for vm in dc.vms]
     held = []
     original_pop = cal.pop
 
     def tracking_pop():
-        held.append(len(cal._heap) + len(cal._now) + sum(map(len, cal._lanes.values())))
+        in_transit = sum(len(vm.incoming) for vm in all_vms)
+        held.append(len(cal._heap) + len(cal._now) + len(cal._lane) - in_transit)
         assert all(ev.kind != engine.JOB_START for ev in cal._heap)
-        assert not cal._lanes.get(engine.JOB_ARRIVAL)
-        assert not cal._lanes.get(engine.DEADLINE_EXPIRY)
+        # only finishes, ticks and landings wait in the lane
+        assert all(
+            ev.kind in (engine.JOB_FINISH, engine.MIGRATION_CHECK)
+            or (ev.kind == engine.JOB_ARRIVAL and ev.subject.vm_history)
+            for ev in cal._lane
+        )
         return original_pop()
 
     cal.pop = tracking_pop
     sim.run()
-    vms = sum(dc.vm_count for dc in paper_config.datacenters)
-    assert (vms, len(held)) == (145, 57_600)
+    assert (len(all_vms), len(held)) == (vms, events)
     assert max(held) <= vms + 6
 
 
