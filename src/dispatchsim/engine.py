@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import attrgetter, countOf
 from typing import NamedTuple
 
-from .metrics import RunMetrics
+from .metrics import MigrationLog, RunMetrics
 from .model import (
     COMPLETED,
     Datacenter,
@@ -404,7 +404,7 @@ class Simulation:
         # order unless the rows are not
         self._in_id_order = all(a.id < b.id for a, b in zip(explicit, explicit[1:]))
         self._active = len(self.jobs)
-        self.migration_log: list[tuple] = []
+        self.migration_log = MigrationLog()
         self.event_count = 0
         # the arrival cursor's (arrival, list position) order; generated
         # jobs are in it already, and the sort is stable
@@ -656,13 +656,14 @@ class Simulation:
             dc.settled = True  # exact: no VM can take a job, so none can move
             return
         vms = dc.vms
-        logged = len(self.migration_log)
+        moved = self.migration_log.ids  # grows with each move; a C len, not the log's
+        logged = len(moved)
         residual = [self._residual(v, now) for v in vms]
         shed = self._shed_sjf if self.scheduler == "sjf" else self._shed_rr
         for vm in vms:
             if vm.movable:  # exact: a VM with no uncapped job has no mover
                 targets = shed(vm, targets, residual, now)
-        dc.settled = len(self.migration_log) == logged
+        dc.settled = len(moved) == logged
 
     def _shed_rr(self, vm: VmInstance, targets: list, residual: list, now: float) -> list:
         """Move `vm`'s movers under rr; returns the targets left."""
@@ -718,7 +719,9 @@ class Simulation:
         self._queue_remove(vm, job, i)
         self._incoming_add(target, job)
         job.vm = target
-        self.migration_log.append((job.id, vm.id, target.id, now, current_wait, cost))
+        log = self.migration_log  # `MigrationLog.append`, one C call per array
+        log.ids.fromlist([job.id, vm.id, target.id])
+        log.times.fromlist([now, current_wait, cost])
         self.calendar.schedule(now + self.hop_ms, JOB_ARRIVAL, job)
         return self._migration_targets(vm.dc)
 

@@ -5,6 +5,8 @@ report."""
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,11 +25,59 @@ class StatSummary:
     count: int
 
 
+class MigrationLog(Sequence):
+    """The migration decisions of one run, in the order taken. Row k
+    reads back as the tuple `(job id, from VM, to VM, time, wait, cost)`:
+    the VMs are indices within the job's datacenter, and the time of the
+    decision, the job's own wait there and the cost of the chosen target
+    (its wait plus `hop_time`) are in ms, exactly as the engine computed
+    them.
+
+    The rows are held flat: the three ids of each in one `array('q')`
+    and the three times in one `array('d')`, 48 bytes a row where a
+    tuple holding two new floats takes about 145. `append` takes one
+    row; the engine fills `ids` and `times` itself, one `fromlist` call
+    each. `==` compares the rows with another log or with a list of
+    tuples."""
+
+    __slots__ = ("ids", "times")
+
+    def __init__(self):
+        self.ids = array("q")
+        self.times = array("d")
+
+    def append(self, row) -> None:
+        job, source, target, now, wait, cost = row
+        self.ids.fromlist([job, source, target])
+        self.times.fromlist([now, wait, cost])
+
+    def __len__(self) -> int:
+        return len(self.ids) // 3
+
+    def __getitem__(self, k: int) -> tuple:
+        i = 3 * range(len(self))[k]
+        return (*self.ids[i:i + 3], *self.times[i:i + 3])
+
+    def __iter__(self):
+        ids, times = iter(self.ids), iter(self.times)
+        return zip(ids, ids, ids, times, times, times)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MigrationLog):
+            return self.ids == other.ids and self.times == other.times
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"MigrationLog({list(self)!r})"
+
+
 @dataclass
 class RunMetrics:
     """Everything one run produces: counts, per-job traces (the run's
     own jobs, in id order), and the migration decisions taken along the
-    way."""
+    way, one `MigrationLog` row per move."""
 
     unit_ms: float  # ms per time unit the scenario declared; CSV output uses it
     submitted: int
@@ -35,7 +85,7 @@ class RunMetrics:
     rejected: int
     traces: list[Job] = field(default_factory=list)
     event_count: int = 0
-    migration_log: list[tuple] = field(default_factory=list)
+    migration_log: MigrationLog = field(default_factory=MigrationLog)
 
     @cached_property
     def aggregates(self) -> tuple[dict[str, StatSummary], dict[str, dict[int, list]]]:

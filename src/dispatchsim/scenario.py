@@ -155,6 +155,9 @@ _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 # `run` and `sweep` name their default output directory after it
 _PATH_SAFE = (lambda v: not {"\0", "/"}.intersection(v), "must not hold a NUL character or '/'")
+# the migration log holds job ids as 64-bit integers, and generated
+# jobs take the ids after the largest [jobs] id
+_JOB_ID = (lambda v: abs(v) <= 2**62, "must be between -2**62 and 2**62")
 
 _SCN, _DC, _UB, _POL = ("scenario",), ("datacenter",), ("userbase",), ("policy",)
 _ADV_UB, _JOB = ("advanced", "userbase"), ("job",)
@@ -188,7 +191,7 @@ _SCHEMA = (
     _Key(_POL, "migration_cadence", float, check=_POSITIVE, duration=True),
     _Key(_POL, "migration_cap", int, check=_NON_NEGATIVE),
     _Key(_POL, "starvation_threshold", float, check=_POSITIVE, duration=True),
-    _Key(_JOB, "id", int, required=True),
+    _Key(_JOB, "id", int, required=True, check=_JOB_ID),
     _Key(_JOB, "arrival", float, required=True, check=_NON_NEGATIVE, duration=True),
     _Key(_JOB, "burst", float, required=True, check=_POSITIVE, duration=True),
     _Key(_JOB, "data_size", float, check=_NON_NEGATIVE),

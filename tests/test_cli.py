@@ -336,13 +336,17 @@ deadline = {deadline}
 TINY_RATE = _user_bases("hours", "1", 1).replace("rate = 100", "rate = 1e-320")
 
 # a duration in ms, the request count, or a job's run or transfer time
-# overflows to inf
+# overflows to inf, or a [jobs] id overflows the migration log's 64-bit ids
 OVERFLOWING = {
     "horizon": (_user_bases("hours", "1e305", 1), "horizon"),
     "deadline": (_user_bases("hours", "1", 1, deadline="1e305"), "deadline"),
     "requests": (_user_bases("ms", "1e308", "1e9"), "UB1"),
     "job_arrival": (_user_bases("hours", "1") + "\n[jobs]\njob = 1 1e305 1\n", "arrival"),
     "job_burst": (_user_bases("hours", "1") + "\n[jobs]\njob = 1 0 1e305\n", "burst"),
+    "job_id": (
+        _user_bases("hours", "1") + f"\n[jobs]\njob = {-2**62 - 1} 0 1\n",
+        f"[jobs] job {-2**62 - 1} id must be between -2**62 and 2**62",
+    ),
     "demand": (TINY_RATE, "user base UB1 full-batch demand must be finite, got inf ms"),
     "transfer": (
         _user_bases("hours", "1", 1).replace("bandwidth = 1\n", "bandwidth = 1e-320\n"),

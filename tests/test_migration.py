@@ -20,16 +20,21 @@ rescan sums them in join order, and the two orders agree exactly for
 integer-valued demands, but other float demands can differ in the last
 ulp.
 
-Three relations compare the engine with itself on the same random
-scenarios: `migration_cap = 0` runs as migration off, a datacenter
-with no user base changes no trace, move or event count, and queue_cap
-admission with room for every job runs as a deadline that no job
-reaches, whose expiries all find their jobs started.
+Four relations compare the engine with itself on the same random
+scenarios: `migration_cap = 0` runs as migration off, a cap at the most
+moves any job makes uncapped runs as no cap, a datacenter with no user
+base changes no trace, move or event count, and queue_cap admission
+with room for every job runs as a deadline that no job reaches, whose
+expiries all find their jobs started. A liveness probe runs the same
+scenarios uncapped at short hops: every run ends well inside an event
+cap, and no job moves twice at one instant.
 """
 
 import copy
+import gc
 import re
-from collections import defaultdict
+import tracemalloc
+from collections import Counter, defaultdict
 from operator import attrgetter
 from unittest import mock
 
@@ -250,6 +255,49 @@ def test_migration_cap_zero_runs_as_migration_off(admission, data):
     off = Simulation(load_scenario(text.replace("migration = on", "migration = off"))).run()
     assert capped.migration_log == []
     assert traces(capped) == traces(off)
+
+
+UNCAPPED = 10**6  # far above the moves of any job in a draw of at most 60
+
+
+def uncapped(text):
+    return re.sub(r"migration_cap = \d+", f"migration_cap = {UNCAPPED}", text)
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "sjf"])
+@pytest.mark.parametrize("admission", ["deadline", "queue_cap"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_cap_at_the_most_moves_of_one_job_changes_nothing(admission, scheduler, data):
+    # a job capped after its M-th move under cap M made no further move
+    # uncapped, so capping it can change no decision
+    text = re.sub(r"scheduler = \w+", f"scheduler = {scheduler}", uncapped(data.draw(
+        overloaded_scenarios(admission))))
+    free = Simulation(load_scenario(text)).run()
+    most = max(Counter(row[0] for row in free.migration_log).values(), default=0)
+    capped = Simulation(load_scenario(
+        text.replace(f"migration_cap = {UNCAPPED}", f"migration_cap = {most}"))).run()
+    assert capped.migration_log == free.migration_log
+    assert traces(capped) == traces(free)
+    assert capped.event_count == free.event_count
+
+
+@pytest.mark.parametrize("hop", ["0", "0.5", "1"])
+@pytest.mark.parametrize("admission", ["deadline", "queue_cap"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_uncapped_migration_ends_and_moves_no_job_twice_at_one_instant(admission, hop, data):
+    """Liveness: with no practical cap on moves and hops of at most 1 ms,
+    rr and sjf runs of up to 60 jobs all end under a cap of 200,000
+    events, and no (job, time) pair repeats in the log."""
+    text = re.sub(r"hop_time = \d+", f"hop_time = {hop}", uncapped(data.draw(
+        overloaded_scenarios(admission))))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "EVENT_CAP", 200_000)
+        metrics = Simulation(load_scenario(text)).run()
+    assert metrics.completed + metrics.rejected == metrics.submitted
+    moments = [(row[0], row[3]) for row in metrics.migration_log]
+    assert len(set(moments)) == len(moments)
 
 
 @pytest.mark.parametrize("migration", ["on", "off"])
@@ -504,6 +552,27 @@ def test_whole_run_calls_the_rule_once_per_move(scenario, scheduler):
     assert rule.call_count == len(metrics.migration_log)
     if scenario == "two_vm_mix":
         assert metrics.submitted == 1000
+
+
+def test_the_log_keeps_each_move_in_at_most_56_bytes():
+    """The sjf two-VM mix makes over 1,000 moves. Its log reads back one
+    `(job id, from VM, to VM, time, wait, cost)` tuple of three ints and
+    three floats per move, and freeing it returns at most 56 bytes per
+    move, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        log = Simulation(load_scenario(_two_vm_mix("sjf"))).run().migration_log
+        moves = len(log)
+        assert moves >= 1000
+        for row in log:
+            assert tuple(map(type, row)) == (int, int, int, float, float, float)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del log
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed / moves <= 56, (freed, moves)
 
 
 def checked_simulation(check):
