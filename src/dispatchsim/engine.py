@@ -103,39 +103,29 @@ class EventCalendar:
 
     Pending events sit in four places:
 
-    - `_now`, the current-instant FIFO: every event scheduled at the
-      clock (every start, and an expiry whose arrival + deadline rounds
-      to the arrival itself).
+    - `_now`, the current-instant FIFO: every event that `schedule`
+      gets at the clock, every start among them.
     - The two cursors. The arrival cursor is `arrivals`, the jobs in
       (arrival, list position) order, whose k-th job pops as
       `Event(job.arrival, k, JOB_ARRIVAL, job)`; the up-front arrivals
       take seqs 0…n−1, and `_seq` starts at n. For the expiry cursor,
       `schedule_expiry` gives the k-th arrival's expiry the next seq,
-      kept in `_expiry_seqs[k]` (−1 for one that joined `_now`), and it
-      pops as `Event(job.arrival + deadline, seq, DEADLINE_EXPIRY,
-      job)`.
+      kept in `_expiry_seqs[k]`, and it pops as `Event(job.arrival +
+      deadline, seq, DEADLINE_EXPIRY, job)`.
     - The generic lane: finishes, migration landings and ticks in
       (fire_at, seq) order. An event that sorts at or after the lane's
       last one, or after its gate while the lane is empty, joins it.
     - One binary heap: each cursor's and the lane's gate, and every
       other event.
 
-    While a cursor or the lane holds events, its gate is on the heap and
-    sorts before all of them, and they are in (fire_at, seq) order: the
-    lane by its rule, the arrivals by their sort, and the expiries
-    because fl(a + d) does not fall as a grows and their seqs grow with
-    k. Popping a gate builds or takes the next one as the new gate. So
-    the heap head is the least of the heap, the cursors and the lane.
-
-    `pop` takes the heap head if it fires at the clock, else the head
-    of `_now`, else the heap head, and this is exactly the order of one
-    heap of all events. Every event in `_now` fires at the clock: the
-    clock moves only when the heap head fires after it, which is popped
-    only once `_now` is empty. An event on the heap or in a cursor that
-    fires at the clock took its seq while the clock was earlier (at the
-    clock it would have joined `_now`; the up-front arrivals took 0…n−1
-    before the run), so before every event in `_now`, and its seq is
-    smaller.
+    Each part is in (fire_at, seq) order: `_now` since the clock never
+    decreases and seqs grow, the lane by its rule, the arrivals by their
+    sort, and the expiries because fl(a + d) does not fall as a grows
+    and their seqs grow with k. While a cursor or the lane holds events,
+    its gate is on the heap, and popping a gate builds or takes the next
+    one as the new gate. So the heap head is the least of the heap, the
+    cursors and the lane, and `pop` takes the lesser of it and `_now`'s
+    head: exactly the order of one heap of all events.
 
     This is also the order of one heap that got each up-front arrival,
     with its list position as seq, before the run: among the arrivals,
@@ -167,7 +157,7 @@ class EventCalendar:
         pending = len(self._heap) + len(self._now) + len(self._lane)
         if self._arrival_gate is not None:
             pending += len(self._arrivals) - 1 - self._arrival_gate.seq
-        return pending + sum(seq >= 0 for seq in self._expiry_seqs[self._expiry_next:])
+        return pending + len(self._expiry_seqs) - self._expiry_next
 
     def schedule(self, fire_at: float, kind: str, subject: object = None) -> None:
         clock = self.clock
@@ -188,27 +178,26 @@ class EventCalendar:
                 self._gate = ev
 
     def schedule_expiry(self) -> None:
-        """Schedule the expiry of the next up-front arrival that has none,
-        at its arrival + deadline with the next seq. Call it while that
-        arrival is handled, so the clock is its arrival time."""
+        """Put the expiry of the next up-front arrival that has none in
+        the expiry cursor, with the next seq; it fires at that arrival +
+        deadline, worked out when it becomes the cursor's gate. Call it
+        while that arrival is handled, so that the expiry's seq follows
+        the arrival's and the seqs of the expiries before it."""
         seqs = self._expiry_seqs
-        job = self._arrivals[len(seqs)]
-        fire_at = job.arrival + self._deadline
-        if fire_at == self.clock:  # it joins `_now`, as any event at the clock
-            seqs.append(-1)
-            self.schedule(fire_at, DEADLINE_EXPIRY, job)
-            return
-        seq = self._seq
+        k, seq = len(seqs), self._seq
         self._seq = seq + 1
         seqs.append(seq)
         if self._expiry_gate is None:  # the cursor was empty: this is its gate
-            self._expiry_next = len(seqs)
-            self._expiry_gate = gate = _new_event(Event, (fire_at, seq, DEADLINE_EXPIRY, job))
+            self._expiry_next = k + 1
+            job = self._arrivals[k]
+            self._expiry_gate = gate = _new_event(
+                Event, (job.arrival + self._deadline, seq, DEADLINE_EXPIRY, job)
+            )
             heappush(self._heap, gate)
 
     def pop(self) -> Event:
         heap, now = self._heap, self._now
-        if now and not (heap and heap[0][0] == self.clock):
+        if now and not (heap and heap[0] < now[0]):  # by (fire_at, seq), seqs are unique
             return now.popleft()  # fires at the clock, so the clock stays
         ev = heap[0]
         if ev is self._arrival_gate:
@@ -223,19 +212,16 @@ class EventCalendar:
                 heappop(heap)
         elif ev is self._expiry_gate:
             seqs, k = self._expiry_seqs, self._expiry_next
-            while k < len(seqs) and seqs[k] < 0:  # joined `_now` instead
-                k += 1
             if k < len(seqs):
                 job = self._arrivals[k]
                 self._expiry_gate = gate = _new_event(
                     Event, (job.arrival + self._deadline, seqs[k], DEADLINE_EXPIRY, job)
                 )
                 heapreplace(heap, gate)
-                k += 1
+                self._expiry_next = k + 1
             else:
                 self._expiry_gate = None
                 heappop(heap)
-            self._expiry_next = k
         elif ev is self._gate:
             lane = self._lane
             if lane:
@@ -719,7 +705,7 @@ class Simulation:
         self._queue_remove(vm, job, i)
         self._incoming_add(target, job)
         job.vm = target
-        log = self.migration_log  # `MigrationLog.append`, one C call per array
+        log = self.migration_log  # one row: one C call per array
         log.ids.fromlist([job.id, vm.id, target.id])
         log.times.fromlist([now, current_wait, cost])
         self.calendar.schedule(now + self.hop_ms, JOB_ARRIVAL, job)

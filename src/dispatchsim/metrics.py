@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,9 +24,9 @@ class StatSummary:
     count: int
 
 
-class MigrationLog(Sequence):
-    """The migration decisions of one run, in the order taken. Row k
-    reads back as the tuple `(job id, from VM, to VM, time, wait, cost)`:
+class MigrationLog:
+    """The migration decisions of one run, in the order taken. Each row
+    iterates as the tuple `(job id, from VM, to VM, time, wait, cost)`:
     the VMs are indices within the job's datacenter, and the time of the
     decision, the job's own wait there and the cost of the chosen target
     (its wait plus `hop_time`) are in ms, exactly as the engine computed
@@ -35,10 +34,9 @@ class MigrationLog(Sequence):
 
     The rows are held flat: the three ids of each in one `array('q')`
     and the three times in one `array('d')`, 48 bytes a row where a
-    tuple holding two new floats takes about 145. `append` takes one
-    row; the engine fills `ids` and `times` itself, one `fromlist` call
-    each. `==` compares the rows with another log or with a list of
-    tuples."""
+    tuple holding two new floats takes about 145. The engine writes a
+    row with one `fromlist` call on each of `ids` and `times`. `==`
+    compares the rows with another log or with a list of tuples."""
 
     __slots__ = ("ids", "times")
 
@@ -46,17 +44,8 @@ class MigrationLog(Sequence):
         self.ids = array("q")
         self.times = array("d")
 
-    def append(self, row) -> None:
-        job, source, target, now, wait, cost = row
-        self.ids.fromlist([job, source, target])
-        self.times.fromlist([now, wait, cost])
-
     def __len__(self) -> int:
         return len(self.ids) // 3
-
-    def __getitem__(self, k: int) -> tuple:
-        i = 3 * range(len(self))[k]
-        return (*self.ids[i:i + 3], *self.times[i:i + 3])
 
     def __iter__(self):
         ids, times = iter(self.ids), iter(self.times)

@@ -114,8 +114,8 @@ def test_calendar_matches_a_plain_heap(steps):
 # Up-front arrivals for the cursors: ties, the clock's own start, and
 # times so large that a deadline of 0.5 or 1.0 is at most half an ulp of
 # them. With 1.0, 2**53 and 2**53 + 4 expire at their arrival (ties round
-# to even), while 2**53 + 2 expires at 2**53 + 4, so an expiry at the
-# clock can come while the cursor holds a later one.
+# to even), while 2**53 + 2 expires at 2**53 + 4, so the expiry cursor can
+# hold expiries at the clock behind events already pending there.
 CURSOR_ARRIVALS = st.lists(
     st.sampled_from((0.0, 1.0, 1.0, 2.5, 2.0**53, 2.0**53 + 2, 2.0**53 + 4)), max_size=12
 ).map(sorted)
@@ -168,10 +168,12 @@ def test_calendar_cursors_match_a_plain_heap(arrivals, deadline, steps):
         if ref:
             assert cal.peek_time() == ref[0][0]
         # each cursor keeps one gate on the heap, and an event at the
-        # clock, an expiry's included, never goes there
+        # clock never goes there, but for the expiry cursor's gate
         assert sum(ev.seq < n for ev in cal._heap) <= 1
         assert sum(ev.kind == engine.DEADLINE_EXPIRY for ev in cal._heap) <= 1
-        assert not any(ev.seq in at_clock for ev in cal._heap)
+        assert not any(
+            ev.seq in at_clock and ev.kind != engine.DEADLINE_EXPIRY for ev in cal._heap
+        )
     assert not ref and len(cal) == 0
 
 
@@ -544,12 +546,13 @@ def test_expiry_at_the_clock_pops_after_the_events_pending_there():
     and jobs 2 and 3, arriving then, expire at their arrival: 1.0 is half
     an ulp there, and the tie rounds to even. Like every event scheduled
     at the clock, such an expiry pops after those already pending at that
-    instant. Job 2's expiry and then its start join the current instant,
-    and job 3's expiry joins after them; job 1's expiry, from the cursor,
-    pops first. Job 2 expires queued, the start takes job 3, and job 3's
-    expiry finds it started. Were the cursor to hold an expiry at the
-    clock, it would put both on the heap behind job 1's, before the
-    start, and jobs 2 and 3 would both expire."""
+    instant. Job 2's expiry and then its start are scheduled at the
+    current instant, and job 3's expiry after them; job 1's expiry pops
+    first. Job 2 expires queued, the start takes job 3, and job 3's
+    expiry finds it started. The cursor holds both expiries at the clock,
+    and `pop` takes the start before job 3's because its seq is smaller;
+    were a heap head at the clock to pop before `_now`'s head, jobs 2 and
+    3 would both expire."""
     t0, t = 2.0**53 + 2, 2.0**53 + 4
     rows = [(1, int(t0), 0.5), (2, int(t), 5), (3, int(t), 5)]
     sim = Simulation(load_scenario(_one_dc("deadline = 1", rows)))

@@ -164,10 +164,9 @@ class RescanSimulation(JoinOrderSimulation):
                 target.incoming.append(job)
                 job.vm = target
                 hop = self.hop_ms
-                self.migration_log.append(
-                    (job.id, vm.id, target.id, now, current_wait,
-                     candidates[target.id] + hop)
-                )
+                log = self.migration_log
+                log.ids.fromlist([job.id, vm.id, target.id])
+                log.times.fromlist([now, current_wait, candidates[target.id] + hop])
                 self.calendar.schedule(now + hop, JOB_ARRIVAL, job)
 
 
@@ -228,8 +227,34 @@ def assert_same_run(text):
 ADMISSION_MODES = st.sampled_from(["deadline", "queue_cap"])
 
 
+# sjf on two VMs, deadline 20 ms and hop 5 ms: job 4, moved from VM 1 to
+# VM 0 at t = 29, expires in transit at t = 31 while its datacenter is
+# settled. VM 0's `incoming_sum` falls, so job 7, queued on VM 1, now
+# gains by moving there. Were `_incoming_remove` to leave `settled` set,
+# the check at t = 31 would skip that move and log 2 moves, not 3.
+EXPIRY_IN_TRANSIT_UNSETTLES = "\n".join(
+    [
+        "[scenario]", "name = random", "time_unit = ms", "horizon = 144", "seed = 1",
+        "[datacenter.DC1]", "vms = 2", "rate = 100", "memory = 1", "bandwidth = 1000",
+        "bandwidth_unit = units_per_ms",
+        "[policy]", "scheduler = sjf", "migration = on", "hop_time = 5",
+        "migration_cadence = 1", "migration_cap = 1", "admission = deadline",
+        "deadline = 20",
+        "[jobs]",
+        *(
+            f"job = {i} {a} {b}"
+            for i, a, b in [
+                (1, 2, 32), (2, 5, 33), (3, 9, 1), (4, 11, 39), (5, 15, 27), (7, 22, 30),
+                (8, 24, 19), (9, 30, 20),
+            ]
+        ),
+    ]
+) + "\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(ADMISSION_MODES.flatmap(overloaded_scenarios))
+@example(EXPIRY_IN_TRANSIT_UNSETTLES)
 def test_migration_check_matches_rescan(text):
     assert_same_run(text)
 

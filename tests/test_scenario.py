@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -109,6 +111,59 @@ def test_malformed_number_reports_line():
 def test_duplicate_section():
     with pytest.raises(ParseError):
         load_scenario(MINIMAL + "\n[datacenter.DC1]\nvms = 1\n")
+
+
+JOBS_WITHOUT_DATACENTER = """
+[scenario]
+name = mini
+time_unit = ms
+horizon = 100
+seed = 1
+
+[policy]
+admission = deadline
+deadline = 50
+
+[jobs]
+job = 1 0 5
+"""
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (MINIMAL.replace("[policy]", "[policy"), ParseError,
+         "line 20: unterminated section header '[policy'"),
+        (MINIMAL + "[ ]\n", ParseError, "line 24: empty section name"),
+        (MINIMAL.replace("seed = 1", "seed = 1\nseed = 2"), ParseError,
+         "line 7: duplicate key 'seed' in section [scenario]"),
+        (MINIMAL + "[jobs]\njob = 1 0 5\nwork = 2 0 5\n", UnknownKey,
+         "line 26: unknown key 'work' in section [jobs]"),
+        (MINIMAL.replace("[scenario]\nname = mini\ntime_unit = ms\nhorizon = 100\nseed = 1\n",
+                         ""), ParseError, "missing [scenario] section"),
+        (JOBS_WITHOUT_DATACENTER, ValidationError,
+         "explicit jobs require at least one datacenter"),
+    ],
+    ids=["unterminated-header", "empty-section-name", "duplicate-key", "unknown-jobs-key",
+         "missing-scenario", "jobs-without-datacenter"],
+)
+def test_malformed_text_raises_its_own_error(text, error, message):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(text)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+@pytest.mark.parametrize("field, label", [("datacenters", "datacenter"),
+                                          ("user_bases", "user base")])
+def test_validate_rejects_a_repeated_id(field, label):
+    """Text cannot repeat an id: it is the rest of a section name, and a
+    repeated section is a ParseError. A `ScenarioConfig` built by hand
+    can, and `validate` rejects it."""
+    config = load_scenario(MINIMAL)
+    specs = getattr(config, field)
+    specs.append(copy.copy(specs[0]))
+    with pytest.raises(ValidationError, match=f"^duplicate {label} ids: "):
+        validate(config)
 
 
 @pytest.mark.parametrize(
