@@ -35,8 +35,10 @@ class MigrationLog:
     The rows are held flat: the three ids of each in one `array('q')`
     and the three times in one `array('d')`, 48 bytes a row where a
     tuple holding two new floats takes about 145. The engine writes a
-    row with one `fromlist` call on each of `ids` and `times`. `==`
-    compares the rows with another log or with a list of tuples."""
+    row with one `fromlist` call on each of `ids` and `times`, and so
+    does the rescan oracle in `tests/test_migration.py`: a change to the
+    row layout edits `__iter__`, `Simulation._move` and that oracle.
+    `==` compares the rows with another log or with a list of tuples."""
 
     __slots__ = ("ids", "times")
 

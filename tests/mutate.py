@@ -2,26 +2,25 @@
 
 Each mutant is one exact `(old, new)` text edit of a file under src/,
 whose `old` occurs exactly once there (`tests/test_mutate.py` keeps the
-list current). For each mutant the script copies src/, tests/ and
-pyproject.toml to a temporary directory, applies the edit to the copy,
-runs the mutant's kill-set there with `pytest -x` and a fixed Hypothesis
-seed, and prints whether the mutant was killed (a test failed) or
-survived (every test passed). An equivalent mutant changes no run, so no
-test can kill it; it is listed with its reason and not run.
+list current). The script copies src/, tests/ and pyproject.toml to a
+temporary directory, runs every kill-set there once on the unmutated
+copy, and stops with an error if any of those tests fails, since a kill
+by a test that fails anyway tells nothing. Then, for each mutant, it
+applies the edit to a fresh copy, runs the mutant's kill-set with
+`pytest -x` and Hypothesis seed 0, and prints whether the mutant was
+killed (a test that passed unmutated failed) or survived (every test
+passed). An equivalent mutant changes no run, so no test can kill it;
+it is listed with its reason and not run.
 
-    python tests/mutate.py                # every mutant, each against its kill-set
-    python tests/mutate.py --suite        # each against all of tests/
-    python tests/mutate.py NAME [NAME..]  # only the named mutants
+    python tests/mutate.py
 
-Each mutant costs one pytest run: 1-8 s against its kill-set and 2-40 s
-with `--suite` on a 2-vCPU machine, which stops at the first failing
-test. It exits 1 if a non-equivalent mutant survived or a run could not
-be judged. It is not part of the test suite.
+Each run costs 1-11 s on a 2-vCPU machine. It exits 1 if a
+non-equivalent mutant survived or a run could not be judged. It is not
+part of the test suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -45,7 +44,6 @@ class Mutant(NamedTuple):
 
 _CAL = "tests/test_engine.py::test_calendar_"
 _GOLDEN_QCAP_ON = "tests/test_golden.py::test_golden_outputs[qcap_demo.scn:rr:on]"
-_NO_GARBAGE = "tests/test_engine.py::test_set_up_and_run_make_no_cyclic_garbage"
 _RESCAN = "tests/test_migration.py::test_migration_check_matches_rescan"
 
 MUTANTS = [
@@ -84,7 +82,7 @@ MUTANTS = [
         "movable-cap-by-one",
         "<= self.migration_cap:\n            vm.movable.append(job)",
         "< self.migration_cap:\n            vm.movable.append(job)",
-        (_NO_GARBAGE,),
+        ("tests/test_migration.py::test_snapshot_examples_reach_their_edges",),
     ),
     Mutant(
         "queue-remove-keeps-settled",
@@ -141,7 +139,7 @@ MUTANTS = [
         "rr-bisection-swapped",
         "k = bisect_right(prefix, min(waits) + hop",
         "k = bisect_left(prefix, min(waits) + hop",
-        (_NO_GARBAGE,),
+        (_RESCAN,),
     ),
     Mutant(
         "rr-cap-by-one",
@@ -153,7 +151,7 @@ MUTANTS = [
         "sjf-moves-on-a-tie",
         "+ v.incoming_sum + hop < current_wait:",
         "+ v.incoming_sum + hop <= current_wait:",
-        (_NO_GARBAGE,),
+        (_RESCAN,),
     ),
 ]
 
@@ -168,53 +166,53 @@ def locate(old: str) -> dict[Path, int]:
     return found
 
 
-def run(mutant: Mutant, suite: bool, seed: int) -> tuple[str, str]:
-    """(verdict, detail) of one mutant: killed, survived or error."""
-    (path, count), = locate(mutant.old).items()
-    assert count == 1, f"{mutant.name}: `old` occurs {count} times in {path}"
+def run(nodes, mutant: Mutant | None = None) -> tuple[str, str]:
+    """(verdict, detail) of running the pytest node ids `nodes` up to the
+    first failure on a copy of the repo, with `mutant`'s edit applied if
+    one is given: passed, failed or error, and the first failure line."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        target = copy / path.relative_to(ROOT)
-        target.write_text(
-            target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8"
-        )
+        if mutant is not None:
+            (path, count), = locate(mutant.old).items()
+            assert count == 1, f"{mutant.name}: `old` occurs {count} times in {path}"
+            target = copy / path.relative_to(ROOT)
+            target.write_text(
+                target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                encoding="utf-8",
+            )
         argv = [
             sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            f"--hypothesis-seed={seed}",
-            # the list's own check fails on every mutant, so it tells nothing
-            *(["tests", "--ignore=tests/test_mutate.py"] if suite else mutant.kills),
+            "--hypothesis-seed=0", *nodes,
         ]
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
     failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
     if proc.returncode == 0:
-        return "survived", ""
+        return "passed", ""
     if proc.returncode == 1:
-        return "killed", failed[0] if failed else ""
+        return "failed", failed[0] if failed else ""
     return "error", f"pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Run the engine's mutants against the tests.")
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--suite", action="store_true", help="run all of tests/ on each")
-    parser.add_argument("--seed", type=int, default=0, help="Hypothesis seed (default 0)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
+def main() -> int:
+    t0 = time.perf_counter()
+    verdict, detail = run(dict.fromkeys(n for m in MUTANTS for n in m.kills))
+    print(f"{'(unmutated kill-sets)':32} {verdict:8} {time.perf_counter() - t0:6.1f} s  {detail}",
+          flush=True)
+    if verdict != "passed":
+        return 1
     bad = 0
-    for mutant in [known[n] for n in args.names] if args.names else MUTANTS:
+    for mutant in MUTANTS:
         if mutant.equivalent:
             print(f"{mutant.name:32} equivalent: {mutant.equivalent}", flush=True)
             continue
         t0 = time.perf_counter()
-        verdict, detail = run(mutant, args.suite, args.seed)
+        verdict, detail = run(mutant.kills, mutant)
+        verdict = {"passed": "survived", "failed": "killed"}.get(verdict, verdict)
         bad += verdict != "killed"
         print(f"{mutant.name:32} {verdict:8} {time.perf_counter() - t0:6.1f} s  {detail}",
               flush=True)
