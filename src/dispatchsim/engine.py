@@ -399,10 +399,6 @@ class Simulation:
 
     # -- helpers -----------------------------------------------------------
 
-    def _residual(self, vm: VmInstance, now: float) -> float:
-        job = vm.running
-        return 0.0 if job is None else job.start + job.demand - now
-
     def _service_prefix(self, vm: VmInstance) -> list[float]:
         """Prefix sums of the demands in `vm.queue`. `_queue_add` extends
         them for a job added at the back of the queue; any other change
@@ -415,12 +411,13 @@ class Simulation:
     # four helpers below, so the VM's queue stays in service order and its
     # sjf keys, prefix sums, `movable` list (in join order) and the
     # datacenter's `settled` flag, `queued` count and `open_ids` index never
-    # go stale. A VM takes a job only while it has room
-    # (`Datacenter.has_room`), so it never holds more than `capacity`: an
-    # add that brings it to capacity drops its id from `open_ids`, and a
-    # removal that brings it one below puts the id back. A job's
-    # vm_history is set before it joins a queue and does not change while
-    # it is there, so it says whether the job is in `movable`: with
+    # go stale. A removal keeps the rest in order, so the migration check
+    # resumes its search at a mover's index. A VM takes a job only while it
+    # has room (`Datacenter.has_room`), so it never holds more than
+    # `capacity`: an add that brings it to capacity drops its id from
+    # `open_ids`, and a removal that brings it one below puts the id back.
+    # A job's vm_history is set before it joins a queue and does not change
+    # while it is there, so it says whether the job is in `movable`: with
     # migration on, while it holds at most `migration_cap` VMs.
 
     def _queue_add(self, vm: VmInstance, job: Job):
@@ -579,39 +576,39 @@ class Simulation:
         says a below-mean-queue-length VM is strictly cheaper.
 
         Each source VM offers its uncapped queued jobs (fewer than
-        `migration_cap` moves so far), in join order (`movable`), to the other
-        targets as `(vm, wait)` pairs in VM order, listed again only after
-        a move; an empty list ends the VM's scan. A capped job is never
-        offered, and a VM whose `movable` list is empty is skipped. A wait is
+        `migration_cap` moves so far), in join order (`movable`), to the
+        other targets as `(vm, wait)` pairs in VM order. A wait is
         `(residual + service_prefix[slot]) + incoming_sum`, the slot being
         the job's sjf-key position under sjf and the back of the queue
-        under rr. Movers land later, via `incoming`, so only the source's
-        prefix sums are rebuilt after a move. Under sjf the sums add
-        demands in service order, the order of `vm.queue`; a rescan that
-        sums them in join order agrees exactly for integer-valued demands
-        (all bundled scenarios), other float demands may differ in the
-        last ulp.
+        under rr. Under sjf the sums add demands in service order, the
+        order of `vm.queue`; a rescan that sums them in join order agrees
+        exactly for integer-valued demands (all bundled scenarios), other
+        float demands may differ in the last ulp.
 
-        `migration_decision` is called only for a job that moves; under
-        sjf the looks still cost in proportion to the uncapped queued
-        jobs. Each test below compares the rule's own cost, `wait + hop`, with the job's
+        One loop serves both schedulers. For each VM with a `movable` job,
+        the scheduler's search returns the first mover at or after a
+        resume index (None once no other target remains or none beats
+        staying), `_move` sends it, and the targets are refreshed at once.
+        Movers land later, via `incoming`, so only the source's prefix
+        sums change. The search resumes at the mover's index, which then
+        holds the next job: the jobs before it have been offered already.
+
+        `migration_decision` is called only for a job that moves. Each
+        search compares the rule's own cost, `wait + hop`, with the job's
         own wait, so the rule sees exactly the jobs that move under it and
         picks the same target and cost:
 
-        - rr (`_shed_rr`): until a move, the pairs do not depend on the
-          job, and neither does `best = min(waits) + hop`, the least cost
-          (adding `hop` keeps the order of the waits). A job's own wait,
+        - rr (`_first_mover_rr`, over `vm.queue`): the pairs, and so `best
+          = min(waits) + hop`, the least cost (adding `hop` keeps the
+          order of the waits), do not depend on the job. A job's own wait,
           `residual + prefix[k]` at queue index k, does not fall along the
-          queue: the prefix sums do not fall and float addition is
-          monotone. So the jobs whose wait exceeds `best` form a suffix of
-          the queue, which bisection finds; its first uncapped job is the
-          mover. After a move the pairs, `best` and the prefix are
-          recomputed, and the search resumes at the mover's index, since
-          the jobs before it have been offered already.
-        - sjf (`_shed_sjf`): for each job of `movable`, the targets are
-          walked in VM order until one's `wait + hop` beats the job's own
-          wait; only then are the pairs built and the rule called. Slots
-          are found by bisecting `service_keys`, the plain sjf keys.
+          queue (the prefix sums do not fall and float addition is
+          monotone), so the jobs whose wait exceeds `best` form a suffix,
+          which bisection finds; its first uncapped job is the mover.
+        - sjf (`_first_mover_sjf`, over `movable`): the targets are walked
+          in VM order until one's `wait + hop` beats the job's own wait;
+          only then are the pairs built. Slots are found by bisecting
+          `service_keys`, the plain sjf keys.
 
         The check returns at once while `dc.settled`: its last full pass
         moved no job and no queue or `incoming` list of the datacenter
@@ -641,41 +638,49 @@ class Simulation:
         if not targets:
             dc.settled = True  # exact: no VM can take a job, so none can move
             return
-        vms = dc.vms
         moved = self.migration_log.ids  # grows with each move; a C len, not the log's
         logged = len(moved)
-        residual = [self._residual(v, now) for v in vms]
-        shed = self._shed_sjf if self.scheduler == "sjf" else self._shed_rr
-        for vm in vms:
-            if vm.movable:  # exact: a VM with no uncapped job has no mover
-                targets = shed(vm, targets, residual, now)
+        residual = []  # a comprehension would make `now` a cell, paid on every call
+        for v in dc.vms:
+            job = v.running
+            residual.append(0.0 if job is None else job.start + job.demand - now)
+        first_mover = self._first_mover_sjf if self.scheduler == "sjf" else self._first_mover_rr
+        for vm in dc.vms:
+            resume = 0
+            # exact: a VM with no uncapped job has no mover
+            while vm.movable and (mover := first_mover(vm, targets, residual, resume)):
+                resume, job, i, wait, pairs = mover
+                self._move(vm, job, i, wait, pairs, now)
+                targets = self._migration_targets(dc)
         dc.settled = len(moved) == logged
 
-    def _shed_rr(self, vm: VmInstance, targets: list, residual: list, now: float) -> list:
-        """Move `vm`'s movers under rr; returns the targets left."""
-        queue, r, hop, cap = vm.queue, residual[vm.id], self.hop_ms, self.migration_cap
-        k = 0
-        while True:
-            others = [v for v in targets if v is not vm]
-            if not others:
-                return targets
-            waits = [(residual[v.id] + v.service_prefix[-1]) + v.incoming_sum for v in others]
-            prefix = self._service_prefix(vm)
-            k = bisect_right(prefix, min(waits) + hop, k, len(queue), key=lambda p: r + p)
-            while k < len(queue) and len(queue[k].vm_history) > cap:  # all its moves landed
-                k += 1
-            if k == len(queue):
-                return targets
-            targets = self._move(vm, queue[k], k, r + prefix[k], list(zip(others, waits)), now)
-
-    def _shed_sjf(self, vm: VmInstance, targets: list, residual: list, now: float) -> list:
-        """Move `vm`'s movers under sjf; returns the targets left."""
-        r, hop, keys = residual[vm.id], self.hop_ms, vm.service_keys
+    def _first_mover_rr(self, vm: VmInstance, targets: list, residual: list, k: int):
+        """rr: `(k, job, k, own wait, pairs)` for the first uncapped job at
+        or after index `k` of `vm.queue` that a target beats, else None."""
         others = [v for v in targets if v is not vm]
+        if not others:
+            return None
+        queue, r, hop, cap = vm.queue, residual[vm.id], self.hop_ms, self.migration_cap
+        waits = [(residual[v.id] + v.service_prefix[-1]) + v.incoming_sum for v in others]
         prefix = self._service_prefix(vm)
-        for job in list(vm.movable):
-            if not others:
-                break
+        k = bisect_right(prefix, min(waits) + hop, k, len(queue), key=lambda p: r + p)
+        while k < len(queue) and len(queue[k].vm_history) > cap:  # all its moves landed
+            k += 1
+        if k == len(queue):
+            return None
+        return k, queue[k], k, r + prefix[k], list(zip(others, waits))
+
+    def _first_mover_sjf(self, vm: VmInstance, targets: list, residual: list, start: int):
+        """sjf: `(n, job, i, own wait, pairs)` for the first job at or after
+        index `start` of `vm.movable` (n there, i in `vm.queue`) that a
+        target beats, else None."""
+        others = [v for v in targets if v is not vm]
+        if not others:
+            return None
+        r, hop, keys = residual[vm.id], self.hop_ms, vm.service_keys
+        prefix, movable = self._service_prefix(vm), vm.movable
+        for n in range(start, len(movable)):
+            job = movable[n]
             key = (job.demand, job.arrival, job.id)
             i = bisect_left(keys, key)
             current_wait = r + prefix[i]
@@ -690,26 +695,20 @@ class Simulation:
                  + v.incoming_sum)
                 for v in others
             ]
-            targets = self._move(vm, job, i, current_wait, pairs, now)
-            others = [v for v in targets if v is not vm]
-            prefix = self._service_prefix(vm)
-        return targets
+            return n, job, i, current_wait, pairs
+        return None
 
-    def _move(
-        self, vm: VmInstance, job: Job, i: int, current_wait: float, pairs: list, now: float
-    ) -> list:
-        """Send `job`, at index `i` of `vm.queue`, to the target the rule
-        picks among `pairs`, which must beat staying; returns the new
-        targets."""
-        target, cost = migration_decision(current_wait, pairs, self.hop_ms)
+    def _move(self, vm: VmInstance, job: Job, i: int, wait: float, pairs: list, now: float):
+        """Send `job`, waiting `wait` at index `i` of `vm.queue`, to the
+        target the rule picks among `pairs`, which must beat staying."""
+        target, cost = migration_decision(wait, pairs, self.hop_ms)
         self._queue_remove(vm, job, i)
         self._incoming_add(target, job)
         job.vm = target
         log = self.migration_log  # one row: one C call per array
         log.ids.fromlist([job.id, vm.id, target.id])
-        log.times.fromlist([now, current_wait, cost])
+        log.times.fromlist([now, wait, cost])
         self.calendar.schedule(now + self.hop_ms, JOB_ARRIVAL, job)
-        return self._migration_targets(vm.dc)
 
     # -- run loop ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ it is listed with its reason and not run.
 
     python tests/mutate.py
 
-Each run costs 1-11 s on a 2-vCPU machine. It exits 1 if a
+Each run costs 1-18 s on a 2-vCPU machine. It exits 1 if a
 non-equivalent mutant survived or a run could not be judged. It is not
 part of the test suite.
 """
@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 _CAL = "tests/test_engine.py::test_calendar_"
 _GOLDEN_QCAP_ON = "tests/test_golden.py::test_golden_outputs[qcap_demo.scn:rr:on]"
 _RESCAN = "tests/test_migration.py::test_migration_check_matches_rescan"
+_TWIN = "tests/test_migration.py::test_the_settled_skip_changes_no_run"
 
 MUTANTS = [
     Mutant(
@@ -134,6 +135,51 @@ MUTANTS = [
         "dc.settled = len(moved) == logged",
         "dc.settled = True",
         ("tests/test_migration.py::test_datacenter_summaries_hold_after_every_event",),
+    ),
+    # One per path that clears `dc.settled`: the flag is set back to what
+    # it was before the path ran.
+    Mutant(
+        "arrival-keeps-settled",
+        "        vm = rr_next_vm(dc)\n        self._enqueue(vm, job, now)\n",
+        "        vm = rr_next_vm(dc)\n        was = dc.settled\n"
+        "        self._enqueue(vm, job, now)\n        dc.settled = was\n",
+        (_GOLDEN_QCAP_ON,),
+    ),
+    Mutant(
+        "landing-keeps-settled",
+        "            self._incoming_remove(vm, job)\n            self._enqueue(vm, job, now)\n",
+        "            was = vm.dc.settled\n            self._incoming_remove(vm, job)\n"
+        "            self._enqueue(vm, job, now)\n            vm.dc.settled = was\n",
+        (_TWIN,),
+    ),
+    Mutant(
+        "start-keeps-settled",
+        "        self._queue_remove(vm, job, 0)\n",
+        "        was = vm.dc.settled\n        self._queue_remove(vm, job, 0)\n"
+        "        vm.dc.settled = was\n",
+        (_TWIN,),
+    ),
+    Mutant(
+        "queued-expiry-keeps-settled",
+        "        else:\n            self._queue_remove(vm, job)\n",
+        "        else:\n            was = vm.dc.settled\n            self._queue_remove(vm, job)\n"
+        "            vm.dc.settled = was\n",
+        (_TWIN,),
+    ),
+    Mutant(
+        "transit-expiry-keeps-settled",
+        "            self._incoming_remove(vm, job)\n        else:",
+        "            was = vm.dc.settled\n            self._incoming_remove(vm, job)\n"
+        "            vm.dc.settled = was\n        else:",
+        (_RESCAN,),
+    ),
+    Mutant(
+        "move-keeps-settled",
+        "        self._queue_remove(vm, job, i)\n        self._incoming_add(target, job)\n",
+        "        was = vm.dc.settled\n        self._queue_remove(vm, job, i)\n"
+        "        self._incoming_add(target, job)\n        vm.dc.settled = was\n",
+        equivalent="a move runs only inside a check of an unsettled datacenter, which sets "
+        "the flag from its own moves when it ends",
     ),
     Mutant(
         "rr-bisection-swapped",

@@ -20,14 +20,16 @@ rescan sums them in join order, and the two orders agree exactly for
 integer-valued demands, but other float demands can differ in the last
 ulp.
 
-Four relations compare the engine with itself on the same random
-scenarios: `migration_cap = 0` runs as migration off, a cap at the most
-moves any job makes uncapped runs as no cap, a datacenter with no user
-base changes no trace, move or event count, and queue_cap admission
-with room for every job runs as a deadline that no job reaches, whose
-expiries all find their jobs started. A liveness probe runs the same
-scenarios uncapped at short hops: every run ends well inside an event
-cap, and no job moves twice at one instant.
+Five relations compare the engine with itself on the same random
+scenarios: `migration_cap = 0` and a hop above every wait run as
+migration off, a cap at the most moves any job makes uncapped runs as
+no cap, a datacenter with no user base changes no trace, move or event
+count, and queue_cap admission with room for every job runs as a
+deadline that no job reaches, whose expiries all find their jobs
+started. A twin without the `settled` skip runs as the engine on
+demands in tenths and hundredths of a ms. A liveness probe runs the
+same scenarios uncapped at short hops: every run ends well inside an
+event cap, and no job moves twice at one instant.
 """
 
 import copy
@@ -115,6 +117,11 @@ class RescanSimulation(JoinOrderSimulation):
     def _sjf_key(self, job):
         return (job.demand, job.arrival, job.id)
 
+    def _residual(self, vm, now):
+        """What is left of `vm`'s running job at `now`, 0 when idle."""
+        job = vm.running
+        return 0.0 if job is None else job.start + job.demand - now
+
     def _wait_ahead_of(self, vm, job, now):
         w = self._residual(vm, now)
         queue = self.join_order(vm)
@@ -171,15 +178,15 @@ class RescanSimulation(JoinOrderSimulation):
 
 
 @st.composite
-def overloaded_scenarios(draw, admission, migration="on", tenths=False):
+def overloaded_scenarios(draw, admission, migration="on", steps_per_ms=1):
     """Scenario text: one 2-4 VM datacenter fed explicit jobs with
-    whole-ms bursts (tenths of a ms with `tenths`), at a load of up to
-    4x its capacity."""
+    bursts of up to 40 ms in steps of 1 / `steps_per_ms` ms (whole ms by
+    default), at a load of up to 4x its capacity."""
     vms = draw(st.integers(2, 4))
     n = draw(st.integers(10, 60))
-    bursts = draw(st.lists(st.integers(1, 400 if tenths else 40), min_size=n, max_size=n))
-    if tenths:
-        bursts = [b / 10 for b in bursts]
+    bursts = draw(st.lists(st.integers(1, 40 * steps_per_ms), min_size=n, max_size=n))
+    if steps_per_ms > 1:
+        bursts = [b / steps_per_ms for b in bursts]
     rho = draw(st.sampled_from([0.5, 1.2, 2.0, 4.0]))
     span = max(1, int(sum_in_order(bursts) / (vms * rho)))
     arrivals = sorted(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
@@ -259,6 +266,70 @@ def test_migration_check_matches_rescan(text):
     assert_same_run(text)
 
 
+def _one_dc(vms, horizon, scheduler, hop, jobs):
+    """Scenario text: `vms` VMs under `scheduler` with hop `hop`, a 1 ms
+    cadence, cap 1 and a 20 ms deadline, fed `jobs` as (arrival, burst)
+    rows with ids 1, 2, ..."""
+    return "\n".join([
+        "[scenario]", "name = random", "time_unit = ms", f"horizon = {horizon}", "seed = 1",
+        "[datacenter.DC1]", f"vms = {vms}", "rate = 100", "memory = 1", "bandwidth = 1000",
+        "bandwidth_unit = units_per_ms",
+        "[policy]", f"scheduler = {scheduler}", "migration = on", f"hop_time = {hop}",
+        "migration_cadence = 1", "migration_cap = 1", "admission = deadline", "deadline = 20",
+        "[jobs]", *(f"job = {i} {a} {b}" for i, (a, b) in enumerate(jobs, start=1)),
+    ]) + "\n"
+
+
+# Three paths that clear `settled`, each where keeping the flag set would
+# skip a move. rr on two VMs, hop 0, ten jobs at t = 0: at t = 4 VM 0's
+# finish leaves one job queued on each VM, so the check finds no target
+# and settles. VM 0's start then empties its queue and VM 0 joins the
+# targets, so at its next finish, t = 5, job 10 moves there from VM 1.
+START_UNSETTLES = _one_dc(2, 13, "rr", 0, [(0, 3 if i == 8 else 1) for i in range(1, 11)])
+# rr on two VMs, hop 0: jobs 3 and 4 run to t = 20 and 21 while 13 jobs
+# wait behind them, which expire queued at t = 20 and leave VM 0 idle
+# and empty and job 18 alone on VM 1. Job 18 moves to VM 0 at t = 20; had
+# the check stayed settled, it would expire at t = 21.
+QUEUED_EXPIRY_UNSETTLES = _one_dc(
+    2, 57, "rr", 0, [(0, {3: 19, 4: 20}.get(i, 1)) for i in range(1, 18)] + [(1, 1), (21, 1)]
+)
+# sjf on three VMs, hop 1 ms: job 23 lands on VM 2 at t = 4, ahead of
+# job 15 in sjf order, and job 15 moves to VM 1 at t = 4, not at t = 5.
+LANDING_UNSETTLES = _one_dc(
+    3, 23, "sjf", 1, [(0, 2 if i in (15, 18, 21, 24, 28) else 1) for i in range(1, 30)]
+)
+
+
+class UnsettledSimulation(Simulation):
+    """The engine with the `settled` skip removed: every check is a full
+    pass."""
+
+    def _migration_check(self, dc, now):
+        dc.settled = False
+        super()._migration_check(dc, now)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(ADMISSION_MODES, st.sampled_from([10, 100])).flatmap(
+        lambda mode: overloaded_scenarios(mode[0], steps_per_ms=mode[1])
+    )
+)
+@example(START_UNSETTLES)
+@example(QUEUED_EXPIRY_UNSETTLES)
+@example(LANDING_UNSETTLES)
+def test_the_settled_skip_changes_no_run(text):
+    """The `settled` proof in `_migration_check` holds on demands in
+    tenths and hundredths of a ms, where residuals and prefix sums are
+    not whole: the engine and its twin without the skip log the same
+    moves and give the same traces and event count (ROADMAP item 14)."""
+    skipping = Simulation(load_scenario(text)).run()
+    full = UnsettledSimulation(load_scenario(text)).run()
+    assert skipping.migration_log == full.migration_log
+    assert traces(skipping) == traces(full)
+    assert skipping.event_count == full.event_count
+
+
 @settings(max_examples=60, deadline=None)
 @given(overloaded_scenarios("queue_cap", migration="off"))
 def test_queue_cap_admission_matches_rescan_without_migration(text):
@@ -280,6 +351,27 @@ def test_migration_cap_zero_runs_as_migration_off(admission, data):
     off = Simulation(load_scenario(text.replace("migration = on", "migration = off"))).run()
     assert capped.migration_log == []
     assert traces(capped) == traces(off)
+
+
+def kind_counts(text):
+    """(metrics, events popped by kind) of one run of `text`."""
+    kinds = Counter()
+    sim = checked_simulation(lambda sim, kind, now: kinds.update((kind,)))(load_scenario(text))
+    return sim.run(), kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(ADMISSION_MODES.flatmap(overloaded_scenarios))
+def test_a_hop_above_every_wait_runs_as_migration_off(text):
+    # a wait is at most the demand of every job, 60 x 40 ms in a draw, so
+    # at a hop of 10^4 ms no target beats staying: only the ticks differ
+    far = re.sub(r"hop_time = \d+", "hop_time = 10000", text)
+    on, on_kinds = kind_counts(far)
+    off, off_kinds = kind_counts(far.replace("migration = on", "migration = off"))
+    assert on.migration_log == []
+    assert traces(on) == traces(off)
+    assert on_kinds.pop(engine.MIGRATION_CHECK) > 0
+    assert on_kinds == off_kinds
 
 
 UNCAPPED = 10**6  # far above the moves of any job in a draw of at most 60
@@ -675,7 +767,7 @@ IN_TRANSIT_TENTHS = "\n".join(
 
 
 @settings(max_examples=80, deadline=None)
-@given(ADMISSION_MODES.flatmap(lambda mode: overloaded_scenarios(mode, tenths=True)))
+@given(ADMISSION_MODES.flatmap(lambda mode: overloaded_scenarios(mode, steps_per_ms=10)))
 @example(IN_TRANSIT_TENTHS)
 def test_incoming_sum_is_the_in_order_sum_after_every_event(text):
     """After every event each VM's `incoming_sum` is `sum_in_order` of
